@@ -13,29 +13,44 @@ Exit status 0 iff every check passes.
 import argparse
 import sys
 import time
-from fractions import Fraction
 
 from qschur.checks import CHECKS, RunConfig, run_check
+from qschur.cli import _int_list, _parse_backend
+
+
+def _backend(text: str):
+    """The t of the specialized backend, written bare (5/3)."""
+    return _parse_backend(f"rational:{text}")
+
+
+def _check_ids(text: str) -> list:
+    ids = [x for x in text.split(",") if x]
+    unknown = [x for x in ids if x not in CHECKS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown check id(s) {', '.join(unknown)}; choose from {', '.join(CHECKS)}"
+        )
+    return ids
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", default="2,3", help="comma-separated ranks")
-    ap.add_argument("--ell", default="1,2,3", help="comma-separated sizes")
+    ap.add_argument("--n", type=_int_list, default="2,3", help="comma-separated ranks")
+    ap.add_argument("--ell", type=_int_list, default="1,2,3", help="comma-separated sizes")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--backend", default=None,
+    ap.add_argument("--backend", type=_backend, default=None,
                     help="rational t value, e.g. 5/3 (default: symbolic)")
-    ap.add_argument("--only", default=None,
+    ap.add_argument("--only", type=_check_ids, default=list(CHECKS),
                     help="comma-separated check ids (default: all)")
     args = ap.parse_args()
 
     cfg = RunConfig(
-        n_values=[int(x) for x in args.n.split(",")],
-        ell_values=[int(x) for x in args.ell.split(",")],
+        n_values=args.n,
+        ell_values=args.ell,
         seed=args.seed,
-        t0=Fraction(args.backend) if args.backend else None,
+        t0=args.backend,
     )
-    ids = args.only.split(",") if args.only else list(CHECKS)
+    ids = args.only
     print(f"backend: {'symbolic' if cfg.t0 is None else f'rational t={cfg.t0}'}"
           f"   n={cfg.n_values} ell={cfg.ell_values} seed={cfg.seed}")
     print(f"{'check':<12} {'status':<6} {'cases':>5} {'time':>8}")

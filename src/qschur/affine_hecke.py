@@ -85,11 +85,6 @@ class AffHeckeElt:
         key = (alpha, Perm.identity(len(alpha)))
         return AffHeckeElt(ctx, len(alpha), {key: ctx.one})
 
-    @staticmethod
-    def from_hecke(h: HeckeElt) -> "AffHeckeElt":
-        a0 = _zero_alpha(h.ell)
-        return AffHeckeElt(h.ctx, h.ell, {(a0, w): c for w, c in h.terms.items()})
-
     # -- linear structure ---------------------------------------------------------
 
     def _check(self, other):
@@ -217,11 +212,6 @@ class AffHeckeElt:
             body = (ys + "." if ys else "") + f"s[{word}]"
             bits.append(f"({c}) * {body}")
         return " + ".join(bits)
-
-
-def straighten_mul(a: AffHeckeElt, b: AffHeckeElt) -> AffHeckeElt:
-    """Product in Bernstein normal form (alias for the * operator)."""
-    return a * b
 
 
 def _sigma_word_times_y(ctx: ScalarContext, w: Perm, j: int, s: int) -> AffHeckeElt:

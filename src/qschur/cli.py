@@ -21,7 +21,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .affine_hecke import RightModule
+from .affine_hecke import RightModule, verify_module_relations
 from .affinization import functor_F, verify_affine_relations
 from .checks import CHECKS, RunConfig, run_all, run_check
 from .classification import (
@@ -56,9 +56,12 @@ def _parse_backend(text: str):
 
 def _int_list(text: str):
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        values = [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,16 +116,18 @@ def _context(args, n=None) -> ScalarContext:
 
 
 def _segments_or_die(ctx, spec, n, force):
+    """Parse a segment spec; refuse a total length above n unless forced.
+
+    force=None marks a command without --force, whose refusal has no hint.
+    """
     try:
         segs = parse_segments(ctx, spec)
     except SegmentSpecError as e:
         print(f"segment spec error: {e}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
     if segs.ell > n and not force:
-        print(
-            f"total segment length {segs.ell} exceeds n={n}; pass --force to proceed",
-            file=sys.stderr,
-        )
+        hint = "" if force is None else "; pass --force to proceed"
+        print(f"total segment length {segs.ell} exceeds n={n}{hint}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
     return segs
 
@@ -134,14 +139,20 @@ def _load_module(ctx, path):
     except (OSError, json.JSONDecodeError) as e:
         print(f"cannot read module file {path}: {e}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
-    if "V_a" in data:
+    if isinstance(data, dict) and "V_a" in data:
         data = data["V_a"]
-    algebra = data.get("algebra")
-    if algebra in ("H", "Hhat"):
-        return RightModule.from_json(ctx, data)
-    if algebra in ("Uq", "Uq-affine"):
-        return UqModule.from_json(ctx, data)
-    print(f"unknown module descriptor in {path}", file=sys.stderr)
+    algebra = data.get("algebra") if isinstance(data, dict) else None
+    species = {"H": RightModule, "Hhat": RightModule, "Uq": UqModule,
+               "Uq-affine": UqModule}.get(algebra)
+    if species is None:
+        print(f"unknown module descriptor in {path}", file=sys.stderr)
+        raise SystemExit(USAGE_ERROR)
+    try:
+        return species.from_json(ctx, data)
+    except KeyError as e:
+        print(f"bad module descriptor in {path}: missing key {e}", file=sys.stderr)
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        print(f"bad module descriptor in {path}: {e}", file=sys.stderr)
     raise SystemExit(USAGE_ERROR)
 
 
@@ -180,7 +191,10 @@ def cmd_relations(args) -> int:
                 print("module file holds a finite Hecke module; need y actions",
                       file=sys.stderr)
                 return USAGE_ERROR
-            W = functor_F(mod, n)
+            source = verify_module_relations(mod)
+            if not source.passed:
+                return _report_relations(source, args.json)
+            W = functor_F(mod, n, check_source=False)
     return _report_relations(verify_affine_relations(W), args.json)
 
 
@@ -217,6 +231,10 @@ def cmd_drinfeld(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.segments:
+        # a check skips a segment list longer than its rank, so refuse it here
+        for n in args.n:
+            _segments_or_die(_context(args, n), args.segments, n, force=None)
     cfg = RunConfig(
         n_values=args.n,
         ell_values=args.ell if args.ell else [1, 2, 3],
@@ -224,11 +242,7 @@ def cmd_check(args) -> int:
         t0=args.backend,
         segments_spec=args.segments,
     )
-    try:
-        results = run_all(cfg) if args.check_id == "all" else [run_check(args.check_id, cfg)]
-    except SegmentSpecError as e:
-        print(f"segment spec error: {e}", file=sys.stderr)
-        return USAGE_ERROR
+    results = run_all(cfg) if args.check_id == "all" else [run_check(args.check_id, cfg)]
     if args.json:
         print(json.dumps([r.to_json() for r in results], indent=2))
     else:

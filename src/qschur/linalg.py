@@ -270,7 +270,12 @@ class Matrix:
 
         m = Matrix(ctx, nrows, ncols)
         for i, j, s in triplets:
-            m.set_entry(int(i), int(j), parse_scalar(ctx, s))
+            i, j = int(i), int(j)
+            if not (0 <= i < nrows and 0 <= j < ncols):
+                raise ValueError(f"entry ({i}, {j}) outside a {nrows}x{ncols} matrix")
+            if not isinstance(s, str):
+                raise ValueError(f"entry ({i}, {j}) is {s!r}, not a scalar string")
+            m.set_entry(i, j, parse_scalar(ctx, s))
         return m
 
 

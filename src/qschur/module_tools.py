@@ -195,7 +195,10 @@ def _decide_irreducibility(ctx, dim, mats, names, seed, budget):
                     return ("reducible", gen, full)
                 return ("irreducible", {"kind": "norton", "nullity": 1})
     # density fallback: the unital algebra generated by the action matrices
-    alg = _matrix_algebra_closure(ctx, dim, mats)
+    # flatten(z m) = flatten(z) (I (x) m), so spinning the flattened identity
+    # under the I (x) m spans the algebra inside End as row vectors
+    eye = Matrix.identity(ctx, dim)
+    alg = spin(ctx, dim * dim, [eye.kron(m) for m in mats], [_flatten(eye)])
     if alg.dim == dim * dim:
         return ("irreducible", {"kind": "density", "algebra_dim": alg.dim})
     # algebra is proper: hunt for a submodule via kernels of algebra elements
@@ -224,29 +227,10 @@ def _decide_irreducibility(ctx, dim, mats, names, seed, budget):
 
 def _centralizer_elements(ctx, dim, mats):
     """A basis of matrices commuting with the whole action."""
-    constraints = SubspaceBasis(ctx, dim * dim)
-    for m in mats:
-        # entry (r, c) of zm - mz = 0, linear in the entries of z
-        for r in range(dim):
-            for c in range(dim):
-                rowd: dict[int, Scalar] = {}
-                for kk in range(dim):
-                    a = m.rows[kk].get(c)
-                    if a is not None:
-                        key = r * dim + kk
-                        cur = rowd.get(key)
-                        rowd[key] = a if cur is None else cur + a
-                for kk, v in m.rows[r].items():
-                    key = kk * dim + c
-                    cur = rowd.get(key)
-                    rowd[key] = -v if cur is None else cur - v
-                rowd = {k: v for k, v in rowd.items() if not v.is_zero()}
-                if rowd:
-                    constraints.add(rowd)
-    out = []
-    for kv in column_kernel(constraints.to_matrix()):
-        out.append(_unflatten(ctx, dim, kv))
-    return out
+    idx = {(r, c): r * dim + c for r in range(dim) for c in range(dim)}
+    pairs = [(m, m) for m in mats]
+    return [_unflatten(ctx, dim, kv)
+            for kv in _intertwiner_kernel(ctx, pairs, dim, dim, idx)]
 
 
 def is_irreducible(mod, seed: int = 0, budget: int = 60) -> tuple:
@@ -283,23 +267,6 @@ def _annihilator(ctx, dim, basis: SubspaceBasis) -> SubspaceBasis:
     """Vectors v with <v, u> = 0 for all u in the subspace."""
     m = basis.to_matrix()
     return span(ctx, dim, column_kernel(m))
-
-
-def _matrix_algebra_closure(ctx, dim, mats) -> SubspaceBasis:
-    """Row-span of the unital algebra generated by mats inside End."""
-    basis = SubspaceBasis(ctx, dim * dim)
-    basis.add(_flatten(Matrix.identity(ctx, dim)))
-    for m in mats:
-        basis.add(_flatten(m))
-    changed = True
-    while changed:
-        changed = False
-        for row in list(basis.rows()):
-            z = _unflatten(ctx, dim, row)
-            for m in mats:
-                if basis.add(_flatten(z * m)):
-                    changed = True
-    return basis
 
 
 def _flatten(m: Matrix) -> dict:
@@ -393,32 +360,7 @@ def are_isomorphic(A, B, seed: int = 0, max_tries: int = 24) -> Optional[Matrix]
     else:
         allowed = [(r, c) for r in range(db) for c in range(da)]
     idx = {rc: k for k, rc in enumerate(allowed)}
-    # constraint rows of X rho_A(g) - rho_B(g) X = 0 over the allowed unknowns
-    constraints = SubspaceBasis(ctx, len(allowed))
-    for ga, gb in pairs:
-        ga_cols: dict[int, dict] = {}
-        for k, row in enumerate(ga.rows):
-            for c, v in row.items():
-                ga_cols.setdefault(c, {})[k] = v
-        for r in range(db):
-            grow = gb.rows[r]
-            for c in range(da):
-                row: dict[int, Scalar] = {}
-                for k, v in ga_cols.get(c, {}).items():
-                    key = idx.get((r, k))
-                    if key is not None:
-                        cur = row.get(key)
-                        row[key] = v if cur is None else cur + v
-                for k, v in grow.items():
-                    key = idx.get((k, c))
-                    if key is not None:
-                        cur = row.get(key)
-                        nv = -v if cur is None else cur - v
-                        row[key] = nv
-                row = {k: v for k, v in row.items() if not v.is_zero()}
-                if row:
-                    constraints.add(row)
-    sols = column_kernel(constraints.to_matrix())
+    sols = _intertwiner_kernel(ctx, pairs, db, da, idx)
     if not sols:
         return None
 
@@ -455,6 +397,40 @@ def are_isomorphic(A, B, seed: int = 0, max_tries: int = 24) -> Optional[Matrix]
             return x
         tries += 1
     return None
+
+
+def _intertwiner_kernel(ctx, pairs, db, da, idx) -> list:
+    """Solutions X of X ga - gb X = 0 for every pair (ga, gb).
+
+    X is db x da; idx maps each allowed position (r, c) of X to its unknown,
+    and positions missing from idx are held at zero.  Returns a basis of the
+    solution space as {unknown: value} dicts.
+    """
+    constraints = SubspaceBasis(ctx, len(idx))
+    for ga, gb in pairs:
+        ga_cols: dict[int, dict] = {}
+        for k, row in enumerate(ga.rows):
+            for c, v in row.items():
+                ga_cols.setdefault(c, {})[k] = v
+        for r in range(db):
+            grow = gb.rows[r]
+            for c in range(da):
+                row: dict[int, Scalar] = {}
+                for k, v in ga_cols.get(c, {}).items():
+                    key = idx.get((r, k))
+                    if key is not None:
+                        cur = row.get(key)
+                        row[key] = v if cur is None else cur + v
+                for k, v in grow.items():
+                    key = idx.get((k, c))
+                    if key is not None:
+                        cur = row.get(key)
+                        nv = -v if cur is None else cur - v
+                        row[key] = nv
+                row = {k: v for k, v in row.items() if not v.is_zero()}
+                if row:
+                    constraints.add(row)
+    return column_kernel(constraints.to_matrix())
 
 
 def _is_invertible(m: Matrix) -> bool:

@@ -379,13 +379,6 @@ class Scalar:
         (e, c), = self.num.items()
         return e, c
 
-    def as_rational(self) -> Optional[Fraction]:
-        m = self.as_t_monomial()
-        if m is None:
-            return Fraction(0) if self.is_zero() else None
-        e, c = m
-        return c if e == 0 else None
-
     def as_q_monomial(self) -> Optional[tuple]:
         """(coefficient, integer q-exponent) when the t-exponent divides out."""
         m = self.as_t_monomial()

@@ -189,10 +189,6 @@ def parabolic_longest(parts) -> Perm:
     return Perm(im)
 
 
-def longest_element(ell: int) -> Perm:
-    return parabolic_longest((ell,))
-
-
 def min_coset_reps(l1: int, l2: int) -> list:
     """Minimal-length representatives of (S_l1 x S_l2) \\ S_{l1+l2}.
 

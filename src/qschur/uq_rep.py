@@ -77,12 +77,6 @@ class UqModule:
                 out[f"t{r}"] = self.t[r - 1]
         return out
 
-    def finite_part(self) -> "UqModule":
-        return UqModule(
-            self.ctx, self.n, self.dim, self.xp, self.xm, self.k, self.kinv,
-            weights=self.weights, t=self.t,
-        )
-
     def to_json(self) -> dict:
         return {
             "algebra": "Uq-affine" if self.is_affine() else "Uq",

@@ -149,3 +149,71 @@ def test_exit_codes_stable_across_backends(capsys):
                              "--backend", backend)
             codes.append(code)
         assert codes == [0, 0], (cid, codes)
+
+
+def test_check_refuses_segments_longer_than_rank(capsys):
+    # thm-7.6 would skip the list and pass on zero cases
+    code, out, err = run(capsys, "check", "thm-7.6", "--n", "2", "--segments", "1@0:3")
+    assert code == 2
+    assert "total segment length 3 exceeds n=2" in err
+    assert "PASS" not in out
+
+
+def test_check_with_no_cases_does_not_pass():
+    from qschur.checks import RunConfig, run_check
+
+    r = run_check("thm-7.6", RunConfig(n_values=[2], segments_spec="1@0:3"))
+    assert r.details == []
+    assert not r.passed
+
+
+def _hecke_descriptor(capsys, tmp_path, edit):
+    code, out, _ = run(capsys, "build", "--n", "2", "--segments", "1@0:2")
+    assert code == 0
+    data = json.loads(out)["V_a"]
+    edit(data["generators"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda g: g.update(y1=[[0, 0, "t^x"]]),
+    lambda g: g.update(y1=[[0, 0, 6]]),
+    lambda g: g.update(y1=[[0, 0, "1/0"]]),
+    lambda g: g.update(y1=[[0, 1, "1"]]),
+    lambda g: g.pop("y1inv"),
+], ids=["bad-scalar", "scalar-not-a-string", "zero-denominator", "index-outside-dim",
+     "missing-generator"])
+@pytest.mark.parametrize("command", ["relations", "isomorphic"])
+def test_malformed_descriptor_exits_2(tmp_path, capsys, edit, command):
+    path = _hecke_descriptor(capsys, tmp_path, edit)
+    files = ["--module-file", path] if command == "relations" else [path, path]
+    code, _, err = run(capsys, command, "--n", "2", *files)
+    assert code == 2
+    assert f"bad module descriptor in {path}" in err
+
+
+def test_descriptor_failing_its_relations_reports(tmp_path, capsys):
+    path = _hecke_descriptor(capsys, tmp_path, lambda g: g.update(y1inv=[[0, 0, "2"]]))
+    code, out, _ = run(capsys, "relations", "--n", "2", "--module-file", path)
+    assert code == 1
+    assert "FAIL" in out
+
+
+@pytest.mark.parametrize("argv", [["--backend", "1"], ["--n", "x"], ["--n", ","],
+                                  ["--only", "nope"]])
+def test_run_checks_rejects_bad_input(argv):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_checks.py"), *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr

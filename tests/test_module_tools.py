@@ -50,6 +50,31 @@ def test_natural_rep_irreducible(ctx):
     assert cert["kind"] in ("norton", "density")
 
 
+def test_density_certificate_without_theta_budget():
+    # budget=0 skips every singular candidate, so only the density test remains
+    c = ScalarContext(2)
+    ok, cert = is_irreducible(natural_rep(c, 2), budget=0)
+    assert ok
+    assert cert == {"kind": "density", "algebra_dim": 9}
+
+
+def test_scalar_action_reaches_centralizer_kernel():
+    # y = diag(a, a): every candidate is a scalar matrix, the action algebra
+    # is one-dimensional, and only a centralizer element splits the module
+    from qschur.affine_hecke import RightModule
+    from qschur.linalg import Matrix
+
+    c = ScalarContext(1)
+    a = c.scalar(3)
+    M = RightModule(c, "Hhat", 1, 2, [],
+                    [Matrix.diagonal(c, [a, a])],
+                    [Matrix.diagonal(c, [a.inverse(), a.inverse()])])
+    ok, cert = is_irreducible(M)
+    assert not ok
+    assert cert["submodule_dim"] == 1
+    assert verify_submodule_certificate(M, cert)
+
+
 def test_tensor_square_reducible(ctx, vv):
     ok, cert = is_irreducible(vv)
     assert not ok
