@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .affine_hecke import RelationReport, RightModule, cherednik_pullback, verify_module_relations
-from .linalg import Matrix
+from .linalg import Matrix, diag_inverse
 from .scalars import Scalar, ScalarContext, q_binom
 from .uq_rep import (
     JimboImage,
@@ -172,13 +172,11 @@ def verify_central_element(W: UqModule) -> bool:
 
 def _loop_operators(img: JimboImage) -> tuple:
     """(Y_j^+ list, Y_j^- list, k0 tensor, k0inv tensor) on V^(x ell)."""
-    ctx = img.projection.ctx
     V = img.base
     ell = img.source.ell
-    d = V.dim
-    eye = Matrix.identity(ctx, d)
+    eye = Matrix.identity(V.ctx, V.dim)
     kth = V.ktheta
-    kthinv = Matrix.diagonal(ctx, [kth.entry(r, r).inverse() for r in range(d)])
+    kthinv = diag_inverse(kth)
     yplus = []
     yminus = []
     for j in range(1, ell + 1):
@@ -242,18 +240,11 @@ def functor_F_map(f: Matrix, src: UqModule, dst: UqModule) -> Matrix:
     b: JimboImage = getattr(dst, "jimbo", None)
     if a is None or b is None:
         raise ValueError("both modules must come from functor_F")
-    ctx = f.ctx
-    D = a.tensor.dim
-    amb = f.transpose().kron(Matrix.identity(ctx, D))
-    for row in a.relations.rows():
-        if b.relations.reduce(amb.apply_col(dict(row))):
-            raise ValueError("map does not respect the defining subspaces")
-    out = Matrix(ctx, dst.dim, src.dim)
-    for qcol, amb_col in enumerate(a.free_columns):
-        img = b.projection.apply_col(amb.apply_col({amb_col: ctx.one}))
-        for r, v in img.items():
-            out.set_entry(r, qcol, v)
-    return out
+    amb = f.transpose().kron(Matrix.identity(f.ctx, a.tensor.dim))
+    try:
+        return a.relations.descend(amb, b.relations, check=True)
+    except ValueError:
+        raise ValueError("map does not respect the defining subspaces") from None
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +259,11 @@ def evaluation_natural(ctx: ScalarContext, n: int, a) -> UqModule:
     if a.is_zero():
         raise ValueError("evaluation parameter must be nonzero")
     V = natural_rep(ctx, n)
-    d = V.dim
-    kthinv = Matrix.diagonal(ctx, [V.ktheta.entry(r, r).inverse() for r in range(d)])
     return UqModule(
-        ctx, n, d, V.xp, V.xm, V.k, V.kinv, weights=V.weights, t=V.t,
+        ctx, n, V.dim, V.xp, V.xm, V.k, V.kinv, weights=V.weights, t=V.t,
         x0p=V.xtheta_m.scale(a),
         x0m=V.xtheta_p.scale(a.inverse()),
-        k0=kthinv,
+        k0=diag_inverse(V.ktheta),
         k0inv=V.ktheta,
     )
 
@@ -304,7 +293,7 @@ def jimbo_eval_pullback(W: UqModule, a) -> UqModule:
         raise ValueError("evaluation parameter must be nonzero")
     t1tn1 = W.t[0] * W.t[n]
     dim = W.dim
-    t1tn1_inv = _diag_inverse(t1tn1)
+    t1tn1_inv = diag_inverse(t1tn1)
     # the prefactor (+-1)^(n-1) is 1 for x_0^+ and (-1)^(n-1) for x_0^-
     sign_minus = ctx.one if (n - 1) % 2 == 0 else -ctx.one
     chain_minus = _nested_bracket(ctx, W.xm)  # innermost [x_2^-, x_1^-], outermost x_n^-
@@ -325,10 +314,6 @@ def jimbo_eval_pullback(W: UqModule, a) -> UqModule:
         ctx, n, dim, W.xp, W.xm, W.k, W.kinv, weights=W.weights, t=W.t,
         x0p=x0p, x0m=x0m, k0=k0, k0inv=k0inv,
     )
-
-
-def _diag_inverse(m: Matrix) -> Matrix:
-    return Matrix.diagonal(m.ctx, [m.entry(i, i).inverse() for i in range(m.nrows)])
 
 
 def theorem55_check(M: RightModule, a, n: int, seed: int = 0):

@@ -309,9 +309,7 @@ def head_with_marked_vector(mod: RightModule, marked: dict, seed: int = 0):
         else:
             qmats, free = quotient_action(mats, U)
         qmod = _wrap_right(ctx, mod.kind, mod.ell, qmats, len(free))
-        pos = {c: k for k, c in enumerate(free)}
-        red = U.reduce(marked)
-        qmarked = {pos[c]: v for c, v in red.items()}
+        qmarked = U.coset(marked)
         assert qmarked, "marked vector died in the quotient"
         found = proper_submodule(qmod, seed=seed + step)
         if found is None:

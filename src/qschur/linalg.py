@@ -3,9 +3,12 @@
 Matrices are lists of sparse rows (dict column -> Scalar) and never contain
 stored zeros.  Vectors are sparse dicts.  Row convention: right-module
 actions multiply row vectors on the right (v . M); left-module actions
-multiply column vectors (M . v).  :class:`SubspaceBasis` keeps a subspace in
-fully reduced row echelon form, which makes subspace equality literal
-equality of the pivot rows.
+multiply column vectors (M . v).  :class:`SubspaceBasis` keeps a subspace U
+in fully reduced row echelon form, which makes subspace equality literal
+equality of the pivot rows.  The same basis is the quotient V/U: the class
+of v has coordinates ``U.coset(v)``, the reduction of v read off on the free
+(non-pivot) columns, and ``U.descend(op)`` is the map an operator induces on
+V/U.
 """
 
 from __future__ import annotations
@@ -284,15 +287,17 @@ class SubspaceBasis:
 
     The pivot rows are fully back-eliminated at all times, so two
     SubspaceBasis objects describe the same subspace iff their pivot maps
-    are equal.
+    are equal.  The quotient ambient/subspace has the classes of the free
+    columns' unit vectors as its basis, in increasing column order.
     """
 
-    __slots__ = ("ctx", "ambient", "pivots")
+    __slots__ = ("ctx", "ambient", "pivots", "_free_pos")
 
     def __init__(self, ctx: ScalarContext, ambient: int):
         self.ctx = ctx
         self.ambient = ambient
         self.pivots: dict[int, Vec] = {}
+        self._free_pos: Optional[dict] = None  # free column -> quotient index
 
     @property
     def dim(self) -> int:
@@ -332,6 +337,7 @@ class SubspaceBasis:
             if c is not None:
                 self.pivots[p] = vec_sub_scaled(row, c, v)
         self.pivots[j] = v
+        self._free_pos = None
         return True
 
     def add_all(self, vectors: Iterable[Vec]) -> None:
@@ -348,6 +354,35 @@ class SubspaceBasis:
         piv = self.pivots
         return [j for j in range(self.ambient) if j not in piv]
 
+    def coset(self, v: Vec) -> Vec:
+        """Quotient coordinates of the class of v in ambient/subspace."""
+        if self._free_pos is None:
+            self._free_pos = {c: k for k, c in enumerate(self.free_columns())}
+        pos = self._free_pos
+        return {pos[c]: x for c, x in self.reduce(v).items()}
+
+    def descend(self, op: Matrix, target: Optional["SubspaceBasis"] = None,
+                check: bool = False) -> Matrix:
+        """The map ambient/self -> ambient'/target induced by op.
+
+        Column convention: op maps this ambient space to the target's, and
+        the result maps quotient coordinates to quotient coordinates.  The
+        target defaults to self.  With ``check``, raises ValueError unless op
+        carries this subspace into the target subspace; without it, that is
+        the caller's promise.
+        """
+        target = self if target is None else target
+        if check:
+            for row in self.rows():
+                if target.reduce(op.apply_col(row)):
+                    raise ValueError("operator does not carry the subspace into its target")
+        cols = op.transpose().rows
+        out = Matrix(self.ctx, target.ambient - target.dim, self.ambient - self.dim)
+        for k, c in enumerate(self.free_columns()):
+            for r, x in target.coset(cols[c]).items():
+                out.rows[r][k] = x
+        return out
+
     def to_matrix(self) -> Matrix:
         return Matrix(self.ctx, self.dim, self.ambient, [dict(r) for r in self.rows()])
 
@@ -360,6 +395,11 @@ class SubspaceBasis:
 
     def __repr__(self):
         return f"SubspaceBasis(dim={self.dim}, ambient={self.ambient})"
+
+
+def diag_inverse(m: Matrix) -> Matrix:
+    """Inverse of a diagonal matrix with nonzero diagonal."""
+    return Matrix.diagonal(m.ctx, [m.entry(i, i).inverse() for i in range(m.nrows)])
 
 
 def span(ctx, ambient: int, vectors: Iterable[Vec]) -> SubspaceBasis:

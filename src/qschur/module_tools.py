@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .linalg import Matrix, SubspaceBasis, column_kernel, left_kernel, span, solve_upper
+from .linalg import Matrix, SubspaceBasis, column_kernel, left_kernel, rank, span, solve_upper
 from .scalars import Scalar, ScalarContext
 from fractions import Fraction
 
@@ -84,22 +84,13 @@ def restrict_to_subspace(mats, basis: SubspaceBasis) -> list:
 def quotient_action(mats, basis: SubspaceBasis) -> tuple:
     """Action on ambient/span(basis) in the free-column coordinates.
 
-    Returns (matrices, free_columns); the class of ambient e_j has
-    coordinates reduce(e_j) read off on the free columns.
+    Returns (matrices, free_columns); quotient basis vector k is the class
+    of ambient e_c for the k-th free column c, whose image under m is the
+    class of row c of m.
     """
-    ctx = mats[0].ctx if mats else basis.ctx
     free = basis.free_columns()
-    pos = {c: k for k, c in enumerate(free)}
-    dim = len(free)
-    out = []
-    for m in mats:
-        qm = Matrix(m.ctx, dim, dim)
-        for r, c0 in enumerate(free):
-            img = m.apply_row({c0: m.ctx.one})
-            img = basis.reduce(img)
-            for c, v in img.items():
-                qm.set_entry(r, pos[c], v)
-        out.append(qm)
+    out = [Matrix(m.ctx, len(free), len(free), [basis.coset(m.rows[c]) for c in free])
+           for m in mats]
     return out, free
 
 
@@ -436,50 +427,19 @@ def _intertwiner_kernel(ctx, pairs, db, da, idx) -> list:
 def _is_invertible(m: Matrix) -> bool:
     if m.nrows != m.ncols:
         return False
-    ctx = m.ctx
-    if ctx.t0 is None:
+    if m.ctx.t0 is None:
         for point in (Fraction(7, 5), Fraction(-3, 2), Fraction(11, 4)):
+            at = ScalarContext(m.ctx.n, t0=point)
             try:
-                spec = _specialize_matrix(m, point)
+                rows = [{j: v for j, c in row.items() if (v := at.scalar(c.specialize(point)))}
+                        for row in m.rows]
             except ZeroDivisionError:
                 continue
-            if _rational_rank(spec, m.nrows) == m.nrows:
+            if rank(Matrix(at, m.nrows, m.ncols, rows)) == m.nrows:
                 return True
         # a vanishing determinant at sample points is only suggestive;
         # settle it symbolically
-    from .linalg import rank
-
     return rank(m) == m.nrows
-
-
-def _specialize_matrix(m: Matrix, t0) -> list:
-    return [
-        {j: c.specialize(t0) for j, c in row.items()} for row in m.rows
-    ]
-
-
-def _rational_rank(rows, ncols) -> int:
-    rows = [dict(r) for r in rows if r]
-    rank = 0
-    pivots: dict[int, dict] = {}
-    for row in rows:
-        for j in sorted(pivots):
-            c = row.get(j)
-            if c:
-                prow = pivots[j]
-                for k, v in prow.items():
-                    nv = row.get(k, Fraction(0)) - c * v
-                    if nv:
-                        row[k] = nv
-                    else:
-                        row.pop(k, None)
-        row = {k: v for k, v in row.items() if v}
-        if row:
-            j = min(row)
-            inv = 1 / row[j]
-            pivots[j] = {k: v * inv for k, v in row.items()}
-            rank += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,11 @@ Tensor powers use the iterated coproduct (Delta (x) 1 (x) ... ) o ... o Delta,
 so x_i^+ goes to sum_j 1^(j-1) (x) x_i^+ (x) k_i^(ell-j).
 
 Jimbo's functor J sends a right Hecke module M to the quotient of
-M (x) V^(x ell) by the span of m.sigma_i (x) v - m (x) Rcheck_i v; the
-construction keeps the projection so the affine extension can push the loop
-operators through the same quotient.
+M (x) V^(x ell) by the span of m.sigma_i (x) v - m (x) Rcheck_i v.  The
+construction keeps that span as a reduced basis (``JimboImage.relations``),
+which is the quotient: quotient coordinates and induced operators come from
+``SubspaceBasis.coset``/``descend``, so the affine extension pushes the
+loop operators through the same quotient.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .linalg import Matrix, SubspaceBasis, column_kernel
-from .scalars import Scalar, ScalarContext
+from .scalars import ScalarContext
 from .affine_hecke import RightModule
 
 
@@ -296,8 +298,6 @@ class JimboImage:
     tensor: UqModule           # V^(x ell) with its action
     base: UqModule             # the natural module V
     relations: SubspaceBasis   # span of m.sigma_i (x) v - m (x) Rcheck_i v
-    projection: Matrix         # quotient coords of each ambient basis vector
-    free_columns: list
 
     @property
     def m_dim(self) -> int:
@@ -306,31 +306,17 @@ class JimboImage:
     def embed(self, m_index: int, tensor_vec: dict) -> dict:
         """Quotient coordinates of e_{m_index} (x) (tensor vector)."""
         D = self.tensor.dim
-        amb = {m_index * D + c: v for c, v in tensor_vec.items()}
-        return self.projection.apply_col(amb)
+        return self.relations.coset({m_index * D + c: v for c, v in tensor_vec.items()})
 
     def push_tensor_operator(self, op: Matrix) -> Matrix:
         """Induced action on the quotient of 1_M (x) op."""
         return self.push_ambient_operator(
-            Matrix.identity(self.projection.ctx, self.m_dim).kron(op)
+            Matrix.identity(self.relations.ctx, self.m_dim).kron(op)
         )
 
     def push_ambient_operator(self, op: Matrix, check: bool = False) -> Matrix:
         """Induced action of an ambient operator that preserves the relations."""
-        ctx = self.projection.ctx
-        if check:
-            for row in self.relations.rows():
-                img = op.apply_col(dict(row))
-                if self.relations.reduce(img):
-                    raise ValueError("operator does not preserve the defining subspace")
-        dim = self.projection.nrows
-        out = Matrix(ctx, dim, dim)
-        for qcol, amb_col in enumerate(self.free_columns):
-            img = op.apply_col({amb_col: ctx.one})
-            red = self.projection.apply_col(img)
-            for r, v in red.items():
-                out.set_entry(r, qcol, v)
-        return out
+        return self.relations.descend(op, check=check)
 
 
 def jimbo_J(M: RightModule, n: int) -> JimboImage:
@@ -340,55 +326,22 @@ def jimbo_J(M: RightModule, n: int) -> JimboImage:
     V = natural_rep(ctx, n)
     T = tensor_rep(V, ell)
     D = T.dim
-    ambient = M.dim * D
-    rel = SubspaceBasis(ctx, ambient)
+    rel = SubspaceBasis(ctx, M.dim * D)
+    eyeM = Matrix.identity(ctx, M.dim)
+    eyeT = Matrix.identity(ctx, D)
     for i in range(1, ell):
-        S = M.sigma[i - 1]
-        R = rcheck_i(ctx, n, ell, i)
-        rcols: dict[int, dict] = {}
-        for k, row in enumerate(R.rows):
-            for c, v in row.items():
-                rcols.setdefault(c, {})[k] = v
-        for r in range(M.dim):
-            srow = S.rows[r]
-            for c in range(D):
-                vec: dict[int, Scalar] = {}
-                for k, v in srow.items():
-                    vec[k * D + c] = v
-                for k, v in rcols.get(c, {}).items():
-                    key = r * D + k
-                    cur = vec.get(key)
-                    nv = -v if cur is None else cur - v
-                    if nv.is_zero():
-                        vec.pop(key, None)
-                    else:
-                        vec[key] = nv
-                rel.add(vec)
-    free = rel.free_columns()
-    pos = {c: k for k, c in enumerate(free)}
-    dim = len(free)
-    proj = Matrix(ctx, dim, ambient)
-    for j in range(ambient):
-        red = rel.reduce({j: ctx.one})
-        for c, v in red.items():
-            proj.set_entry(pos[c], j, v)
-
-    img = JimboImage(
-        module=None,  # filled below
-        source=M,
-        tensor=T,
-        base=V,
-        relations=rel,
-        projection=proj,
-        free_columns=free,
-    )
+        # row (m, v) is e_m.sigma_i (x) v - e_m (x) Rcheck_i v
+        gens = M.sigma[i - 1].kron(eyeT) - eyeM.kron(rcheck_i(ctx, n, ell, i).transpose())
+        rel.add_all(gens.rows)
+    img = JimboImage(module=None, source=M, tensor=T, base=V, relations=rel)
     xp = [img.push_tensor_operator(T.xp[i]) for i in range(n)]
     xm = [img.push_tensor_operator(T.xm[i]) for i in range(n)]
     k = [img.push_tensor_operator(T.k[i]) for i in range(n)]
     kinv = [img.push_tensor_operator(T.kinv[i]) for i in range(n)]
     t = [img.push_tensor_operator(m) for m in T.t] if T.t is not None else None
+    free = rel.free_columns()
     weights = [T.weights[c % D] for c in free]
-    img.module = UqModule(ctx, n, dim, xp, xm, k, kinv, weights=weights, t=t)
+    img.module = UqModule(ctx, n, len(free), xp, xm, k, kinv, weights=weights, t=t)
     return img
 
 

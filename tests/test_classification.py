@@ -150,6 +150,18 @@ def test_functor_of_intertwiner_is_braiding_shift(ctx):
     assert FA * phi_src == phi_tgt * expected
 
 
+def test_functor_map_rejects_a_non_intertwiner(ctx):
+    s = make_segments(ctx, [(ctx.one, 2)])
+    _, src, tgt = intertwiner_A(s, ctx, 1)
+    f = Matrix(ctx, src.dim, tgt.dim)
+    f.set_entry(0, 1, ctx.one)
+    assert any(not (ga * f == f * gb) for ga, gb in zip(src.sigma, tgt.sigma))
+    Fsrc = functor_F(src, 2, check_source=False)
+    Ftgt = functor_F(tgt, 2, check_source=False)
+    with pytest.raises(ValueError, match="map does not respect the defining subspaces"):
+        functor_F_map(f, Fsrc, Ftgt)
+
+
 # -- irreducible subquotients ---------------------------------------------------
 
 

@@ -167,6 +167,18 @@ def test_check_with_no_cases_does_not_pass():
     assert not r.passed
 
 
+@pytest.mark.parametrize("argv", [
+    ("lemma-6.4", "--n", "4"),             # lemma-6.4 admits only n <= 3
+    ("prop-4.7", "--n", "1", "--ell", "1"),  # prop-4.7 admits n >= 2, 2 <= ell <= 3
+])
+def test_check_at_inadmissible_sizes_runs_no_case(capsys, argv):
+    # the check must not substitute sizes nobody asked for
+    code, out, _ = run(capsys, "check", *argv)
+    assert code == 1
+    assert "PASS" not in out
+    assert "(0 cases" in out
+
+
 def _hecke_descriptor(capsys, tmp_path, edit):
     code, out, _ = run(capsys, "build", "--n", "2", "--segments", "1@0:2")
     assert code == 0

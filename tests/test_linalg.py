@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,8 @@ from qschur.linalg import (
     rank,
     solve_upper,
     span,
+    vec_add,
+    vec_scale,
 )
 from qschur.scalars import ScalarContext
 
@@ -135,3 +139,77 @@ def test_rref_invariants(vectors):
     for v in vectors:
         assert not b.add(v)
     assert b.dim == dim
+
+
+# -- quotient coordinates: coset / descend ------------------------------------
+
+_AMB = 5
+_BACKENDS = [ScalarContext(2), ScalarContext(2, t0=Fraction(5, 3))]
+
+
+@st.composite
+def _quotient_case(draw):
+    """A backend, a sparse operator, subspace generators and two probe vectors."""
+    ctx = draw(st.sampled_from(_BACKENDS))
+    scalar = st.builds(
+        lambda a, k: ctx.scalar(a) * ctx.t_power(k),
+        st.integers(-3, 3).filter(bool), st.integers(-1, 1),
+    )
+    vec = st.dictionaries(st.integers(0, _AMB - 1), scalar, max_size=3)
+    op = Matrix(ctx, _AMB, _AMB)
+    for (i, j), c in draw(st.dictionaries(
+            st.tuples(st.integers(0, _AMB - 1), st.integers(0, _AMB - 1)), scalar,
+            max_size=6)).items():
+        op.set_entry(i, j, c)
+    gens = draw(st.lists(vec, min_size=1, max_size=3))
+    return ctx, op, gens, draw(vec), draw(vec), draw(scalar)
+
+
+def _column_spin(ctx, op, vectors):
+    """The smallest op-stable subspace (column convention) containing vectors."""
+    out = span(ctx, _AMB, vectors)
+    grew = True
+    while grew:
+        grew = any([out.add(op.apply_col(row)) for row in out.rows()])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_quotient_case())
+def test_coset_kills_subspace_and_is_linear(case):
+    ctx, _, gens, v, w, c = case
+    U = span(ctx, _AMB, gens)
+    for row in U.rows() + gens:
+        assert U.coset(row) == {}
+    assert U.coset(vec_add(vec_scale(v, c), w)) == vec_add(vec_scale(U.coset(v), c), U.coset(w))
+    assert all(0 <= k < _AMB - U.dim for k in U.coset(v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_quotient_case())
+def test_descend_commutes_with_coset(case):
+    ctx, op, gens, v, _, _ = case
+    U = _column_spin(ctx, op, gens)
+    down = U.descend(op, check=True)
+    assert down == U.descend(op)
+    assert (down.nrows, down.ncols) == (_AMB - U.dim, _AMB - U.dim)
+    assert U.coset(op.apply_col(v)) == down.apply_col(U.coset(v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_quotient_case())
+def test_descend_into_target_commutes_with_coset(case):
+    ctx, op, gens, v, w, _ = case
+    U = span(ctx, _AMB, gens)
+    target = span(ctx, _AMB, [op.apply_col(row) for row in U.rows()] + [w])
+    down = U.descend(op, target, check=True)
+    assert (down.nrows, down.ncols) == (_AMB - target.dim, _AMB - U.dim)
+    assert target.coset(op.apply_col(v)) == down.apply_col(U.coset(v))
+
+
+def test_descend_check_rejects_a_map_off_the_subspace(ctx):
+    U = span(ctx, 3, [{0: ctx.one, 1: ctx.one}])
+    swap = _m(ctx, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])  # e0 + e1 -> e0 + e2
+    U.descend(swap)  # unchecked: the caller's promise
+    with pytest.raises(ValueError):
+        U.descend(swap, check=True)

@@ -2,7 +2,7 @@ import pytest
 
 from qschur.affine_hecke import hecke_regular_module, one_dimensional_module
 from qschur.affinization import verify_finite_relations
-from qschur.linalg import Matrix, column_kernel
+from qschur.linalg import Matrix, column_kernel, span, vec_add
 from qschur.module_tools import spin_module
 from qschur.scalars import ScalarContext
 from qschur.uq_rep import (
@@ -172,6 +172,38 @@ def test_jimbo_output_satisfies_relations(ctx2):
     img = jimbo_J(one_dimensional_module(ctx2, 2, -1), 2)
     rep = verify_finite_relations(img.module)
     assert rep.passed, rep.failures()
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_jimbo_relations_match_their_definition(ctx2, ell):
+    # span of m.sigma_i (x) v - m (x) Rcheck_i v over basis vectors m, v
+    M = hecke_regular_module(ctx2, ell)
+    img = jimbo_J(M, 2)
+    D = img.tensor.dim
+    one = ctx2.one
+    vectors = []
+    for i in range(1, ell):
+        R = rcheck_i(ctx2, 2, ell, i)
+        for m in range(M.dim):
+            msig = M.sigma[i - 1].apply_row({m: one})
+            for v in range(D):
+                lhs = {k * D + v: c for k, c in msig.items()}
+                rhs = {m * D + k: -c for k, c in R.apply_col({v: one}).items()}
+                vectors.append(vec_add(lhs, rhs))
+    assert img.relations == span(ctx2, M.dim * D, vectors)
+
+
+def test_push_ambient_operator_checks_invariance(ctx2):
+    img = jimbo_J(hecke_regular_module(ctx2, 2), 2)
+    rel = img.relations
+    ambient = Matrix.identity(ctx2, img.m_dim).kron(img.tensor.xp[0])
+    assert img.push_ambient_operator(ambient, check=True) == img.module.xp[0]
+    # send a pivot column to a free one: that relation row leaves the span
+    pivot, free = rel.pivot_columns()[0], rel.free_columns()[0]
+    breaker = Matrix(ctx2, rel.ambient, rel.ambient)
+    breaker.set_entry(free, pivot, ctx2.one)
+    with pytest.raises(ValueError):
+        img.push_ambient_operator(breaker, check=True)
 
 
 # -- weight tools ------------------------------------------------------------
