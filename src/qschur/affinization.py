@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .affine_hecke import RelationReport, RightModule, cherednik_pullback, verify_module_relations
 from .linalg import Matrix, diag_inverse
-from .scalars import Scalar, ScalarContext, q_binom
+from .scalars import Scalar, ScalarContext, q_binom, q_int
 from .uq_rep import (
     JimboImage,
     UqModule,
@@ -67,11 +67,28 @@ def _qhalf_bracket(ctx, a: Matrix, b: Matrix) -> Matrix:
     return (a * b).scale(ctx.q_half) - (b * a).scale(ctx.q_power(Fraction(-1, 2)))
 
 
+def _serre_words(pows: list, xj: Matrix, p: int) -> list:
+    """The words x_i^r x_j x_i^(p-r) for r = 0..p, where pows[s] = x_i^s.
+
+    Two products per inner word and one per end word; no identity factors.
+    """
+    words = [xj * pows[p]]
+    for r in range(1, p):
+        words.append(pows[r] * xj * pows[p - r])
+    words.append(pows[p] * xj)
+    return words
+
+
 def _relation_suite(ctx, labels, cartan, xp, xm, k, kinv, dim,
                     bracket_serre: bool) -> RelationReport:
-    """Every defining relation for the given Cartan datum, as matrix checks."""
+    """Every defining relation for the given Cartan datum, as matrix checks.
+
+    The Serre and bracket-Serre checks of a pair (i, j) share one set of
+    words x_i^r x_j x_i^(p-r), built from powers of x_i kept per sign only
+    while i is the outer index.
+    """
     eye = Matrix.identity(ctx, dim)
-    qdenom = ctx.q - ctx.q_power(-1)
+    qdenom_inv = (ctx.q - ctx.q_power(-1)).inverse()
     res: list = []
 
     def check(name, m):
@@ -100,36 +117,36 @@ def _relation_suite(ctx, labels, cartan, xp, xm, k, kinv, dim,
         for j in idx:
             comm = xp[i] * xm[j] - xm[j] * xp[i]
             if i == j:
-                rhs = (k[i] - kinv[i]).scale(qdenom.inverse())
+                rhs = (k[i] - kinv[i]).scale(qdenom_inv)
                 check(f"[x+{labels[i]},x-{labels[i]}]=(k-kinv)/(q-qinv)", comm - rhs)
             else:
                 check(f"[x+{labels[i]},x-{labels[j]}]=0", comm)
     for i in idx:
+        pows = {"+": [eye, xp[i]], "-": [eye, xm[i]]}  # pows[sign][s] = x_i^s
         for j in idx:
             if i == j:
                 continue
             p = 1 - cartan[i][j]
+            brackets = []
             for sign, xs in (("+", xp), ("-", xm)):
-                total = Matrix.zero(ctx, dim, dim)
-                xi_pows = [eye]
-                for _ in range(p):
+                xi_pows = pows[sign]
+                while len(xi_pows) <= p:
                     xi_pows.append(xi_pows[-1] * xs[i])
-                for r in range(p + 1):
-                    term = xi_pows[r] * xs[j] * xi_pows[p - r]
+                words = _serre_words(xi_pows, xs[j], p)
+                total = words[0]
+                for r in range(1, p + 1):
                     coeff = q_binom(ctx, p, r)
-                    if r % 2:
-                        coeff = -coeff
-                    total = total + term.scale(coeff)
+                    total = total + words[r].scale(-coeff if r % 2 else coeff)
                 check(f"serre(x{sign}{labels[i]},x{sign}{labels[j]})", total)
-            if bracket_serre and cartan[i][j] == -1:
-                for sign, xs in (("+", xp), ("-", xm)):
-                    inner = _qhalf_bracket(ctx, xs[j], xs[i])
-                    outer = _qhalf_bracket(ctx, xs[i], inner)
-                    check(
+                if bracket_serre and cartan[i][j] == -1:
+                    # [x_i,[x_j,x_i]_{q^1/2}]_{q^1/2} = [2]_q x_i x_j x_i - x_i^2 x_j - x_j x_i^2
+                    brackets.append((
                         f"bracket-serre [x{sign}{labels[i]},[x{sign}{labels[j]},"
                         f"x{sign}{labels[i]}]]",
-                        outer,
-                    )
+                        words[1].scale(q_int(ctx, 2)) - words[2] - words[0],
+                    ))
+            for name, m in brackets:
+                check(name, m)
     return RelationReport(res)
 
 

@@ -48,7 +48,7 @@ from .hecke import kl_parabolic_element
 from .linalg import Matrix, diag_inverse
 from .module_tools import are_isomorphic, is_irreducible, spin, restrict_to_subspace
 from .scalars import ScalarContext
-from .symgroup import all_perms, parabolic_longest
+from .symgroup import all_perms, block_boundaries, parabolic_longest
 from .uq_rep import (
     UqModule,
     dominant_highest_weights,
@@ -213,16 +213,16 @@ def _grid_points(ctx):
 def check_prop_3_4c(cfg: RunConfig) -> CheckResult:
     """Reducibility of universal modules happens exactly at parameter ratio q^2."""
     details = []
-    n = 2 if 2 in cfg.n_values else cfg.n_values[0]
-    ctx = cfg.context(n)
-    for label, c, expect_reducible in _grid_points(ctx):
-        M = universal_module(ctx, (ctx.one, c))
-        red, cert = is_irreducible(M, seed=cfg.seed)
-        got_reducible = not red
-        details.append(
-            (f"a=(1,{label})", got_reducible == expect_reducible,
-             f"reducible={got_reducible}")
-        )
+    for n in cfg.n_values:
+        ctx = cfg.context(n)
+        for label, c, expect_reducible in _grid_points(ctx):
+            M = universal_module(ctx, (ctx.one, c))
+            red, cert = is_irreducible(M, seed=cfg.seed)
+            got_reducible = not red
+            details.append(
+                (f"n={n} a=(1,{label})", got_reducible == expect_reducible,
+                 f"reducible={got_reducible}")
+            )
     return _package("prop-3.4c", details)
 
 
@@ -292,26 +292,26 @@ def check_prop_4_6(cfg: RunConfig) -> CheckResult:
     """The functor turns Zelevinsky induction into tensor product."""
     details = []
     rng = random.Random(cfg.seed)
-    n = 2 if 2 in cfg.n_values else cfg.n_values[0]
-    ctx = cfg.context(n)
-    pairs = [
-        (_random_parameters(ctx, 1, rng)[0], _random_parameters(ctx, 1, rng)[0])
-        for _ in range(2)
-    ]
-    pairs.append((ctx.one, ctx.scalar(7)))
-    for a1, a2 in pairs:
-        M1 = one_dimensional_affine_module(ctx, [a1])
-        M2 = one_dimensional_affine_module(ctx, [a2])
-        Z = zelevinsky_induce(M1, M2)
-        FZ = functor_F(Z, n, check_source=False)
-        F1 = functor_F(M1, n, check_source=False)
-        F2 = functor_F(M2, n, check_source=False)
-        prod = tensor_affine_chain([F1, F2])
-        dims_ok = FZ.dim == F1.dim * F2.dim
-        T = are_isomorphic(FZ, prod, seed=cfg.seed)
-        details.append(
-            (f"n={n} a=({a1},{a2})", dims_ok and T is not None, f"dim={FZ.dim}")
-        )
+    for n in cfg.n_values:
+        ctx = cfg.context(n)
+        pairs = [
+            (_random_parameters(ctx, 1, rng)[0], _random_parameters(ctx, 1, rng)[0])
+            for _ in range(2)
+        ]
+        pairs.append((ctx.one, ctx.scalar(7)))
+        for a1, a2 in pairs:
+            M1 = one_dimensional_affine_module(ctx, [a1])
+            M2 = one_dimensional_affine_module(ctx, [a2])
+            Z = zelevinsky_induce(M1, M2)
+            FZ = functor_F(Z, n, check_source=False)
+            F1 = functor_F(M1, n, check_source=False)
+            F2 = functor_F(M2, n, check_source=False)
+            prod = tensor_affine_chain([F1, F2])
+            dims_ok = FZ.dim == F1.dim * F2.dim
+            T = are_isomorphic(FZ, prod, seed=cfg.seed)
+            details.append(
+                (f"n={n} a=({a1},{a2})", dims_ok and T is not None, f"dim={FZ.dim}")
+            )
     return _package("prop-4.6", details)
 
 
@@ -341,42 +341,42 @@ def check_prop_4_7(cfg: RunConfig) -> CheckResult:
 def check_cor_4_8b(cfg: RunConfig) -> CheckResult:
     """Reducibility of the affinized module happens exactly at ratio q^2."""
     details = []
-    n = 2 if 2 in cfg.n_values else cfg.n_values[0]
-    ctx = cfg.context(n)
-    for label, c, expect_reducible in _grid_points(ctx):
-        M = universal_module(ctx, (ctx.one, c))
-        W = functor_F(M, n, check_source=False)
-        red, cert = is_irreducible(W, seed=cfg.seed)
-        got_reducible = not red
-        details.append(
-            (f"F(M_(1,{label}))", got_reducible == expect_reducible,
-             f"reducible={got_reducible}")
-        )
+    for n in cfg.n_values:
+        ctx = cfg.context(n)
+        for label, c, expect_reducible in _grid_points(ctx):
+            M = universal_module(ctx, (ctx.one, c))
+            W = functor_F(M, n, check_source=False)
+            red, cert = is_irreducible(W, seed=cfg.seed)
+            got_reducible = not red
+            details.append(
+                (f"n={n} F(M_(1,{label}))", got_reducible == expect_reducible,
+                 f"reducible={got_reducible}")
+            )
     return _package("cor-4.8b", details)
 
 
 def check_thm_5_5(cfg: RunConfig) -> CheckResult:
     """The two evaluation routes agree through the functor."""
     details = []
-    n = 2 if 2 in cfg.n_values else max(cfg.n_values)
-    ctx = cfg.context(n)
-    points = [("1", ctx.one), ("q", ctx.q), ("2", ctx.scalar(2))]
-    sources = []
-    for ell in [e for e in cfg.ell_values if 1 <= e <= min(2, n)]:
-        if ell == 1:
-            sources.append((f"ell=1 regular", hecke_regular_module(ctx, 1)))
-        else:
-            sources.append(
-                (f"ell={ell} trivial-type", one_dimensional_module(ctx, ell, ctx.q_power(2)))
-            )
-            sources.append(
-                (f"ell={ell} sign-type", one_dimensional_module(ctx, ell, ctx.scalar(-1)))
-            )
-            sources.append((f"ell={ell} regular", hecke_regular_module(ctx, ell)))
-    for label, M in sources:
-        for pname, a in points:
-            T, lhs, rhs = theorem55_check(M, a, n, seed=cfg.seed)
-            details.append((f"n={n} {label} a={pname}", T is not None, ""))
+    for n in cfg.n_values:
+        ctx = cfg.context(n)
+        points = [("1", ctx.one), ("q", ctx.q), ("2", ctx.scalar(2))]
+        sources = []
+        for ell in [e for e in cfg.ell_values if 1 <= e <= min(2, n)]:
+            if ell == 1:
+                sources.append(("ell=1 regular", hecke_regular_module(ctx, 1)))
+            else:
+                sources.append(
+                    (f"ell={ell} trivial-type", one_dimensional_module(ctx, ell, ctx.q_power(2)))
+                )
+                sources.append(
+                    (f"ell={ell} sign-type", one_dimensional_module(ctx, ell, ctx.scalar(-1)))
+                )
+                sources.append((f"ell={ell} regular", hecke_regular_module(ctx, ell)))
+        for label, M in sources:
+            for pname, a in points:
+                T, lhs, rhs = theorem55_check(M, a, n, seed=cfg.seed)
+                details.append((f"n={n} {label} a={pname}", T is not None, ""))
     return _package("thm-5.5", details)
 
 
@@ -463,41 +463,39 @@ def _highest_weight_module(ctx, n, ell, weight) -> UqModule:
 def check_prop_7_5(cfg: RunConfig) -> CheckResult:
     """Intertwiner properties of left multiplication by the KL generators."""
     details = []
-    n = 2 if 2 in cfg.n_values else max(cfg.n_values)
-    ctx = cfg.context(n)
-    cases = [
-        make_segments(ctx, [(ctx.one, 2)]),
-        make_segments(ctx, [(ctx.one, 2), (ctx.scalar(5), 1)]),
-        make_segments(ctx, [(ctx.one, 3)]),
-        make_segments(ctx, [(ctx.scalar(2), 1), (ctx.scalar(3), 1), (ctx.scalar(5), 1)]),
-    ]
-    for s in cases:
-        from .symgroup import block_boundaries
-
-        inner = [i for i in range(1, s.ell) if i not in block_boundaries(s.partition())]
-        ok = True
-        for i in inner:
-            T, src, tgt = intertwiner_A(s, ctx, i)
-            for ga, gb in zip(src.action_matrices(), tgt.action_matrices()):
-                if not (ga * T == T * gb):
-                    ok = False
-        ideal = ideal_I_pi(s, ctx)
-        inter = image_intersection_I_pi(s, ctx)
-        ok = ok and (inter == ideal.basis)
-        details.append((f"n={n} s={s!r}", ok, f"I_pi dim {ideal.module.dim}"))
-    # the induced map on tensor space is q^-1 Rcheck_i - q
-    s = make_segments(ctx, [(ctx.one, 2)])
-    T, src, tgt = intertwiner_A(s, ctx, 1)
-    Fsrc = functor_F(src, n, check_source=False)
-    Ftgt = functor_F(tgt, n, check_source=False)
-    FA = functor_F_map(T, Fsrc, Ftgt)
-    phi_src = _identity_embedding(Fsrc)
-    phi_tgt = _identity_embedding(Ftgt)
-    R1 = rcheck_i(ctx, n, s.ell, 1)
-    expected = R1.scale(ctx.q_power(-1)) - Matrix.identity(ctx, R1.nrows).scale(ctx.q)
-    details.append(
-        ("induced map = q^-1 R - q", FA * phi_src == phi_tgt * expected, "")
-    )
+    for n in cfg.n_values:
+        ctx = cfg.context(n)
+        cases = [
+            make_segments(ctx, [(ctx.one, 2)]),
+            make_segments(ctx, [(ctx.one, 2), (ctx.scalar(5), 1)]),
+            make_segments(ctx, [(ctx.one, 3)]),
+            make_segments(ctx, [(ctx.scalar(2), 1), (ctx.scalar(3), 1), (ctx.scalar(5), 1)]),
+        ]
+        for s in cases:
+            inner = [i for i in range(1, s.ell) if i not in block_boundaries(s.partition())]
+            ok = True
+            for i in inner:
+                T, src, tgt = intertwiner_A(s, ctx, i)
+                for ga, gb in zip(src.action_matrices(), tgt.action_matrices()):
+                    if not (ga * T == T * gb):
+                        ok = False
+            ideal = ideal_I_pi(s, ctx)
+            inter = image_intersection_I_pi(s, ctx)
+            ok = ok and (inter == ideal.basis)
+            details.append((f"n={n} s={s!r}", ok, f"I_pi dim {ideal.module.dim}"))
+        # the induced map on tensor space is q^-1 Rcheck_i - q
+        s = make_segments(ctx, [(ctx.one, 2)])
+        T, src, tgt = intertwiner_A(s, ctx, 1)
+        Fsrc = functor_F(src, n, check_source=False)
+        Ftgt = functor_F(tgt, n, check_source=False)
+        FA = functor_F_map(T, Fsrc, Ftgt)
+        phi_src = _identity_embedding(Fsrc)
+        phi_tgt = _identity_embedding(Ftgt)
+        R1 = rcheck_i(ctx, n, s.ell, 1)
+        expected = R1.scale(ctx.q_power(-1)) - Matrix.identity(ctx, R1.nrows).scale(ctx.q)
+        details.append(
+            (f"n={n} induced map = q^-1 R - q", FA * phi_src == phi_tgt * expected, "")
+        )
     return _package("prop-7.5", details)
 
 

@@ -37,6 +37,12 @@ from .uq_rep import UqModule
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 
+# Largest Jimbo ambient dimension ell! * (n+1)^ell a segment list may need.
+# Building V_a for three generic singletons takes minutes at 384 (n = 3) and
+# 750 (n = 4) on a 2-core x86-64 host; 1944 (n = 2, four singletons) does
+# not finish in 15 minutes.  Larger lists are refused, --force or not.
+MAX_JIMBO_AMBIENT = 1000
+
 
 def _parse_backend(text: str):
     if text == "symbolic":
@@ -118,6 +124,9 @@ def _context(args, n=None) -> ScalarContext:
 def _segments_or_die(ctx, spec, n, force):
     """Parse a segment spec; refuse a total length above n unless forced.
 
+    A list whose Jimbo ambient dimension ell! * (n+1)^ell exceeds
+    MAX_JIMBO_AMBIENT is refused even when forced.
+
     force=None marks a command without --force, whose refusal has no hint.
     """
     try:
@@ -125,6 +134,13 @@ def _segments_or_die(ctx, spec, n, force):
     except SegmentSpecError as e:
         print(f"segment spec error: {e}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
+    size = 1
+    for k in range(1, segs.ell + 1):
+        size *= k * (n + 1)
+        if size > MAX_JIMBO_AMBIENT:
+            print(f"segment list too large: ell!*(n+1)^ell exceeds {MAX_JIMBO_AMBIENT} "
+                  f"at ell={segs.ell}, n={n}", file=sys.stderr)
+            raise SystemExit(USAGE_ERROR)
     if segs.ell > n and not force:
         hint = "" if force is None else "; pass --force to proceed"
         print(f"total segment length {segs.ell} exceeds n={n}{hint}", file=sys.stderr)

@@ -147,6 +147,10 @@ class Matrix:
     def scale(self, c: Scalar) -> "Matrix":
         if c.is_zero():
             return Matrix.zero(self.ctx, self.nrows, self.ncols)
+        if c.is_one():
+            return self.copy()
+        if (-c).is_one():
+            return -self
         return Matrix(
             self.ctx, self.nrows, self.ncols,
             [{j: c * v for j, v in r.items()} for r in self.rows],

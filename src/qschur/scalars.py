@@ -513,19 +513,27 @@ def parse_scalar(ctx: ScalarContext, s: str) -> Scalar:
 
 
 def q_int(ctx: ScalarContext, m: int) -> Scalar:
-    """The quantum integer [m]_q = (q^m - q^-m)/(q - q^-1)."""
-    num = ctx.q_power(m) - ctx.q_power(-m)
-    den = ctx.q - ctx.q_power(-1)
-    return num / den
+    """The quantum integer [m]_q = (q^m - q^-m)/(q - q^-1), memoized per context."""
+    key = ("q_int", m)
+    hit = ctx.cache.get(key)
+    if hit is None:
+        num = ctx.q_power(m) - ctx.q_power(-m)
+        den = ctx.q - ctx.q_power(-1)
+        hit = ctx.cache[key] = num / den
+    return hit
 
 
 def q_binom(ctx: ScalarContext, m: int, r: int) -> Scalar:
-    """Quantum binomial coefficient [m r]_q."""
+    """Quantum binomial coefficient [m r]_q, memoized per context."""
     if r < 0 or r > m:
         return ctx.zero
-    out = ctx.one
-    for i in range(r):
-        out = out * q_int(ctx, m - i)
-    for i in range(1, r + 1):
-        out = out / q_int(ctx, i)
-    return out
+    key = ("q_binom", m, r)
+    hit = ctx.cache.get(key)
+    if hit is None:
+        hit = ctx.one
+        for i in range(r):
+            hit = hit * q_int(ctx, m - i)
+        for i in range(1, r + 1):
+            hit = hit / q_int(ctx, i)
+        ctx.cache[key] = hit
+    return hit

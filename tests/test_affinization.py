@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from qschur.affine_hecke import (
 from qschur.affinization import (
     affine_cartan,
     evaluation_natural,
+    finite_cartan,
     functor_F,
     jimbo_eval_pullback,
     tensor_affine,
@@ -19,11 +21,12 @@ from qschur.affinization import (
     theorem55_check,
     verify_affine_relations,
     verify_central_element,
+    verify_finite_relations,
 )
 from qschur.linalg import Matrix
 from qschur.module_tools import are_isomorphic
 from qschur.scalars import ScalarContext
-from qschur.uq_rep import UqModule, natural_rep, rcheck
+from qschur.uq_rep import UqModule, natural_rep, rcheck, tensor_rep
 
 
 @pytest.fixture(scope="module")
@@ -219,3 +222,125 @@ def test_quartic_serre_for_rank_one():
     assert rep.passed, rep.failures()
     names = [name for name, _, _ in rep.results]
     assert any(name.startswith("serre(x+0,x+1)") for name in names)
+
+
+# -- reference evaluation of the relation suite ----------------------------------
+#
+# A direct transcription of the defining relations: every Serre term is
+# x_i^r x_j x_i^(p-r) with identity-padded powers, its coefficient is a
+# q-binomial computed afresh from q-powers, and the bracket-Serre matrix is
+# the nested q^(1/2)-bracket itself.  The library shares words and caches
+# q-numbers; both must give the same ordered (name, ok, position) list.
+
+
+def _direct_q_binom(ctx, m, r):
+    def q_int(k):
+        return (ctx.q_power(k) - ctx.q_power(-k)) / (ctx.q - ctx.q_power(-1))
+
+    out = ctx.one
+    for i in range(r):
+        out = out * q_int(m - i)
+    for i in range(1, r + 1):
+        out = out / q_int(i)
+    return out
+
+
+def _direct_bracket(ctx, a, b):
+    return (a * b).scale(ctx.q_half) - (b * a).scale(ctx.q_power(Fraction(-1, 2)))
+
+
+def _direct_suite(ctx, labels, cartan, xp, xm, k, kinv, dim, bracket_serre):
+    eye = Matrix.identity(ctx, dim)
+    res = []
+
+    def check(name, m):
+        pos = m.first_nonzero()
+        res.append((name, pos is None, pos))
+
+    idx = range(len(labels))
+    for i in idx:
+        check(f"k{labels[i]}*k{labels[i]}inv=1", k[i] * kinv[i] - eye)
+    for i in idx:
+        for j in idx:
+            if i < j:
+                check(f"k{labels[i]}*k{labels[j]} commute", k[i] * k[j] - k[j] * k[i])
+    for i in idx:
+        for j in idx:
+            a = cartan[i][j]
+            check(f"k{labels[i]} x+{labels[j]} k{labels[i]}inv = q^{a} x+{labels[j]}",
+                  k[i] * xp[j] * kinv[i] - xp[j].scale(ctx.q_power(a)))
+            check(f"k{labels[i]} x-{labels[j]} k{labels[i]}inv = q^{-a} x-{labels[j]}",
+                  k[i] * xm[j] * kinv[i] - xm[j].scale(ctx.q_power(-a)))
+    for i in idx:
+        for j in idx:
+            comm = xp[i] * xm[j] - xm[j] * xp[i]
+            if i == j:
+                rhs = (k[i] - kinv[i]).scale((ctx.q - ctx.q_power(-1)).inverse())
+                check(f"[x+{labels[i]},x-{labels[i]}]=(k-kinv)/(q-qinv)", comm - rhs)
+            else:
+                check(f"[x+{labels[i]},x-{labels[j]}]=0", comm)
+    for i in idx:
+        for j in idx:
+            if i == j:
+                continue
+            p = 1 - cartan[i][j]
+            for sign, xs in (("+", xp), ("-", xm)):
+                pows = [eye]
+                for _ in range(p):
+                    pows.append(pows[-1] * xs[i])
+                total = Matrix.zero(ctx, dim, dim)
+                for r in range(p + 1):
+                    coeff = _direct_q_binom(ctx, p, r)
+                    if r % 2:
+                        coeff = -coeff
+                    total = total + (pows[r] * xs[j] * pows[p - r]).scale(coeff)
+                check(f"serre(x{sign}{labels[i]},x{sign}{labels[j]})", total)
+            if bracket_serre and cartan[i][j] == -1:
+                for sign, xs in (("+", xp), ("-", xm)):
+                    inner = _direct_bracket(ctx, xs[j], xs[i])
+                    check(f"bracket-serre [x{sign}{labels[i]},[x{sign}{labels[j]},"
+                          f"x{sign}{labels[i]}]]", _direct_bracket(ctx, xs[i], inner))
+    return res
+
+
+def _perturbed(M, ctx, i, j):
+    """M plus the matrix unit E_ij."""
+    out = M.copy()
+    out.add_to_entry(i, j, ctx.one)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("perturb", [False, True])
+def test_relation_suite_matches_direct_evaluation(n, perturb):
+    c = ScalarContext(n)
+    W = functor_F(universal_module(c, (c.scalar(2), c.scalar(Fraction(-3, 4)))), n,
+                  check_source=False)
+    if perturb:
+        W = UqModule(c, n, W.dim, W.xp, W.xm, W.k, W.kinv, weights=W.weights, t=W.t,
+                     x0p=_perturbed(W.x0p, c, 0, W.dim - 1), x0m=W.x0m, k0=W.k0, k0inv=W.k0inv)
+    got = verify_affine_relations(W).results
+    want = _direct_suite(
+        c, [str(i) for i in range(n + 1)], affine_cartan(n), [W.x0p] + W.xp,
+        [W.x0m] + W.xm, [W.k0] + W.k, [W.k0inv] + W.kinv, W.dim, bracket_serre=n >= 2,
+    )
+    assert got == want
+    assert any(name.startswith("serre(x+0,") for name, _, _ in got)
+    failed = {name for name, ok, _ in got if not ok}
+    if perturb:
+        assert any(name.startswith("serre(") for name in failed)
+        assert n == 1 or any(name.startswith("bracket-serre") for name in failed)
+    else:
+        assert not failed
+
+
+def test_finite_relation_suite_matches_direct_evaluation():
+    c = ScalarContext(2)
+    T = tensor_rep(natural_rep(c, 2), 2)
+    xp = [_perturbed(T.xp[0], c, 0, 2)] + T.xp[1:]
+    P = UqModule(c, 2, T.dim, xp, T.xm, T.k, T.kinv, weights=T.weights)
+    got = verify_finite_relations(P).results
+    want = _direct_suite(c, ["1", "2"], finite_cartan(2), xp, T.xm, T.k, T.kinv, T.dim,
+                         bracket_serre=True)
+    assert got == want
+    assert any(not ok for name, ok, _ in got if name.startswith("bracket-serre"))

@@ -229,3 +229,30 @@ def test_run_checks_rejects_bad_input(argv):
     )
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_check_runs_every_requested_rank(capsys):
+    code, out, _ = run(capsys, "check", "prop-4.6", "--n", "3,4", "--json")
+    assert code == 0
+    (result,) = json.loads(out)
+    ranks = {case["case"].split()[0] for case in result["details"]}
+    assert ranks == {"n=3", "n=4"}
+
+
+def test_oversized_segment_list_refused_even_when_forced(capsys, monkeypatch):
+    import qschur.cli as cli
+
+    # 3! * 4^3 = 384 (n = 3, ell = 3) is admitted
+    code, out, _ = run(capsys, "relations", "--n", "3", "--segments", "1@0:3")
+    assert code == 0 and "PASS" in out
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a refused segment list must not be built")
+
+    monkeypatch.setattr(cli, "irreducible_V_a", no_build)
+    monkeypatch.setattr(cli, "functor_F", no_build)
+    # 9! * 3^9 is far past the limit
+    code, out, err = run(capsys, "relations", "--n", "2", "--segments", "1@0:9", "--force")
+    assert code == 2
+    assert "segment list too large" in err and "Traceback" not in err
+    assert out == ""

@@ -213,3 +213,21 @@ def test_descend_check_rejects_a_map_off_the_subspace(ctx):
     U.descend(swap)  # unchecked: the caller's promise
     with pytest.raises(ValueError):
         U.descend(swap, check=True)
+
+
+@pytest.mark.parametrize("unit", [1, -1])
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)])
+def test_scale_by_unit_matches_entrywise(unit, t0):
+    c = ScalarContext(2, t0=t0)
+    t = c.t_power(1)
+    m = Matrix(c, 2, 3)
+    m.set_entry(0, 0, t)
+    m.set_entry(0, 2, c.scalar(Fraction(-2, 7)))
+    m.set_entry(1, 1, (t + 1).inverse())
+    u = c.scalar(unit)
+    got = m.scale(u)
+    want = Matrix(c, 2, 3, [{j: u * v for j, v in r.items()} for r in m.rows])
+    assert got == want
+    # the result is a fresh matrix: changing it leaves m alone
+    got.set_entry(1, 0, c.one)
+    assert m.entry(1, 0).is_zero() and m.nnz() == 3

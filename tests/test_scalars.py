@@ -152,3 +152,34 @@ def test_q_integers(ctx):
     lhs = q_binom(ctx, m, r)
     rhs = ctx.q_power(r) * q_binom(ctx, m - 1, r) + ctx.q_power(r - m) * q_binom(ctx, m - 1, r - 1)
     assert lhs == rhs
+
+
+def _direct_q_binom(ctx, m, r):
+    """[m r]_q from q-powers alone, with no memo."""
+    def qi(k):
+        return (ctx.q_power(k) - ctx.q_power(-k)) / (ctx.q - ctx.q_power(-1))
+
+    out = ctx.one
+    for i in range(r):
+        out = out * qi(m - i) / qi(i + 1)
+    return out
+
+
+@pytest.mark.parametrize("symbolic_first", [True, False])
+def test_cached_q_numbers_stay_in_their_context(symbolic_first):
+    # each context memoizes its own q-numbers; a value cached in one context
+    # must never be served by another, whichever is asked first
+    t0 = Fraction(5, 3)
+    sym, spec = ScalarContext(2), ScalarContext(2, t0=t0)
+    pairs = [(m, r) for m in range(5) for r in range(m + 1)]
+    got = {}
+    for c in ((sym, spec) if symbolic_first else (spec, sym)):
+        got[c] = ([q_int(c, m) for m in range(1, 5)], [q_binom(c, m, r) for m, r in pairs])
+    assert got[sym][0] == [_direct_q_binom(sym, m, 1) for m in range(1, 5)]
+    assert got[sym][1] == [_direct_q_binom(sym, m, r) for m, r in pairs]
+    for s, v in zip(got[sym][0] + got[sym][1], got[spec][0] + got[spec][1]):
+        assert v.ctx is spec and s.ctx is sym
+        assert v == spec.scalar(s.specialize(t0))
+    # a second query returns the memoized value
+    assert q_binom(spec, 4, 2) is q_binom(spec, 4, 2)
+    assert q_int(sym, 3) is q_int(sym, 3)
