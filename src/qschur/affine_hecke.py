@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .linalg import Matrix
+from .linalg import Matrix, named_matrices
 from .scalars import Scalar, ScalarContext
 from .symgroup import (
     Perm,
@@ -248,8 +248,7 @@ def _sigma_word_times_y(ctx: ScalarContext, w: Perm, j: int, s: int) -> AffHecke
         out = a.times_sigma(i) + b.scale(q2m1)
     else:  # j == i + 1, s == -1
         a = _sigma_word_times_y(ctx, wp, i, -1)
-        b = _sigma_word_times_y(ctx, wp, i, -1)
-        out = a.times_sigma(i) - b.scale(q2m1)
+        out = a.times_sigma(i) - a.scale(q2m1)
     ctx.cache[key] = out
     return out
 
@@ -346,22 +345,26 @@ class RightModule:
         return out
 
     @staticmethod
-    def from_json(ctx, data) -> "RightModule":
-        kind = data["algebra"]
-        ell = int(data["ell"])
-        dim = int(data["dim"])
-        gens = data["generators"]
+    def from_generators(ctx, kind: str, ell: int, dim: int, gens: dict,
+                        labels=None) -> "RightModule":
+        """The module acting by ``gens``, a {name: Matrix} dict as generators() returns.
 
-        def get(name):
-            return Matrix.from_triplets(ctx, dim, dim, gens[name])
-
-        sigma = [get(f"s{i}") for i in range(1, ell)]
+        Raises KeyError naming a missing generator.
+        """
+        sigma = [gens[f"s{i}"] for i in range(1, ell)]
         y = y_inv = None
         if kind == "Hhat":
-            y = [get(f"y{j}") for j in range(1, ell + 1)]
-            y_inv = [get(f"y{j}inv") for j in range(1, ell + 1)]
-        return RightModule(ctx, kind, ell, dim, sigma, y, y_inv,
-                           labels=data.get("labels"))
+            y = [gens[f"y{j}"] for j in range(1, ell + 1)]
+            y_inv = [gens[f"y{j}inv"] for j in range(1, ell + 1)]
+        return RightModule(ctx, kind, ell, dim, sigma, y, y_inv, labels=labels)
+
+    @staticmethod
+    def from_json(ctx, data) -> "RightModule":
+        dim = int(data["dim"])
+        return RightModule.from_generators(
+            ctx, data["algebra"], int(data["ell"]), dim,
+            named_matrices(ctx, dim, data["generators"]), labels=data.get("labels"),
+        )
 
 
 @dataclass
@@ -446,19 +449,13 @@ def hecke_regular_module(ctx: ScalarContext, ell: int) -> RightModule:
     """The right regular representation of H_ell(q^2) on the sigma_w basis."""
     perms = all_perms(ell)
     index = {w: k for k, w in enumerate(perms)}
-    q2 = ctx.q_power(2)
-    q2m1 = q2 - ctx.one
-    sigma = []
-    for i in range(1, ell):
-        m = Matrix.zero(ctx, len(perms), len(perms))
-        for k, w in enumerate(perms):
-            wt = w.times_tau(i)
-            if w.has_right_descent(i):
-                m.add_to_entry(k, k, q2m1)
-                m.add_to_entry(k, index[wt], q2)
-            else:
-                m.add_to_entry(k, index[wt], ctx.one)
-        sigma.append(m)
+    sigma = [
+        Matrix(ctx, len(perms), len(perms), [
+            {index[u]: c for u, c in HeckeElt.basis(ctx, w).times_sigma(i).terms.items()}
+            for w in perms
+        ])
+        for i in range(1, ell)
+    ]
     labels = [w.one_line() for w in perms]
     return RightModule(ctx, "H", ell, len(perms), sigma, labels=labels)
 

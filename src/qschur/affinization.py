@@ -27,16 +27,7 @@ from fractions import Fraction
 from .affine_hecke import RelationReport, RightModule, cherednik_pullback, verify_module_relations
 from .linalg import Matrix, diag_inverse
 from .scalars import Scalar, ScalarContext, q_binom, q_int
-from .uq_rep import (
-    JimboImage,
-    UqModule,
-    grouplike_power,
-    jimbo_J,
-    natural_rep,
-    kron_chain,
-)
-
-AffineRelationReport = RelationReport
+from .uq_rep import JimboImage, UqModule, jimbo_J, kron_chain, natural_rep, tensor
 
 
 def affine_cartan(n: int) -> list:
@@ -159,7 +150,7 @@ def verify_finite_relations(W: UqModule) -> RelationReport:
     )
 
 
-def verify_affine_relations(W: UqModule) -> AffineRelationReport:
+def verify_affine_relations(W: UqModule) -> RelationReport:
     """The full quantum affine relation list, index set {0, ..., n}."""
     if not W.is_affine():
         raise ValueError("module has no loop generators; nothing to verify")
@@ -203,7 +194,7 @@ def _loop_operators(img: JimboImage) -> tuple:
         yminus.append(
             kron_chain([kth] * (j - 1) + [V.xtheta_p] + [eye] * (ell - j))
         )
-    return yplus, yminus, grouplike_power(kthinv, ell), grouplike_power(kth, ell)
+    return yplus, yminus, kron_chain([kthinv] * ell), kron_chain([kth] * ell)
 
 
 def functor_F(M: RightModule, n: int, check_source: bool = True) -> UqModule:
@@ -366,39 +357,7 @@ def tensor_affine(A: UqModule, B: UqModule) -> UqModule:
     """Coproduct action on A (x) B, loop generators included."""
     if not (A.is_affine() and B.is_affine()):
         raise ValueError("both factors must be affine modules")
-    if A.n != B.n or A.ctx is not B.ctx:
-        raise ValueError("incompatible factors")
-    ctx = A.ctx
-    n = A.n
-    eA = Matrix.identity(ctx, A.dim)
-    eB = Matrix.identity(ctx, B.dim)
-    xp = []
-    xm = []
-    k = []
-    kinv = []
-    for i in range(n):
-        xp.append(A.xp[i].kron(B.k[i]) + eA.kron(B.xp[i]))
-        xm.append(A.xm[i].kron(eB) + A.kinv[i].kron(B.xm[i]))
-        k.append(A.k[i].kron(B.k[i]))
-        kinv.append(A.kinv[i].kron(B.kinv[i]))
-    x0p = A.x0p.kron(B.k0) + eA.kron(B.x0p)
-    x0m = A.x0m.kron(eB) + A.k0inv.kron(B.x0m)
-    k0 = A.k0.kron(B.k0)
-    k0inv = A.k0inv.kron(B.k0inv)
-    weights = None
-    if A.weights is not None and B.weights is not None:
-        weights = [
-            tuple(x + y for x, y in zip(wa, wb))
-            for wa in A.weights
-            for wb in B.weights
-        ]
-    t = None
-    if A.t is not None and B.t is not None:
-        t = [ta.kron(tb) for ta, tb in zip(A.t, B.t)]
-    return UqModule(
-        ctx, n, A.dim * B.dim, xp, xm, k, kinv, weights=weights, t=t,
-        x0p=x0p, x0m=x0m, k0=k0, k0inv=k0inv,
-    )
+    return tensor(A, B)
 
 
 def tensor_affine_chain(mods) -> UqModule:

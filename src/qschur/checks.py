@@ -46,7 +46,7 @@ from .classification import (
 )
 from .hecke import kl_parabolic_element
 from .linalg import Matrix, diag_inverse
-from .module_tools import are_isomorphic, is_irreducible, spin, restrict_to_subspace
+from .module_tools import are_isomorphic, is_irreducible, spin_module, submodule
 from .scalars import ScalarContext
 from .symgroup import all_perms, block_boundaries, parabolic_longest
 from .uq_rep import (
@@ -434,30 +434,7 @@ def _highest_weight_module(ctx, n, ell, weight) -> UqModule:
     hw = highest_weight_vectors(T)
     if weight not in hw:
         raise ValueError(f"no highest weight vector of weight {weight}")
-    vec = hw[weight][0]
-    tmats = [m.transpose() for m in T.generators().values()]
-    basis = spin(ctx, T.dim, tmats, [vec])
-    sub = restrict_to_subspace(tmats, basis)
-    names = list(T.generators())
-
-    def pick(name):
-        return sub[names.index(name)].transpose()
-
-    weights = None
-    if T.weights is not None:
-        # weights of the sub-basis rows: each row is weight-homogeneous
-        weights = []
-        for row in basis.rows():
-            idx = next(iter(row))
-            weights.append(T.weights[idx])
-    return UqModule(
-        ctx, n, basis.dim,
-        [pick(f"x+{i}") for i in range(1, n + 1)],
-        [pick(f"x-{i}") for i in range(1, n + 1)],
-        [pick(f"k{i}") for i in range(1, n + 1)],
-        [pick(f"k{i}inv") for i in range(1, n + 1)],
-        weights=weights,
-    )
+    return submodule(T, spin_module(T, hw[weight][0]))
 
 
 def check_prop_7_5(cfg: RunConfig) -> CheckResult:

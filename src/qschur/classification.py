@@ -22,8 +22,8 @@ from typing import Optional
 
 from .affine_hecke import RightModule, universal_module
 from .hecke import HeckeElt, kl_parabolic_element
-from .linalg import Matrix, SubspaceBasis, intersect, solve_upper
-from .module_tools import proper_submodule, quotient_action, restrict_to_subspace, spin
+from .linalg import Matrix, SubspaceBasis, intersect
+from .module_tools import proper_submodule, quotient, spin, spin_module, submodule
 from .scalars import Scalar, ScalarContext
 from .symgroup import Perm, all_perms, block_boundaries, check_partition
 from .uq_rep import UqModule, fundamental_weight, highest_weight_vectors
@@ -210,15 +210,8 @@ def ideal_I_pi(s: SegmentList, ctx: ScalarContext) -> IdealImage:
     index = {w: k for k, w in enumerate(perms)}
     C = kl_parabolic_element(ctx, s.partition())
     v0 = hecke_image_vector(ctx, C, index)
-    mats = parent.action_matrices()
-    basis = spin(ctx, parent.dim, mats, [v0])
-    sigma = restrict_to_subspace(parent.sigma, basis)
-    y = restrict_to_subspace(parent.y, basis)
-    y_inv = restrict_to_subspace(parent.y_inv, basis)
-    sub = RightModule(ctx, "Hhat", s.ell, basis.dim, sigma, y, y_inv)
-    marked = solve_upper(basis, v0)
-    assert marked is not None
-    return IdealImage(sub, marked, basis, parent, s)
+    basis = spin_module(parent, v0)
+    return IdealImage(submodule(parent, basis), basis.coords(v0), basis, parent, s)
 
 
 def left_sigma_expansion(ctx, i: int, w: Perm) -> dict:
@@ -281,16 +274,6 @@ def image_intersection_I_pi(s: SegmentList, ctx: ScalarContext) -> SubspaceBasis
 # ---------------------------------------------------------------------------
 
 
-def _wrap_right(ctx, kind, ell, mats, dim) -> RightModule:
-    nsig = ell - 1
-    sigma = mats[:nsig]
-    if kind == "H":
-        return RightModule(ctx, "H", ell, dim, sigma)
-    y = mats[nsig:nsig + ell]
-    y_inv = mats[nsig + ell:]
-    return RightModule(ctx, kind, ell, dim, sigma, y, y_inv)
-
-
 def head_with_marked_vector(mod: RightModule, marked: dict, seed: int = 0):
     """The irreducible quotient of a cyclic module along its marked generator.
 
@@ -298,27 +281,19 @@ def head_with_marked_vector(mod: RightModule, marked: dict, seed: int = 0):
     image of the generating vector) until the quotient is irreducible;
     returns (quotient module, image of the marked vector).
     """
-    ctx = mod.ctx
-    mats = mod.action_matrices()
-    dim = mod.dim
-    U = SubspaceBasis(ctx, dim)
+    U = SubspaceBasis(mod.ctx, mod.dim)
     step = 0
     while True:
-        if U.dim == 0:
-            qmats, free = mats, list(range(dim))
-        else:
-            qmats, free = quotient_action(mats, U)
-        qmod = _wrap_right(ctx, mod.kind, mod.ell, qmats, len(free))
+        qmod = quotient(mod, U)
         qmarked = U.coset(marked)
         assert qmarked, "marked vector died in the quotient"
         found = proper_submodule(qmod, seed=seed + step)
         if found is None:
             return qmod, qmarked
-        sub = found
-        for row in sub.rows():
-            lift = {free[c]: v for c, v in row.items()}
-            U.add(lift)
-        # U is automatically action-stable (preimage of a submodule)
+        # the preimage of a submodule of the quotient is again stable
+        free = U.free_columns()
+        for row in found.rows():
+            U.add({free[c]: v for c, v in row.items()})
         step += 1
 
 
@@ -337,15 +312,8 @@ def composition_factors(mod: RightModule, seed: int = 0) -> list:
     sub = proper_submodule(mod, seed=seed)
     if sub is None:
         return [mod]
-    mats = mod.action_matrices()
-    smats = restrict_to_subspace(mats, sub)
-    qmats, qfree = quotient_action(mats, sub)
-    out = []
-    out.extend(composition_factors(
-        _wrap_right(mod.ctx, mod.kind, mod.ell, smats, sub.dim), seed))
-    out.extend(composition_factors(
-        _wrap_right(mod.ctx, mod.kind, mod.ell, qmats, len(qfree)), seed))
-    return out
+    return (composition_factors(submodule(mod, sub), seed)
+            + composition_factors(quotient(mod, sub), seed))
 
 
 def finite_ideal_module(ctx: ScalarContext, parts) -> tuple:
@@ -359,11 +327,8 @@ def finite_ideal_module(ctx: ScalarContext, parts) -> tuple:
     index = {w: k for k, w in enumerate(perms)}
     C = kl_parabolic_element(ctx, parts)
     v0 = hecke_image_vector(ctx, C, index)
-    basis = spin(ctx, reg.dim, reg.sigma, [v0])
-    sigma = restrict_to_subspace(reg.sigma, basis)
-    sub = RightModule(ctx, "H", ell, basis.dim, sigma)
-    marked = solve_upper(basis, v0)
-    return sub, marked, basis
+    basis = spin_module(reg, v0)
+    return submodule(reg, basis), basis.coords(v0), basis
 
 
 def rogawski_quotient(ctx: ScalarContext, parts, n: int, seed: int = 0) -> RightModule:

@@ -8,7 +8,7 @@ in fully reduced row echelon form, which makes subspace equality literal
 equality of the pivot rows.  The same basis is the quotient V/U: the class
 of v has coordinates ``U.coset(v)``, the reduction of v read off on the free
 (non-pivot) columns, and ``U.descend(op)`` is the map an operator induces on
-V/U.
+V/U.  A vector of U has coordinates ``U.coords(v)`` in the pivot rows.
 """
 
 from __future__ import annotations
@@ -286,6 +286,13 @@ class Matrix:
         return m
 
 
+def named_matrices(ctx, dim: int, data) -> dict:
+    """{name: dim x dim Matrix} from a JSON object of triplet lists."""
+    if not isinstance(data, dict):
+        raise ValueError("generators must map names to triplet lists")
+    return {name: Matrix.from_triplets(ctx, dim, dim, t) for name, t in data.items()}
+
+
 class SubspaceBasis:
     """A subspace of row vectors kept in reduced row echelon form.
 
@@ -364,6 +371,16 @@ class SubspaceBasis:
             self._free_pos = {c: k for k, c in enumerate(self.free_columns())}
         pos = self._free_pos
         return {pos[c]: x for c, x in self.reduce(v).items()}
+
+    def coords(self, v: Vec) -> Optional[Vec]:
+        """Coordinates of v in the rows (sorted by pivot), or None off the span.
+
+        Every row is 1 at its own pivot and 0 at the others, so a vector in
+        the span has its coordinates at the pivot columns.
+        """
+        if self.reduce(v):
+            return None
+        return {k: v[c] for k, c in enumerate(self.pivot_columns()) if c in v}
 
     def descend(self, op: Matrix, target: Optional["SubspaceBasis"] = None,
                 check: bool = False) -> Matrix:
@@ -454,19 +471,3 @@ def intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
                 v = vec_add(v, vec_scale(ra[i], c))
         out.add(v)
     return out
-
-
-def solve_upper(basis: SubspaceBasis, v: Vec) -> Optional[Vec]:
-    """Coordinates of v in the basis rows (sorted by pivot), or None."""
-    coords: Vec = {}
-    v = dict(v)
-    rows = basis.rows()
-    piv = basis.pivot_columns()
-    for idx, j in enumerate(piv):
-        c = v.get(j)
-        if c is not None:
-            coords[idx] = c
-            v = vec_sub_scaled(v, c, rows[idx])
-    if v:
-        return None
-    return coords

@@ -1,10 +1,11 @@
 """Generic exact-field module algorithms.
 
-Submodule spinning, a Meataxe-style irreducibility decision with checkable
-certificates, isomorphism testing by solving the intertwiner equations, and
-characters.  Everything is deterministic given a seed: randomized choices
-come from an explicit random.Random, and every verdict is backed by a
-certificate that can be re-checked with plain linear algebra.
+Submodule spinning, sub- and quotient modules on a stable subspace, a
+Meataxe-style irreducibility decision with checkable certificates,
+isomorphism testing by solving the intertwiner equations, and characters.
+Everything is deterministic given a seed: randomized choices come from an
+explicit random.Random, and every verdict is backed by a certificate that
+can be re-checked with plain linear algebra.
 
 Left modules (quantum group side) are handled by transposing their action
 matrices: invariant subspaces are unchanged, so one right-action code path
@@ -16,16 +17,15 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .linalg import Matrix, SubspaceBasis, column_kernel, left_kernel, rank, span, solve_upper
+from .affine_hecke import RightModule
+from .linalg import Matrix, SubspaceBasis, column_kernel, left_kernel, rank, span
 from .scalars import Scalar, ScalarContext
+from .uq_rep import UqModule
 from fractions import Fraction
 
 
 def _as_right_action(mod) -> tuple:
     """(ctx, dim, matrices-as-right-action, names) for either module species."""
-    from .affine_hecke import RightModule
-    from .uq_rep import UqModule
-
     if isinstance(mod, RightModule):
         gens = mod.generators()
         return mod.ctx, mod.dim, list(gens.values()), list(gens.keys())
@@ -64,34 +64,55 @@ def spin_module(mod, vector) -> SubspaceBasis:
     return spin(ctx, dim, mats, [vector])
 
 
-def restrict_to_subspace(mats, basis: SubspaceBasis) -> list:
-    """Action matrices on the row-span of basis (which must be stable)."""
+def _rebuild(mod, mats, dim: int, columns: list):
+    """A module of mod's species acting by the right-action mats.
+
+    New basis vector k carries the weight of ambient basis vector columns[k].
+    """
+    names = list(mod.generators())
+    if isinstance(mod, RightModule):
+        return RightModule.from_generators(mod.ctx, mod.kind, mod.ell, dim,
+                                           dict(zip(names, mats)))
+    weights = None if mod.weights is None else [mod.weights[c] for c in columns]
+    return UqModule.from_generators(mod.ctx, mod.n, dim,
+                                    {name: m.transpose() for name, m in zip(names, mats)},
+                                    weights)
+
+
+def submodule(mod, basis: SubspaceBasis):
+    """The submodule on a stable subspace, in the coordinates of basis.rows().
+
+    With B the basis rows, rho(g)|_sub satisfies B rho(g) = rho_sub(g) B for
+    a right module; a UqModule acts on columns, so there rho(g) B^T =
+    B^T rho_sub(g).  Raises ValueError if the subspace is not stable.
+    """
+    ctx, _, mats, _ = _as_right_action(mod)
     rows = basis.rows()
     out = []
     for m in mats:
-        sub = Matrix(m.ctx, basis.dim, basis.dim)
-        for r, row in enumerate(rows):
-            img = m.apply_row(row)
-            coords = solve_upper(basis, img)
-            if coords is None:
-                raise ValueError("subspace is not stable under the action")
-            for c, v in coords.items():
-                sub.set_entry(r, c, v)
-        out.append(sub)
-    return out
+        images = [basis.coords(m.apply_row(row)) for row in rows]
+        if any(c is None for c in images):
+            raise ValueError("subspace is not stable under the action")
+        out.append(Matrix(ctx, basis.dim, basis.dim, images))
+    return _rebuild(mod, out, basis.dim, basis.pivot_columns())
 
 
-def quotient_action(mats, basis: SubspaceBasis) -> tuple:
-    """Action on ambient/span(basis) in the free-column coordinates.
+def quotient(mod, basis: SubspaceBasis):
+    """The quotient module ambient/subspace on the classes of the free unit vectors.
 
-    Returns (matrices, free_columns); quotient basis vector k is the class
-    of ambient e_c for the k-th free column c, whose image under m is the
-    class of row c of m.
+    With P the matrix whose row c is basis.coset(e_c), rho(g) P =
+    P rho_quot(g) for a right module (transpose both sides for a UqModule).
+    Raises ValueError if the subspace is not stable.
     """
+    ctx, _, mats, _ = _as_right_action(mod)
+    rows = basis.rows()
     free = basis.free_columns()
-    out = [Matrix(m.ctx, len(free), len(free), [basis.coset(m.rows[c]) for c in free])
-           for m in mats]
-    return out, free
+    out = []
+    for m in mats:
+        if any(basis.reduce(m.apply_row(row)) for row in rows):
+            raise ValueError("subspace is not stable under the action")
+        out.append(Matrix(ctx, len(free), len(free), [basis.coset(m.rows[c]) for c in free]))
+    return _rebuild(mod, out, len(free), free)
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +141,8 @@ def _theta_candidates(ctx, mats, names, rng, rounds):
     and good guesses for triangular-ish actions.  Raw generators come first,
     which catches the nilpotent raising/lowering operators immediately.
     """
-    eye = Matrix.identity(ctx, mats[0].nrows) if mats else None
     dim = mats[0].nrows
+    eye = Matrix.identity(ctx, dim)
 
     def shifted(z):
         diag_vals = []
@@ -301,9 +322,6 @@ def verify_submodule_certificate(mod, cert) -> bool:
 
 def _matched_generators(A, B) -> tuple:
     """Paired action matrices, plus the convention ("right" or "left")."""
-    from .affine_hecke import RightModule
-    from .uq_rep import UqModule
-
     if isinstance(A, RightModule) and isinstance(B, RightModule):
         if A.kind != B.kind or A.ell != B.ell:
             raise ValueError("modules over different algebras")
@@ -319,8 +337,6 @@ def _matched_generators(A, B) -> tuple:
 
 
 def _weights_or_none(m):
-    from .uq_rep import UqModule
-
     if isinstance(m, UqModule) and m.weights is not None:
         return m.weights
     return None
@@ -449,8 +465,6 @@ def _is_invertible(m: Matrix) -> bool:
 
 def character(W) -> dict:
     """Weight multiplicity table of a quantum group module."""
-    from .uq_rep import UqModule
-
     if not isinstance(W, UqModule) or W.weights is None:
         raise ValueError("character needs a weight-labelled module")
     out: dict[tuple, int] = {}

@@ -11,8 +11,9 @@ t_r . v_s = q^{delta_rs - 1/(n+1)} v_s, the unique diagonal choice with a
 constant correction exponent satisfying k_i = t_i t_{i+1}^{-1} and
 t_1 ... t_{n+1} = 1.
 
-Tensor powers use the iterated coproduct (Delta (x) 1 (x) ... ) o ... o Delta,
-so x_i^+ goes to sum_j 1^(j-1) (x) x_i^+ (x) k_i^(ell-j).
+Tensor products use the coproduct (``tensor``), and tensor powers fold it:
+V^(x ell) = (V^(x (ell-1))) (x) V, so x_i^+ goes to
+sum_j 1^(j-1) (x) x_i^+ (x) k_i^(ell-j).
 
 Jimbo's functor J sends a right Hecke module M to the quotient of
 M (x) V^(x ell) by the span of m.sigma_i (x) v - m (x) Rcheck_i v.  The
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .linalg import Matrix, SubspaceBasis, column_kernel
+from .linalg import Matrix, SubspaceBasis, column_kernel, named_matrices
 from .scalars import ScalarContext
 from .affine_hecke import RightModule
 
@@ -89,29 +90,34 @@ class UqModule:
         }
 
     @staticmethod
-    def from_json(ctx, data) -> "UqModule":
-        n = int(data["n"])
-        dim = int(data["dim"])
-        gens = data["generators"]
+    def from_generators(ctx, n: int, dim: int, gens: dict, weights=None) -> "UqModule":
+        """The module acting by ``gens``, a {name: Matrix} dict as generators() returns.
 
-        def get(name):
-            if name not in gens:
+        Raises KeyError naming a missing generator (the loop generators and
+        the t_r may only be absent as a whole), and ValueError when the
+        weights do not label every basis vector.
+        """
+        def family(names):
+            if not any(name in gens for name in names):
                 return None
-            return Matrix.from_triplets(ctx, dim, dim, gens[name])
+            return [gens[name] for name in names]
 
-        xp = [get(f"x+{i}") for i in range(1, n + 1)]
-        xm = [get(f"x-{i}") for i in range(1, n + 1)]
-        k = [get(f"k{i}") for i in range(1, n + 1)]
-        kinv = [get(f"k{i}inv") for i in range(1, n + 1)]
-        t = None
-        if "t1" in gens:
-            t = [get(f"t{r}") for r in range(1, n + 2)]
+        x0p, x0m, k0, k0inv = family(["x+0", "x-0", "k0", "k0inv"]) or [None] * 4
+        finite = [[gens[fmt.format(i)] for i in range(1, n + 1)]
+                  for fmt in ("x+{}", "x-{}", "k{}", "k{}inv")]
+        t = family([f"t{r}" for r in range(1, n + 2)])
+        if weights is not None and len(weights) != dim:
+            raise ValueError(f"{len(weights)} weights for a module of dimension {dim}")
+        return UqModule(ctx, n, dim, *finite, weights=weights, t=t,
+                        x0p=x0p, x0m=x0m, k0=k0, k0inv=k0inv)
+
+    @staticmethod
+    def from_json(ctx, data) -> "UqModule":
+        dim = int(data["dim"])
         weights = data.get("weights")
-        if weights is not None:
-            weights = [tuple(w) for w in weights]
-        return UqModule(
-            ctx, n, dim, xp, xm, k, kinv, weights=weights, t=t,
-            x0p=get("x+0"), x0m=get("x-0"), k0=get("k0"), k0inv=get("k0inv"),
+        return UqModule.from_generators(
+            ctx, int(data["n"]), dim, named_matrices(ctx, dim, data["generators"]),
+            weights=None if weights is None else [tuple(w) for w in weights],
         )
 
 
@@ -132,10 +138,6 @@ def fundamental_weight(n: int, i: int) -> tuple:
         w = epsilon_weight(n, j)
         out = [a + b for a, b in zip(out, w)]
     return tuple(out)
-
-
-def add_weights(a, b) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def weight_level(weight) -> int:
@@ -193,57 +195,52 @@ def kron_chain(factors) -> Matrix:
     return out
 
 
-def coproduct_plus(op: Matrix, kmat: Matrix, ell: int) -> Matrix:
-    """sum_j 1^(j-1) (x) op (x) k^(ell-j) on the ell-fold tensor power."""
-    ctx = op.ctx
-    d = op.nrows
-    eye = Matrix.identity(ctx, d)
-    total = None
-    for j in range(1, ell + 1):
-        factors = [eye] * (j - 1) + [op] + [kmat] * (ell - j)
-        term = kron_chain(factors)
-        total = term if total is None else total + term
-    return total
+def tensor(A: UqModule, B: UqModule) -> UqModule:
+    """The coproduct action on A (x) B.
 
+    x_i^+ -> x_i^+ (x) k_i + 1 (x) x_i^+, x_i^- -> x_i^- (x) 1 + k_i^{-1} (x) x_i^-
+    and k_i -> k_i (x) k_i, for i = 0 too when both factors carry loop
+    generators; t_r -> t_r (x) t_r and weights add when both factors have them.
+    """
+    if A.n != B.n or A.ctx is not B.ctx:
+        raise ValueError("incompatible factors")
+    eA = Matrix.identity(A.ctx, A.dim)
+    eB = Matrix.identity(B.ctx, B.dim)
 
-def coproduct_minus(op: Matrix, kinv: Matrix, ell: int) -> Matrix:
-    """sum_j kinv^(j-1) (x) op (x) 1^(ell-j)."""
-    ctx = op.ctx
-    d = op.nrows
-    eye = Matrix.identity(ctx, d)
-    total = None
-    for j in range(1, ell + 1):
-        factors = [kinv] * (j - 1) + [op] + [eye] * (ell - j)
-        term = kron_chain(factors)
-        total = term if total is None else total + term
-    return total
+    def plus(xa, xb, kb):
+        return xa.kron(kb) + eA.kron(xb)
 
+    def minus(xa, xb, kainv):
+        return xa.kron(eB) + kainv.kron(xb)
 
-def grouplike_power(op: Matrix, ell: int) -> Matrix:
-    return kron_chain([op] * ell)
+    loop = {}
+    if A.is_affine() and B.is_affine():
+        loop = dict(x0p=plus(A.x0p, B.x0p, B.k0), x0m=minus(A.x0m, B.x0m, A.k0inv),
+                    k0=A.k0.kron(B.k0), k0inv=A.k0inv.kron(B.k0inv))
+    weights = None
+    if A.weights is not None and B.weights is not None:
+        weights = [tuple(x + y for x, y in zip(wa, wb)) for wa in A.weights for wb in B.weights]
+    t = None
+    if A.t is not None and B.t is not None:
+        t = [ta.kron(tb) for ta, tb in zip(A.t, B.t)]
+    return UqModule(
+        A.ctx, A.n, A.dim * B.dim,
+        [plus(xa, xb, kb) for xa, xb, kb in zip(A.xp, B.xp, B.k)],
+        [minus(xa, xb, kainv) for xa, xb, kainv in zip(A.xm, B.xm, A.kinv)],
+        [ka.kron(kb) for ka, kb in zip(A.k, B.k)],
+        [ka.kron(kb) for ka, kb in zip(A.kinv, B.kinv)],
+        weights=weights, t=t, **loop,
+    )
 
 
 def tensor_rep(base: UqModule, ell: int) -> UqModule:
-    """The iterated-coproduct action on base^(x ell)."""
+    """The iterated-coproduct action on base^(x ell): ((base (x) base) (x) ...)."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    if ell == 1:
-        return base
-    ctx = base.ctx
-    n = base.n
-    xp = [coproduct_plus(base.xp[i], base.k[i], ell) for i in range(n)]
-    xm = [coproduct_minus(base.xm[i], base.kinv[i], ell) for i in range(n)]
-    k = [grouplike_power(base.k[i], ell) for i in range(n)]
-    kinv = [grouplike_power(base.kinv[i], ell) for i in range(n)]
-    t = None
-    if base.t is not None:
-        t = [grouplike_power(m, ell) for m in base.t]
-    weights = None
-    if base.weights is not None:
-        weights = base.weights
-        for _ in range(ell - 1):
-            weights = [add_weights(a, b) for a in weights for b in base.weights]
-    return UqModule(ctx, n, base.dim ** ell, xp, xm, k, kinv, weights=weights, t=t)
+    out = base
+    for _ in range(ell - 1):
+        out = tensor(out, base)
+    return out
 
 
 def rcheck(ctx: ScalarContext, n: int) -> Matrix:

@@ -179,27 +179,41 @@ def test_check_at_inadmissible_sizes_runs_no_case(capsys, argv):
     assert "(0 cases" in out
 
 
-def _hecke_descriptor(capsys, tmp_path, edit):
+def _descriptor(capsys, tmp_path, edit, part="V_a"):
+    """A `build` descriptor (V_a: Hecke side, F: quantum side) after edit(descriptor)."""
     code, out, _ = run(capsys, "build", "--n", "2", "--segments", "1@0:2")
     assert code == 0
-    data = json.loads(out)["V_a"]
-    edit(data["generators"])
+    data = json.loads(out)[part]
+    edit(data)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     return str(path)
 
 
-@pytest.mark.parametrize("edit", [
-    lambda g: g.update(y1=[[0, 0, "t^x"]]),
-    lambda g: g.update(y1=[[0, 0, 6]]),
-    lambda g: g.update(y1=[[0, 0, "1/0"]]),
-    lambda g: g.update(y1=[[0, 1, "1"]]),
-    lambda g: g.pop("y1inv"),
+def _edit_generators(**changes):
+    return lambda d: d["generators"].update(changes)
+
+
+def _drop(name):
+    return lambda d: d["generators"].pop(name)
+
+
+@pytest.mark.parametrize("part,edit", [
+    ("V_a", _edit_generators(y1=[[0, 0, "t^x"]])),
+    ("V_a", _edit_generators(y1=[[0, 0, 6]])),
+    ("V_a", _edit_generators(y1=[[0, 0, "1/0"]])),
+    ("V_a", _edit_generators(y1=[[0, 1, "1"]])),
+    ("V_a", _drop("y1inv")),
+    ("F", _drop("x+1")),
+    ("F", _drop("x-0")),
+    ("F", _drop("t2")),
+    ("F", lambda d: d.update(weights=d["weights"][:-1])),
 ], ids=["bad-scalar", "scalar-not-a-string", "zero-denominator", "index-outside-dim",
-     "missing-generator"])
+     "missing-generator", "uq-missing-generator", "uq-partial-loop-generators",
+     "uq-partial-torus", "uq-short-weights"])
 @pytest.mark.parametrize("command", ["relations", "isomorphic"])
-def test_malformed_descriptor_exits_2(tmp_path, capsys, edit, command):
-    path = _hecke_descriptor(capsys, tmp_path, edit)
+def test_malformed_descriptor_exits_2(tmp_path, capsys, part, edit, command):
+    path = _descriptor(capsys, tmp_path, edit, part)
     files = ["--module-file", path] if command == "relations" else [path, path]
     code, _, err = run(capsys, command, "--n", "2", *files)
     assert code == 2
@@ -207,7 +221,7 @@ def test_malformed_descriptor_exits_2(tmp_path, capsys, edit, command):
 
 
 def test_descriptor_failing_its_relations_reports(tmp_path, capsys):
-    path = _hecke_descriptor(capsys, tmp_path, lambda g: g.update(y1inv=[[0, 0, "2"]]))
+    path = _descriptor(capsys, tmp_path, _edit_generators(y1inv=[[0, 0, "2"]]))
     code, out, _ = run(capsys, "relations", "--n", "2", "--module-file", path)
     assert code == 1
     assert "FAIL" in out

@@ -9,7 +9,6 @@ from qschur.linalg import (
     intersect,
     left_kernel,
     rank,
-    solve_upper,
     span,
     vec_add,
     vec_scale,
@@ -73,13 +72,13 @@ def test_reduce_and_contains(ctx):
     assert 1 in resid and 0 not in resid
 
 
-def test_solve_upper(ctx):
+def test_coords(ctx):
     rows = [{0: ctx.one, 2: ctx.scalar(3)}, {1: ctx.one}]
     b = span(ctx, 3, rows)
     v = {0: ctx.scalar(2), 1: ctx.scalar(-1), 2: ctx.scalar(6)}
-    coords = solve_upper(b, v)
+    coords = b.coords(v)
     assert coords == {0: ctx.scalar(2), 1: ctx.scalar(-1)}
-    assert solve_upper(b, {2: ctx.one}) is None
+    assert b.coords({2: ctx.one}) is None
 
 
 def test_kernels(ctx):
@@ -183,6 +182,24 @@ def test_coset_kills_subspace_and_is_linear(case):
         assert U.coset(row) == {}
     assert U.coset(vec_add(vec_scale(v, c), w)) == vec_add(vec_scale(U.coset(v), c), U.coset(w))
     assert all(0 <= k < _AMB - U.dim for k in U.coset(v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_quotient_case())
+def test_coords_rebuild_vectors_of_the_span(case):
+    ctx, _, gens, v, w, c = case
+    U = span(ctx, _AMB, gens)
+    rows = U.rows()
+    inside = vec_add(vec_scale(gens[0], c), w if U.contains(w) else {})
+    coords = U.coords(inside)
+    assert all(0 <= k < U.dim for k in coords)
+    rebuilt = {}
+    for k, x in coords.items():
+        rebuilt = vec_add(rebuilt, vec_scale(rows[k], x))
+    assert rebuilt == inside
+    # off the span: a free unit vector, and v whenever it is not in U
+    assert U.coords({U.free_columns()[0]: ctx.one}) is None
+    assert (U.coords(v) is None) == (not U.contains(v))
 
 
 @settings(max_examples=60, deadline=None)

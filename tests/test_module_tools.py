@@ -1,12 +1,15 @@
 import pytest
 
-from qschur.affine_hecke import one_dimensional_module, universal_module
+from qschur.affine_hecke import RightModule, one_dimensional_module, universal_module
+from qschur.linalg import Matrix, span
 from qschur.module_tools import (
     are_isomorphic,
     character,
     is_irreducible,
     proper_submodule,
+    quotient,
     spin_module,
+    submodule,
     verify_submodule_certificate,
 )
 from qschur.scalars import ScalarContext
@@ -96,6 +99,63 @@ def test_proper_submodule_is_stable(ctx, vv):
     for row in sub.rows():
         for m in tmats:
             assert sub.contains(m.apply_row(row))
+
+
+def _sub_and_quotient_maps(basis):
+    """B (basis rows) and P (row c = coset of the unit vector e_c), row convention."""
+    ctx = basis.ctx
+    B = basis.to_matrix()
+    P = Matrix(ctx, basis.ambient, basis.ambient - basis.dim,
+               [basis.coset({c: ctx.one}) for c in range(basis.ambient)])
+    return B, P
+
+
+@pytest.mark.parametrize("exponents", [(0, 2), (0, 2, 4)])
+def test_sub_and_quotient_of_a_right_module(exponents):
+    c = ScalarContext(1)
+    M = universal_module(c, [c.q_power(e) for e in exponents])
+    basis = proper_submodule(M)
+    assert basis is not None and 0 < basis.dim < M.dim
+    S, Q = submodule(M, basis), quotient(M, basis)
+    B, P = _sub_and_quotient_maps(basis)
+    for X, d in ((S, basis.dim), (Q, M.dim - basis.dim)):
+        assert isinstance(X, RightModule)
+        assert (X.kind, X.ell, X.dim) == (M.kind, M.ell, d)
+        assert list(X.generators()) == list(M.generators())
+    for name, g in M.generators().items():
+        assert B * g == S.generators()[name] * B
+        assert g * P == P * Q.generators()[name]
+
+
+@pytest.mark.parametrize("top", [True, False], ids=["symmetric", "singular"])
+def test_sub_and_quotient_of_a_left_module(ctx, vv, top):
+    # column convention: rho(g) B^T = B^T rho_sub(g) and P^T rho(g) = rho_quot(g) P^T
+    # v1 (x) v1 spins the 3-dimensional symmetric piece, the singular vector a line
+    v = {0: ctx.one} if top else {1: ctx.one, 2: -ctx.q_power(-1)}
+    basis = spin_module(vv, v)
+    S, Q = submodule(vv, basis), quotient(vv, basis)
+    B, P = _sub_and_quotient_maps(basis)
+    Bt, Pt = B.transpose(), P.transpose()
+    assert (S.dim, Q.dim) == ((3, 1) if top else (1, 3))
+    for name, g in vv.generators().items():
+        assert g * Bt == Bt * S.generators()[name]
+        assert Pt * g == Q.generators()[name] * Pt
+    # each basis vector keeps its weight, which the diagonal k action confirms
+    assert S.weights == [vv.weights[p] for p in basis.pivot_columns()]
+    assert Q.weights == [vv.weights[f] for f in basis.free_columns()]
+    for X in (S, Q):
+        for r, w in enumerate(X.weights):
+            assert X.k[0].rows[r] == {r: ctx.q_power(w[0])}
+    symmetric, line = {(2,): 1, (0,): 1, (-2,): 1}, {(0,): 1}
+    assert (character(S), character(Q)) == ((symmetric, line) if top else (line, symmetric))
+
+
+def test_sub_and_quotient_refuse_an_unstable_subspace(ctx, vv):
+    basis = span(ctx, vv.dim, [{1: ctx.one}])  # v1 (x) v2 alone is not stable
+    with pytest.raises(ValueError, match="not stable"):
+        submodule(vv, basis)
+    with pytest.raises(ValueError, match="not stable"):
+        quotient(vv, basis)
 
 
 def test_are_isomorphic_identity(ctx, vv):

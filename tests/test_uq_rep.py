@@ -1,3 +1,6 @@
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
 from qschur.affine_hecke import hecke_regular_module, one_dimensional_module
@@ -9,9 +12,11 @@ from qschur.uq_rep import (
     fundamental_weight,
     highest_weight_vectors,
     jimbo_J,
+    kron_chain,
     natural_rep,
     rcheck,
     rcheck_i,
+    tensor,
     tensor_rep,
     weight_decomposition,
     weight_level,
@@ -88,6 +93,48 @@ def test_tensor_k_eigenvalues(ctx1):
 def test_tensor_ell_one_is_base(ctx1):
     V = natural_rep(ctx1, 1)
     assert tensor_rep(V, 1) is V
+
+
+def _per_slot_sum(before, op, after, ell):
+    """sum_j before^(j-1) (x) op (x) after^(ell-j), one Kronecker chain per slot."""
+    terms = [kron_chain([before] * (j - 1) + [op] + [after] * (ell - j))
+             for j in range(1, ell + 1)]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)], ids=["symbolic", "rational"])
+@pytest.mark.parametrize("n,ell", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_tensor_power_matches_per_slot_coproduct(n, ell, t0):
+    # reference: the iterated coproduct written out slot by slot,
+    # x^+ -> sum_j 1^(j-1) (x) x^+ (x) k^(ell-j), x^- -> sum_j kinv^(j-1) (x) x^- (x) 1^(ell-j)
+    c = ScalarContext(n, t0=t0)
+    V = natural_rep(c, n)
+    eye = Matrix.identity(c, V.dim)
+    T = tensor_rep(V, ell)
+    assert T.dim == V.dim ** ell
+    for i in range(n):
+        assert T.xp[i] == _per_slot_sum(eye, V.xp[i], V.k[i], ell)
+        assert T.xm[i] == _per_slot_sum(V.kinv[i], V.xm[i], eye, ell)
+        assert T.k[i] == kron_chain([V.k[i]] * ell)
+        assert T.kinv[i] == kron_chain([V.kinv[i]] * ell)
+    assert T.t == [kron_chain([m] * ell) for m in V.t]
+    assert T.weights == [tuple(map(sum, zip(*ws))) for ws in product(V.weights, repeat=ell)]
+    assert not T.is_affine()
+
+
+def test_tensor_weights_follow_the_k_diagonal(ctx2):
+    # unequal factors (V and its wedge square), so the order of the weights matters
+    V = natural_rep(ctx2, 2)
+    L = jimbo_J(one_dimensional_module(ctx2, 2, -1), 2).module
+    for A, B in ((V, L), (L, V)):
+        W = tensor(A, B)
+        assert W.dim == 9 and len(W.weights) == 9
+        for r, w in enumerate(W.weights):
+            for i in range(2):
+                assert W.k[i].rows[r] == {r: ctx2.q_power(w[i])}
 
 
 @pytest.mark.parametrize("n,ell", [(1, 2), (1, 3), (2, 2), (2, 3)])
