@@ -32,22 +32,29 @@ from .symgroup import (
     min_coset_reps,
     split_parabolic,
 )
-from .hecke import HeckeElt
+from .hecke import HeckeElt, _SigmaBasisElt
 
 
 def _zero_alpha(ell: int) -> tuple:
     return (0,) * ell
 
 
-class AffHeckeElt:
-    """Element of the affine Hecke algebra in Bernstein normal form."""
+class AffHeckeElt(_SigmaBasisElt):
+    """Element of the affine Hecke algebra in Bernstein normal form.
 
-    __slots__ = ("ctx", "ell", "terms")
+    Keys are (alpha, w) for y^alpha sigma_w; the linear structure and the
+    sigma_i action are the finite algebra's, so only y-straightening is here.
+    """
 
-    def __init__(self, ctx: ScalarContext, ell: int, terms=None):
-        self.ctx = ctx
-        self.ell = ell
-        self.terms: dict[tuple, Scalar] = terms if terms is not None else {}
+    __slots__ = ()
+
+    @staticmethod
+    def _perm(key) -> Perm:
+        return key[1]
+
+    @staticmethod
+    def _with_perm(key, w: Perm) -> tuple:
+        return (key[0], w)
 
     # -- constructors ---------------------------------------------------------
 
@@ -85,76 +92,7 @@ class AffHeckeElt:
         key = (alpha, Perm.identity(len(alpha)))
         return AffHeckeElt(ctx, len(alpha), {key: ctx.one})
 
-    # -- linear structure ---------------------------------------------------------
-
-    def _check(self, other):
-        if self.ell != other.ell:
-            raise ValueError("elements of different sizes")
-        if self.ctx is not other.ctx:
-            raise ValueError("elements from different contexts")
-
-    def _add_term(self, key, c: Scalar):
-        s = self.terms.get(key)
-        if s is None:
-            if not c.is_zero():
-                self.terms[key] = c
-        else:
-            s = s + c
-            if s.is_zero():
-                del self.terms[key]
-            else:
-                self.terms[key] = s
-
-    def __add__(self, other: "AffHeckeElt") -> "AffHeckeElt":
-        self._check(other)
-        out = AffHeckeElt(self.ctx, self.ell, dict(self.terms))
-        for k, c in other.terms.items():
-            out._add_term(k, c)
-        return out
-
-    def __neg__(self):
-        return AffHeckeElt(self.ctx, self.ell, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "AffHeckeElt":
-        if not isinstance(c, Scalar):
-            c = self.ctx.scalar(c)
-        if c.is_zero():
-            return AffHeckeElt.zero(self.ctx, self.ell)
-        return AffHeckeElt(self.ctx, self.ell, {k: c * v for k, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, AffHeckeElt):
-            return NotImplemented
-        return self.ell == other.ell and self.terms == other.terms
-
-    __hash__ = None  # type: ignore[assignment]
-
     # -- straightening ---------------------------------------------------------------
-
-    def times_sigma(self, i: int) -> "AffHeckeElt":
-        ctx = self.ctx
-        q2 = ctx.q_power(2)
-        q2m1 = q2 - ctx.one
-        out = AffHeckeElt(ctx, self.ell)
-        for (alpha, w), c in self.terms.items():
-            wt = w.times_tau(i)
-            if w.has_right_descent(i):
-                out._add_term((alpha, w), c * q2m1)
-                out._add_term((alpha, wt), c * q2)
-            else:
-                out._add_term((alpha, wt), c)
-        return out
-
-    def times_sigma_inv(self, i: int) -> "AffHeckeElt":
-        ctx = self.ctx
-        q2inv = ctx.q_power(-2)
-        return self.times_sigma(i).scale(q2inv) - self.scale(ctx.one - q2inv)
 
     def times_y(self, j: int, power: int = 1) -> "AffHeckeElt":
         """Right multiplication by y_j^{power} (power = +-1 per step)."""
@@ -173,28 +111,13 @@ class AffHeckeElt:
                 out._add_term((gamma, u), c * d)
         return out
 
-    def __mul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self.scale(other)
-        if not isinstance(other, AffHeckeElt):
-            return NotImplemented
-        self._check(other)
-        out = AffHeckeElt.zero(self.ctx, self.ell)
-        for (beta, v), d in other.terms.items():
-            cur = self
-            for j, bj in enumerate(beta, start=1):
-                if bj:
-                    cur = cur.times_y(j, bj)
-            for i in v.reduced_word():
-                cur = cur.times_sigma(i)
-            for k, c in cur.terms.items():
-                out._add_term(k, c * d)
-        return out
-
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self.scale(other)
-        return NotImplemented
+    def _times_basis(self, key) -> "AffHeckeElt":
+        beta, v = key
+        cur = self
+        for j, bj in enumerate(beta, start=1):
+            if bj:
+                cur = cur.times_y(j, bj)
+        return cur._times_sigma_word(v)
 
     def coeff(self, alpha, w: Perm) -> Scalar:
         return self.terms.get((tuple(alpha), w), self.ctx.zero)
@@ -495,7 +418,10 @@ def universal_module(ctx: ScalarContext, avec) -> RightModule:
 
 
 def _induced_generator(M1: RightModule, M2: RightModule, reps, rep_index, gen):
-    """Action matrix of one affine generator on the induced module basis.
+    """Action matrix of one generator on the induced module basis.
+
+    gen is ("s", i) for sigma_i, or ("y", (j, +-1)) for y_j^{+-1} when both
+    factors are affine modules.
 
     Basis (m1 (x) m2 (x) d_k) with flat index (r*dim2 + s)*len(reps) + k.
     sigma_{d_k} * gen is straightened; each normal-form term y^beta sigma_u
@@ -504,7 +430,6 @@ def _induced_generator(M1: RightModule, M2: RightModule, reps, rep_index, gen):
     """
     ctx = M1.ctx
     l1, l2 = M1.ell, M2.ell
-    ell = l1 + l2
     d1, d2 = M1.dim, M2.dim
     K = len(reps)
     out = Matrix.zero(ctx, d1 * d2 * K, d1 * d2 * K)
@@ -531,18 +456,8 @@ def _induced_generator(M1: RightModule, M2: RightModule, reps, rep_index, gen):
             blocks[kp] = blocks.get(kp, Matrix.zero(ctx, d1 * d2, d1 * d2)) + piece
         for kp, piece in blocks.items():
             for rs, row in enumerate(piece.rows):
-                orow = out.rows[rs * K + k]
                 for rs2, v in row.items():
-                    tgt = rs2 * K + kp
-                    cur = orow.get(tgt)
-                    if cur is None:
-                        orow[tgt] = v
-                    else:
-                        cur = cur + v
-                        if cur.is_zero():
-                            del orow[tgt]
-                        else:
-                            orow[tgt] = cur
+                    out.add_to_entry(rs * K + k, rs2 * K + kp, v)
     return out
 
 
@@ -570,31 +485,12 @@ def zelevinsky_induce(M1: RightModule, M2: RightModule) -> RightModule:
 
 
 def zelevinsky_induce_finite(M1: RightModule, M2: RightModule) -> RightModule:
-    """The finite Zelevinsky tensor product of H-modules."""
-    ctx = M1.ctx
-    l1, l2 = M1.ell, M2.ell
-    ell = l1 + l2
-    d1, d2 = M1.dim, M2.dim
-    reps = min_coset_reps(l1, l2)
+    """The finite Zelevinsky tensor product of H-modules: the sigma part of the affine one."""
+    ell = M1.ell + M2.ell
+    reps = min_coset_reps(M1.ell, M2.ell)
     rep_index = {d: k for k, d in enumerate(reps)}
-    K = len(reps)
-    sigma = []
-    for i in range(1, ell):
-        out = Matrix.zero(ctx, d1 * d2 * K, d1 * d2 * K)
-        for k, d in enumerate(reps):
-            elt = HeckeElt.basis(ctx, d).times_sigma(i)
-            for u, c in elt.terms.items():
-                p, dprime = coset_factorize(u, l1, l2)
-                p1, p2 = split_parabolic(p, l1, l2)
-                a1 = M1.act_elt(HeckeElt.basis(ctx, p1))
-                a2 = M2.act_elt(HeckeElt.basis(ctx, p2))
-                kp = rep_index[dprime]
-                piece = a1.kron(a2).scale(c)
-                for rs, row in enumerate(piece.rows):
-                    for rs2, v in row.items():
-                        out.add_to_entry(rs * K + k, rs2 * K + kp, v)
-        sigma.append(out)
-    return RightModule(ctx, "H", ell, d1 * d2 * K, sigma)
+    sigma = [_induced_generator(M1, M2, reps, rep_index, ("s", i)) for i in range(1, ell)]
+    return RightModule(M1.ctx, "H", ell, M1.dim * M2.dim * len(reps), sigma)
 
 
 def cherednik_pullback(M: RightModule, a) -> RightModule:

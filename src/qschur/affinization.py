@@ -22,9 +22,16 @@ the Serre relations quartic with [3 r]_q coefficients.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
-from .affine_hecke import RelationReport, RightModule, cherednik_pullback, verify_module_relations
+from .affine_hecke import (
+    RelationReport,
+    RightModule,
+    _residual,
+    cherednik_pullback,
+    verify_module_relations,
+)
 from .linalg import Matrix, diag_inverse
 from .scalars import Scalar, ScalarContext, q_binom, q_int
 from .uq_rep import JimboImage, UqModule, jimbo_J, kron_chain, natural_rep, tensor
@@ -81,37 +88,33 @@ def _relation_suite(ctx, labels, cartan, xp, xm, k, kinv, dim,
     eye = Matrix.identity(ctx, dim)
     qdenom_inv = (ctx.q - ctx.q_power(-1)).inverse()
     res: list = []
-
-    def check(name, m):
-        pos = m.first_nonzero()
-        res.append((name, pos is None, pos))
-
     idx = range(len(labels))
     for i in idx:
-        check(f"k{labels[i]}*k{labels[i]}inv=1", k[i] * kinv[i] - eye)
+        _residual(f"k{labels[i]}*k{labels[i]}inv=1", k[i] * kinv[i] - eye, res)
     for i in idx:
         for j in idx:
             if i < j:
-                check(f"k{labels[i]}*k{labels[j]} commute", k[i] * k[j] - k[j] * k[i])
+                _residual(f"k{labels[i]}*k{labels[j]} commute",
+                          k[i] * k[j] - k[j] * k[i], res)
     for i in idx:
         for j in idx:
             a = cartan[i][j]
-            check(
+            _residual(
                 f"k{labels[i]} x+{labels[j]} k{labels[i]}inv = q^{a} x+{labels[j]}",
-                k[i] * xp[j] * kinv[i] - xp[j].scale(ctx.q_power(a)),
+                k[i] * xp[j] * kinv[i] - xp[j].scale(ctx.q_power(a)), res,
             )
-            check(
+            _residual(
                 f"k{labels[i]} x-{labels[j]} k{labels[i]}inv = q^{-a} x-{labels[j]}",
-                k[i] * xm[j] * kinv[i] - xm[j].scale(ctx.q_power(-a)),
+                k[i] * xm[j] * kinv[i] - xm[j].scale(ctx.q_power(-a)), res,
             )
     for i in idx:
         for j in idx:
             comm = xp[i] * xm[j] - xm[j] * xp[i]
             if i == j:
                 rhs = (k[i] - kinv[i]).scale(qdenom_inv)
-                check(f"[x+{labels[i]},x-{labels[i]}]=(k-kinv)/(q-qinv)", comm - rhs)
+                _residual(f"[x+{labels[i]},x-{labels[i]}]=(k-kinv)/(q-qinv)", comm - rhs, res)
             else:
-                check(f"[x+{labels[i]},x-{labels[j]}]=0", comm)
+                _residual(f"[x+{labels[i]},x-{labels[j]}]=0", comm, res)
     for i in idx:
         pows = {"+": [eye, xp[i]], "-": [eye, xm[i]]}  # pows[sign][s] = x_i^s
         for j in idx:
@@ -128,7 +131,7 @@ def _relation_suite(ctx, labels, cartan, xp, xm, k, kinv, dim,
                 for r in range(1, p + 1):
                     coeff = q_binom(ctx, p, r)
                     total = total + words[r].scale(-coeff if r % 2 else coeff)
-                check(f"serre(x{sign}{labels[i]},x{sign}{labels[j]})", total)
+                _residual(f"serre(x{sign}{labels[i]},x{sign}{labels[j]})", total, res)
                 if bracket_serre and cartan[i][j] == -1:
                     # [x_i,[x_j,x_i]_{q^1/2}]_{q^1/2} = [2]_q x_i x_j x_i - x_i^2 x_j - x_j x_i^2
                     brackets.append((
@@ -137,7 +140,7 @@ def _relation_suite(ctx, labels, cartan, xp, xm, k, kinv, dim,
                         words[1].scale(q_int(ctx, 2)) - words[2] - words[0],
                     ))
             for name, m in brackets:
-                check(name, m)
+                _residual(name, m, res)
     return RelationReport(res)
 
 
@@ -224,17 +227,14 @@ def functor_F(M: RightModule, n: int, check_source: bool = True) -> UqModule:
     eyeM = Matrix.identity(ctx, dimM)
     k0_amb = eyeM.kron(k0t)
     k0inv_amb = eyeM.kron(k0invt)
-    out = img.module
-    W = UqModule(
-        ctx, n, out.dim, out.xp, out.xm, out.k, out.kinv,
-        weights=out.weights, t=out.t,
+    return replace(
+        img.module,
         x0p=img.push_ambient_operator(x0p_amb, check=True),
         x0m=img.push_ambient_operator(x0m_amb, check=True),
         k0=img.push_ambient_operator(k0_amb, check=True),
         k0inv=img.push_ambient_operator(k0inv_amb, check=True),
+        jimbo=img,
     )
-    W.jimbo = img
-    return W
 
 
 def functor_F_map(f: Matrix, src: UqModule, dst: UqModule) -> Matrix:
@@ -244,8 +244,7 @@ def functor_F_map(f: Matrix, src: UqModule, dst: UqModule) -> Matrix:
     modules; the result maps quotient coordinates to quotient coordinates
     (column convention).  Raises if f does not descend.
     """
-    a: JimboImage = getattr(src, "jimbo", None)
-    b: JimboImage = getattr(dst, "jimbo", None)
+    a, b = src.jimbo, dst.jimbo
     if a is None or b is None:
         raise ValueError("both modules must come from functor_F")
     amb = f.transpose().kron(Matrix.identity(f.ctx, a.tensor.dim))
@@ -267,8 +266,8 @@ def evaluation_natural(ctx: ScalarContext, n: int, a) -> UqModule:
     if a.is_zero():
         raise ValueError("evaluation parameter must be nonzero")
     V = natural_rep(ctx, n)
-    return UqModule(
-        ctx, n, V.dim, V.xp, V.xm, V.k, V.kinv, weights=V.weights, t=V.t,
+    return replace(
+        V,
         x0p=V.xtheta_m.scale(a),
         x0m=V.xtheta_p.scale(a.inverse()),
         k0=diag_inverse(V.ktheta),
@@ -300,7 +299,6 @@ def jimbo_eval_pullback(W: UqModule, a) -> UqModule:
     if a.is_zero():
         raise ValueError("evaluation parameter must be nonzero")
     t1tn1 = W.t[0] * W.t[n]
-    dim = W.dim
     t1tn1_inv = diag_inverse(t1tn1)
     # the prefactor (+-1)^(n-1) is 1 for x_0^+ and (-1)^(n-1) for x_0^-
     sign_minus = ctx.one if (n - 1) % 2 == 0 else -ctx.one
@@ -318,10 +316,8 @@ def jimbo_eval_pullback(W: UqModule, a) -> UqModule:
     k0inv = W.k[0]
     for m in W.k[1:]:
         k0inv = k0inv * m
-    return UqModule(
-        ctx, n, dim, W.xp, W.xm, W.k, W.kinv, weights=W.weights, t=W.t,
-        x0p=x0p, x0m=x0m, k0=k0, k0inv=k0inv,
-    )
+    # the result is no longer the module functor_F built, if W was one
+    return replace(W, x0p=x0p, x0m=x0m, k0=k0, k0inv=k0inv, jimbo=None)
 
 
 def theorem55_check(M: RightModule, a, n: int, seed: int = 0):

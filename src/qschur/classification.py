@@ -18,15 +18,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Optional
 
-from .affine_hecke import RightModule, universal_module
+from .affine_hecke import RightModule, hecke_regular_module, universal_module
 from .hecke import HeckeElt, kl_parabolic_element
-from .linalg import Matrix, SubspaceBasis, intersect
-from .module_tools import proper_submodule, quotient, spin, spin_module, submodule
+from .linalg import Matrix, SubspaceBasis, intersect, row_space, span
+from .module_tools import proper_submodule, quotient, spin_module, submodule
 from .scalars import Scalar, ScalarContext
-from .symgroup import Perm, all_perms, block_boundaries, check_partition
-from .uq_rep import UqModule, fundamental_weight, highest_weight_vectors
+from .symgroup import all_perms, block_boundaries, check_partition
+from .uq_rep import (
+    UqModule,
+    dominant_highest_weights,
+    fundamental_weight,
+    highest_weight_vectors,
+    jimbo_J,
+    partition_weight,
+)
 
 
 class SegmentSpecError(ValueError):
@@ -186,9 +194,22 @@ def parse_segments(ctx: ScalarContext, text: str) -> SegmentList:
 # ---------------------------------------------------------------------------
 
 
-def hecke_image_vector(ctx, elt: HeckeElt, perms_index) -> dict:
+def hecke_image_vector(elt: HeckeElt, perms_index) -> dict:
     """Coordinates of a Hecke element's image in the sigma_w module basis."""
     return {perms_index[w]: c for w, c in elt.terms.items()}
+
+
+def _kl_ideal(parent: RightModule, parts) -> tuple:
+    """The submodule of parent spun from the image of C_{w_pi}.
+
+    parent has the sigma_w basis in all_perms order (a universal or the
+    regular module).  Returns (submodule, marked vector in its coordinates,
+    basis rows inside parent).
+    """
+    index = {w: k for k, w in enumerate(all_perms(parent.ell))}
+    v0 = hecke_image_vector(kl_parabolic_element(parent.ctx, parts), index)
+    basis = spin_module(parent, v0)
+    return submodule(parent, basis), basis.coords(v0), basis
 
 
 @dataclass
@@ -204,23 +225,9 @@ class IdealImage:
 
 def ideal_I_pi(s: SegmentList, ctx: ScalarContext) -> IdealImage:
     """The submodule of M_a spun from the image of C_{w_pi}."""
-    avec = s.a_vector()
-    parent = universal_module(ctx, avec)
-    perms = all_perms(s.ell)
-    index = {w: k for k, w in enumerate(perms)}
-    C = kl_parabolic_element(ctx, s.partition())
-    v0 = hecke_image_vector(ctx, C, index)
-    basis = spin_module(parent, v0)
-    return IdealImage(submodule(parent, basis), basis.coords(v0), basis, parent, s)
-
-
-def left_sigma_expansion(ctx, i: int, w: Perm) -> dict:
-    """sigma_i * sigma_w in the sigma basis (left multiplication)."""
-    tw = w.tau_times(i)
-    if tw.length() > w.length():
-        return {tw: ctx.one}
-    q2 = ctx.q_power(2)
-    return {w: q2 - ctx.one, tw: q2}
+    parent = universal_module(ctx, s.a_vector())
+    module, marked, basis = _kl_ideal(parent, s.partition())
+    return IdealImage(module, marked, basis, parent, s)
 
 
 def intertwiner_A(s: SegmentList, ctx: ScalarContext, i: int):
@@ -241,11 +248,12 @@ def intertwiner_A(s: SegmentList, ctx: ScalarContext, i: int):
     source = universal_module(ctx, swapped)
     perms = all_perms(s.ell)
     index = {w: k for k, w in enumerate(perms)}
+    sigma_i = HeckeElt.sigma(ctx, s.ell, i)
     qinv = ctx.q_power(-1)
     q = ctx.q
     T = Matrix.zero(ctx, source.dim, target.dim)
     for r, w in enumerate(perms):
-        for u, c in left_sigma_expansion(ctx, i, w).items():
+        for u, c in (sigma_i * HeckeElt.basis(ctx, w)).terms.items():
             T.add_to_entry(r, index[u], qinv * c)
         T.add_to_entry(r, index[w], -q)
     return T, source, target
@@ -255,16 +263,13 @@ def image_intersection_I_pi(s: SegmentList, ctx: ScalarContext) -> SubspaceBasis
     """I_pi as the intersection of the images of the intertwiners."""
     boundaries = block_boundaries(s.partition())
     inner = [i for i in range(1, s.ell) if i not in boundaries]
-    ident = universal_module(ctx, s.a_vector())
-    out = None
-    full = SubspaceBasis(ctx, ident.dim)
-    for r in range(ident.dim):
-        full.add({r: ctx.one})
     if not inner:
-        return full
+        dim = factorial(s.ell)
+        return span(ctx, dim, ({r: ctx.one} for r in range(dim)))
+    out = None
     for i in inner:
         T, _, _ = intertwiner_A(s, ctx, i)
-        img = spin(ctx, ident.dim, [], [dict(row) for row in T.rows])
+        img = row_space(T)
         out = img if out is None else intersect(out, img)
     return out
 
@@ -318,17 +323,8 @@ def composition_factors(mod: RightModule, seed: int = 0) -> list:
 
 def finite_ideal_module(ctx: ScalarContext, parts) -> tuple:
     """I_pi inside the right regular representation of H_ell."""
-    from .affine_hecke import hecke_regular_module
-
     parts = check_partition(parts)
-    ell = sum(parts)
-    reg = hecke_regular_module(ctx, ell)
-    perms = all_perms(ell)
-    index = {w: k for k, w in enumerate(perms)}
-    C = kl_parabolic_element(ctx, parts)
-    v0 = hecke_image_vector(ctx, C, index)
-    basis = spin_module(reg, v0)
-    return submodule(reg, basis), basis.coords(v0), basis
+    return _kl_ideal(hecke_regular_module(ctx, sum(parts)), parts)
 
 
 def rogawski_quotient(ctx: ScalarContext, parts, n: int, seed: int = 0) -> RightModule:
@@ -339,17 +335,11 @@ def rogawski_quotient(ctx: ScalarContext, parts, n: int, seed: int = 0) -> Right
     the one whose Jimbo image has highest weight lambda_{l_1} + ... +
     lambda_{l_p} with multiplicity one (needs n >= ell).
     """
-    from .uq_rep import jimbo_J, dominant_highest_weights
-
     parts = check_partition(parts)
     ell = sum(parts)
     if n < ell:
         raise ValueError("pinning the factor needs n >= ell")
-    target = [0] * n
-    for p in parts:
-        w = fundamental_weight(n, p)
-        target = [a + b for a, b in zip(target, w)]
-    target = tuple(target)
+    target = partition_weight(n, parts)
     sub, _, _ = finite_ideal_module(ctx, parts)
     matches = []
     for factor in composition_factors(sub, seed=seed):

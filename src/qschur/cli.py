@@ -70,55 +70,69 @@ def _int_list(text: str):
     return values
 
 
+def _rank(text: str) -> int:
+    values = _int_list(text)
+    if len(values) != 1:
+        raise argparse.ArgumentTypeError(
+            f"this command takes one rank, got {text!r} (only `check` takes a list)")
+    return values[0]
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="qschur", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, n_default="2"):
-        sp.add_argument("--n", type=_int_list, default=_int_list(n_default),
-                        help="rank(s), comma separated")
-        sp.add_argument("--ell", type=_int_list, default=None,
-                        help="module size(s), comma separated")
+    def common(sp, seed=True, as_json=True):
+        """--backend on every command; --seed and --json where they are read."""
         sp.add_argument("--backend", type=_parse_backend, default=None,
                         help="symbolic (default) or rational:<t0>")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--json", action="store_true", help="machine-readable output")
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
+        if as_json:
+            sp.add_argument("--json", action="store_true", help="machine-readable output")
+
+    def single_rank(sp, **flags):
+        sp.add_argument("--n", type=_rank, default=2, help="rank")
+        common(sp, **flags)
 
     sp = sub.add_parser("relations", help="verify the affine relation suite")
-    common(sp)
+    single_rank(sp)
     sp.add_argument("--segments", help="segment spec, e.g. 1@0:2,1@4:1")
     sp.add_argument("--module-file", help="module descriptor JSON to affinize")
     sp.add_argument("--force", action="store_true",
                     help="allow total segment length above the rank")
 
-    sp = sub.add_parser("build", help="emit V_a and F(V_a) descriptors")
-    common(sp)
+    sp = sub.add_parser("build", help="emit V_a and F(V_a) descriptors (always JSON)")
+    single_rank(sp, as_json=False)
     sp.add_argument("--segments", required=True)
     sp.add_argument("--force", action="store_true")
 
     sp = sub.add_parser("drinfeld", help="emit the Drinfeld polynomials")
-    common(sp)
+    single_rank(sp, seed=False)
     sp.add_argument("--segments", required=True)
 
     sp = sub.add_parser("check", help="run a named identity check")
-    common(sp, n_default="2,3")
+    sp.add_argument("--n", type=_int_list, default=[2, 3], help="ranks, comma separated")
+    sp.add_argument("--ell", type=_int_list, default=[1, 2, 3],
+                    help="module sizes, comma separated")
+    common(sp)
     sp.add_argument("check_id", choices=sorted(CHECKS) + ["all"])
     sp.add_argument("--segments", default=None)
 
     sp = sub.add_parser("character", help="weight table of F(V_a)")
-    common(sp)
+    single_rank(sp)
     sp.add_argument("--segments", required=True)
     sp.add_argument("--force", action="store_true")
 
     sp = sub.add_parser("isomorphic", help="test two module files for isomorphism")
-    common(sp)
+    single_rank(sp)
     sp.add_argument("files", nargs=2, metavar="FILE")
     return p
 
 
-def _context(args, n=None) -> ScalarContext:
-    return ScalarContext(n if n is not None else args.n[0], t0=args.backend)
+def _context(args, n: int) -> ScalarContext:
+    return ScalarContext(n, t0=args.backend)
 
 
 def _segments_or_die(ctx, spec, n, force):
@@ -185,7 +199,7 @@ def _report_relations(report, as_json) -> int:
 
 
 def cmd_relations(args) -> int:
-    n = args.n[0]
+    n = args.n
     ctx = _context(args, n)
     if bool(args.segments) == bool(args.module_file):
         print("need exactly one of --segments / --module-file", file=sys.stderr)
@@ -215,7 +229,7 @@ def cmd_relations(args) -> int:
 
 
 def cmd_build(args) -> int:
-    n = args.n[0]
+    n = args.n
     ctx = _context(args, n)
     segs = _segments_or_die(ctx, args.segments, n, args.force)
     vmod, _, _ = irreducible_V_a(segs, ctx, seed=args.seed)
@@ -226,7 +240,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_drinfeld(args) -> int:
-    n = args.n[0]
+    n = args.n
     ctx = _context(args, n)
     try:
         segs = parse_segments(ctx, args.segments)
@@ -253,7 +267,7 @@ def cmd_check(args) -> int:
             _segments_or_die(_context(args, n), args.segments, n, force=None)
     cfg = RunConfig(
         n_values=args.n,
-        ell_values=args.ell if args.ell else [1, 2, 3],
+        ell_values=args.ell,
         seed=args.seed,
         t0=args.backend,
         segments_spec=args.segments,
@@ -272,7 +286,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_character(args) -> int:
-    n = args.n[0]
+    n = args.n
     ctx = _context(args, n)
     segs = _segments_or_die(ctx, args.segments, n, args.force)
     vmod, _, _ = irreducible_V_a(segs, ctx, seed=args.seed)
@@ -290,7 +304,7 @@ def cmd_character(args) -> int:
 
 
 def cmd_isomorphic(args) -> int:
-    n = args.n[0]
+    n = args.n
     ctx = _context(args, n)
     A = _load_module(ctx, args.files[0])
     B = _load_module(ctx, args.files[1])

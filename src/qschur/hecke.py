@@ -3,9 +3,11 @@
 Elements are sparse maps Perm -> Scalar.  Multiplication uses the standard
 recursion on reduced words: sigma_w * sigma_i equals sigma_{w tau_i} when the
 length goes up, and (q^2 - 1) sigma_w + q^2 sigma_{w tau_i} when it goes
-down.  The only Kazhdan-Lusztig elements needed downstream are the C_{w_pi}
-attached to longest elements of parabolic subgroups, where every KL
-polynomial is 1, so no KL recursion lives here.
+down.  That rule and the linear structure live in ``_SigmaBasisElt``, which
+the affine Hecke elements of ``affine_hecke`` share: H_ell(q^2) is their
+y^0 slice.  The only Kazhdan-Lusztig elements needed downstream are the
+C_{w_pi} attached to longest elements of parabolic subgroups, where every
+KL polynomial is 1, so no KL recursion lives here.
 """
 
 from __future__ import annotations
@@ -20,15 +22,141 @@ from .symgroup import (
 )
 
 
-class HeckeElt:
-    """An element of H_ell(q^2), sparse over the sigma_w basis."""
+class _SigmaBasisElt:
+    """Linear structure and right sigma_i action shared by both Hecke algebras.
+
+    An element is a sparse map from term keys to scalars.  A subclass fixes
+    where the permutation w of the sigma_w factor sits in a key (``_perm``,
+    ``_with_perm``) and how to multiply on the right by one basis element
+    (``_times_basis``); everything else is written once here.
+    """
 
     __slots__ = ("ctx", "ell", "terms")
 
     def __init__(self, ctx: ScalarContext, ell: int, terms=None):
         self.ctx = ctx
         self.ell = ell
-        self.terms: dict[Perm, Scalar] = terms if terms is not None else {}
+        self.terms: dict = terms if terms is not None else {}
+
+    def _check(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if self.ell != other.ell:
+            raise ValueError("Hecke elements of different sizes")
+        if self.ctx is not other.ctx:
+            raise ValueError("Hecke elements from different contexts")
+
+    # -- linear structure -------------------------------------------------------
+
+    def _add_term(self, key, c: Scalar):
+        s = self.terms.get(key)
+        if s is None:
+            if not c.is_zero():
+                self.terms[key] = c
+        else:
+            s = s + c
+            if s.is_zero():
+                del self.terms[key]
+            else:
+                self.terms[key] = s
+
+    def __add__(self, other):
+        self._check(other)
+        out = type(self)(self.ctx, self.ell, dict(self.terms))
+        for k, c in other.terms.items():
+            out._add_term(k, c)
+        return out
+
+    def __neg__(self):
+        return type(self)(self.ctx, self.ell, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        if not isinstance(c, Scalar):
+            c = self.ctx.scalar(c)
+        if c.is_zero():
+            return type(self)(self.ctx, self.ell)
+        return type(self)(self.ctx, self.ell, {k: c * v for k, v in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.ell == other.ell and self.terms == other.terms
+
+    __hash__ = None  # type: ignore[assignment]
+
+    # -- multiplication -----------------------------------------------------------
+
+    def times_sigma(self, i: int):
+        """Right multiplication by sigma_i.
+
+        sigma_w sigma_i is sigma_{w tau_i} when the length goes up, and
+        (q^2 - 1) sigma_w + q^2 sigma_{w tau_i} when it goes down.
+        """
+        ctx = self.ctx
+        q2 = ctx.q_power(2)
+        q2m1 = q2 - ctx.one
+        out = type(self)(ctx, self.ell)
+        for key, c in self.terms.items():
+            w = self._perm(key)
+            moved = self._with_perm(key, w.times_tau(i))
+            if w.has_right_descent(i):
+                out._add_term(key, c * q2m1)
+                out._add_term(moved, c * q2)
+            else:
+                out._add_term(moved, c)
+        return out
+
+    def times_sigma_inv(self, i: int):
+        """Right multiplication by sigma_i^{-1} = q^{-2} sigma_i - (1 - q^{-2})."""
+        ctx = self.ctx
+        q2inv = ctx.q_power(-2)
+        return self.times_sigma(i).scale(q2inv) - self.scale(ctx.one - q2inv)
+
+    def _times_sigma_word(self, w: Perm):
+        """Right multiplication by sigma_w, one letter of a reduced word at a time."""
+        out = self
+        for i in w.reduced_word():
+            out = out.times_sigma(i)
+        return out
+
+    def __mul__(self, other):
+        if isinstance(other, (Scalar, int)):
+            return self.scale(other)
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        out = type(self)(self.ctx, self.ell)
+        for key, d in other.terms.items():
+            for k, c in self._times_basis(key).terms.items():
+                out._add_term(k, c * d)
+        return out
+
+    def __rmul__(self, other):
+        if isinstance(other, (Scalar, int)):
+            return self.scale(other)
+        return NotImplemented
+
+
+class HeckeElt(_SigmaBasisElt):
+    """An element of H_ell(q^2), sparse over the sigma_w basis: keys are Perms."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _perm(key: Perm) -> Perm:
+        return key
+
+    @staticmethod
+    def _with_perm(key: Perm, w: Perm) -> Perm:
+        return w
+
+    _times_basis = _SigmaBasisElt._times_sigma_word
 
     # -- constructors ---------------------------------------------------------
 
@@ -47,100 +175,6 @@ class HeckeElt:
     @staticmethod
     def sigma(ctx, ell, i) -> "HeckeElt":
         return HeckeElt.basis(ctx, Perm.transposition(ell, i))
-
-    def _check(self, other: "HeckeElt"):
-        if self.ell != other.ell:
-            raise ValueError("Hecke elements of different sizes")
-        if self.ctx is not other.ctx:
-            raise ValueError("Hecke elements from different contexts")
-
-    # -- linear structure -------------------------------------------------------
-
-    def _add_term(self, w: Perm, c: Scalar):
-        s = self.terms.get(w)
-        if s is None:
-            if not c.is_zero():
-                self.terms[w] = c
-        else:
-            s = s + c
-            if s.is_zero():
-                del self.terms[w]
-            else:
-                self.terms[w] = s
-
-    def __add__(self, other: "HeckeElt") -> "HeckeElt":
-        self._check(other)
-        out = HeckeElt(self.ctx, self.ell, dict(self.terms))
-        for w, c in other.terms.items():
-            out._add_term(w, c)
-        return out
-
-    def __neg__(self) -> "HeckeElt":
-        return HeckeElt(self.ctx, self.ell, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "HeckeElt") -> "HeckeElt":
-        return self + (-other)
-
-    def scale(self, c) -> "HeckeElt":
-        if not isinstance(c, Scalar):
-            c = self.ctx.scalar(c)
-        if c.is_zero():
-            return HeckeElt.zero(self.ctx, self.ell)
-        return HeckeElt(self.ctx, self.ell, {w: c * v for w, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, HeckeElt):
-            return NotImplemented
-        return self.ell == other.ell and self.terms == other.terms
-
-    __hash__ = None  # type: ignore[assignment]
-
-    # -- multiplication -----------------------------------------------------------
-
-    def times_sigma(self, i: int) -> "HeckeElt":
-        """Right multiplication by sigma_i."""
-        ctx = self.ctx
-        q2 = ctx.q_power(2)
-        q2m1 = q2 - ctx.one
-        out = HeckeElt(ctx, self.ell)
-        for w, c in self.terms.items():
-            wt = w.times_tau(i)
-            if w.has_right_descent(i):
-                out._add_term(w, c * q2m1)
-                out._add_term(wt, c * q2)
-            else:
-                out._add_term(wt, c)
-        return out
-
-    def times_sigma_inv(self, i: int) -> "HeckeElt":
-        """Right multiplication by sigma_i^{-1} = q^{-2} sigma_i - (1 - q^{-2})."""
-        ctx = self.ctx
-        q2inv = ctx.q_power(-2)
-        out = self.times_sigma(i).scale(q2inv)
-        return out - self.scale(ctx.one - q2inv)
-
-    def __mul__(self, other):
-        if isinstance(other, Scalar) or isinstance(other, int):
-            return self.scale(other)
-        if not isinstance(other, HeckeElt):
-            return NotImplemented
-        self._check(other)
-        out = HeckeElt.zero(self.ctx, self.ell)
-        for v, c in other.terms.items():
-            cur = self
-            for i in v.reduced_word():
-                cur = cur.times_sigma(i)
-            for w, d in cur.terms.items():
-                out._add_term(w, d * c)
-        return out
-
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self.scale(other)
-        return NotImplemented
 
     def coeff(self, w: Perm) -> Scalar:
         return self.terms.get(w, self.ctx.zero)

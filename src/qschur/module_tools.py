@@ -342,7 +342,10 @@ def _weights_or_none(m):
     return None
 
 
-def are_isomorphic(A, B, seed: int = 0, max_tries: int = 24) -> Optional[Matrix]:
+ISO_MAX_TRIES = 24  # candidate intertwiners tried for invertibility
+
+
+def are_isomorphic(A, B, seed: int = 0) -> Optional[Matrix]:
     """An invertible intertwiner between A and B, or None.
 
     For right modules the result T satisfies rho_A(g) T = T rho_B(g) (row
@@ -381,7 +384,7 @@ def are_isomorphic(A, B, seed: int = 0, max_tries: int = 24) -> Optional[Matrix]
     rng = random.Random(seed)
     candidates = list(sols)
     tries = 0
-    while tries < max_tries:
+    while tries < ISO_MAX_TRIES:
         if tries < len(candidates):
             coords = candidates[tries]
         else:

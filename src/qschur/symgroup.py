@@ -92,12 +92,6 @@ class Perm:
         im[i - 1], im[i] = im[i], im[i - 1]
         return Perm(im)
 
-    def tau_times(self, i: int) -> "Perm":
-        """tau_i * w: swaps the values i-1 and i (0-based) wherever they sit."""
-        im = [v if v not in (i - 1, i) else (i if v == i - 1 else i - 1)
-              for v in self.images]
-        return Perm(im)
-
     def reduced_word(self) -> list:
         """A reduced word [i_1, ..., i_k] with w = tau_{i_1} * ... * tau_{i_k}."""
         w = self

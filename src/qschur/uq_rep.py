@@ -25,7 +25,7 @@ loop operators through the same quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .linalg import Matrix, SubspaceBasis, column_kernel, named_matrices
@@ -55,10 +55,12 @@ class UqModule:
     x0m: Optional[Matrix] = None
     k0: Optional[Matrix] = None
     k0inv: Optional[Matrix] = None
-    # loop operators of the natural module, populated by natural_rep only
+    # loop operators of the natural module: natural_rep and evaluation_natural
     xtheta_p: Optional[Matrix] = None
     xtheta_m: Optional[Matrix] = None
     ktheta: Optional[Matrix] = None
+    # the Jimbo quotient a module built by affinization.functor_F lives on
+    jimbo: Optional["JimboImage"] = field(default=None, compare=False, repr=False)
 
     def is_affine(self) -> bool:
         return self.x0p is not None
@@ -137,6 +139,14 @@ def fundamental_weight(n: int, i: int) -> tuple:
     for j in range(1, i + 1):
         w = epsilon_weight(n, j)
         out = [a + b for a, b in zip(out, w)]
+    return tuple(out)
+
+
+def partition_weight(n: int, parts) -> tuple:
+    """lambda_pi = lambda_{l_1} + ... + lambda_{l_p} for pi = (l_1, ..., l_p)."""
+    out = [0] * n
+    for p in parts:
+        out = [a + b for a, b in zip(out, fundamental_weight(n, p))]
     return tuple(out)
 
 

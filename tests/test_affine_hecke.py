@@ -16,6 +16,7 @@ from qschur.affine_hecke import (
     zelevinsky_induce,
     zelevinsky_induce_finite,
 )
+from qschur.hecke import HeckeElt
 from qschur.linalg import Matrix
 from qschur.module_tools import are_isomorphic, is_irreducible
 from qschur.scalars import ScalarContext
@@ -102,6 +103,44 @@ elt_strategy = st.lists(
 @given(elt_strategy, elt_strategy, elt_strategy)
 def test_associativity(a, b, c):
     assert (a * b) * c == a * (b * c)
+
+
+def _finite(data):
+    out = HeckeElt.zero(_CTX3, 3)
+    for widx, c in data:
+        out = out + HeckeElt.basis(_CTX3, _PERMS3[widx]).scale(c)
+    return out
+
+
+def _lift(h):
+    """h as an affine element: the key w becomes (alpha = 0, w)."""
+    return AffHeckeElt(h.ctx, h.ell, {((0,) * h.ell, w): c for w, c in h.terms.items()})
+
+
+finite_strategy = st.lists(
+    st.tuples(st.integers(0, len(_PERMS3) - 1), st.integers(-2, 2).filter(bool)),
+    min_size=1,
+    max_size=4,
+).map(_finite)
+
+
+@settings(max_examples=25, deadline=None)
+@given(finite_strategy)
+def test_finite_algebra_is_the_alpha_zero_slice(h):
+    # H_ell(q^2) sits inside the affine algebra as the y^0 span
+    lifted = _lift(h)
+    for i in (1, 2):
+        assert lifted.times_sigma(i) == _lift(h.times_sigma(i))
+        assert lifted.times_sigma_inv(i) == _lift(h.times_sigma_inv(i))
+        assert lifted * AffHeckeElt.sigma(_CTX3, 3, i) == _lift(h * HeckeElt.sigma(_CTX3, 3, i))
+
+
+def test_finite_and_affine_elements_do_not_mix(ctx):
+    # their keys differ (w against (alpha, w)), so a sum would be garbage
+    with pytest.raises(TypeError):
+        HeckeElt.one(ctx, 2) + AffHeckeElt.one(ctx, 2)
+    with pytest.raises(TypeError):
+        AffHeckeElt.one(ctx, 2) - HeckeElt.one(ctx, 2)
 
 
 # -- universal modules ---------------------------------------------------------

@@ -85,6 +85,29 @@ def test_check_unknown_id(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["relations", "--n", "2,3", "--segments", "1@0:1"],
+    ["character", "--n", "2,3", "--segments", "1@0:1"],
+])
+def test_single_rank_command_refuses_a_rank_list(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "one rank" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--ell", "2", "--n", "2", "--segments", "1@0:1"],
+    ["relations", "--ell", "2", "--segments", "1@0:1"],
+    ["drinfeld", "--seed", "1", "--segments", "1@0:1"],
+    ["build", "--json", "--segments", "1@0:1"],
+])
+def test_flags_a_command_never_reads_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_character(capsys):
     code, out, _ = run(capsys, "character", "--n", "2", "--segments", "1@0:2",
                        "--json")
