@@ -246,17 +246,26 @@ def intertwiner_A(s: SegmentList, ctx: ScalarContext, i: int):
     swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
     target = universal_module(ctx, avec)
     source = universal_module(ctx, swapped)
-    perms = all_perms(s.ell)
+    return _left_mult_C_i(ctx, s.ell, i), source, target
+
+
+def _left_mult_C_i(ctx: ScalarContext, ell: int, i: int) -> Matrix:
+    """Left multiplication by C_i = q^-1 sigma_i - q on the sigma_w basis.
+
+    Row r is the image of sigma_w for the r-th permutation w of all_perms.
+    It depends only on ell, i and q, not on the parameters a.
+    """
+    perms = all_perms(ell)
     index = {w: k for k, w in enumerate(perms)}
-    sigma_i = HeckeElt.sigma(ctx, s.ell, i)
+    sigma_i = HeckeElt.sigma(ctx, ell, i)
     qinv = ctx.q_power(-1)
     q = ctx.q
-    T = Matrix.zero(ctx, source.dim, target.dim)
+    T = Matrix.zero(ctx, len(perms), len(perms))
     for r, w in enumerate(perms):
         for u, c in (sigma_i * HeckeElt.basis(ctx, w)).terms.items():
             T.add_to_entry(r, index[u], qinv * c)
         T.add_to_entry(r, index[w], -q)
-    return T, source, target
+    return T
 
 
 def image_intersection_I_pi(s: SegmentList, ctx: ScalarContext) -> SubspaceBasis:
@@ -268,8 +277,7 @@ def image_intersection_I_pi(s: SegmentList, ctx: ScalarContext) -> SubspaceBasis
         return span(ctx, dim, ({r: ctx.one} for r in range(dim)))
     out = None
     for i in inner:
-        T, _, _ = intertwiner_A(s, ctx, i)
-        img = row_space(T)
+        img = row_space(_left_mult_C_i(ctx, s.ell, i))
         out = img if out is None else intersect(out, img)
     return out
 

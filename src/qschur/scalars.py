@@ -8,6 +8,29 @@ powers of the single variable t.  Nothing is ever approximated: numerators
 and denominators are sparse Laurent polynomials with Fraction coefficients,
 kept in a canonical reduced form so that equality is literal equality.
 
+The canonical form of a nonzero value is unique: numerator and denominator
+are coprime, the denominator is a monic polynomial with nonzero constant
+term (the shared ``_DEN_ONE`` when it is 1), and any power of t rides on the
+numerator.  Any correct reduction therefore returns the same dicts, and each
+operation does only the gcd work it needs (Henrici, J. ACM 3, 1956; Knuth,
+TAOCP vol. 2, 4.5.1), with n/d, n1/d1, n2/d2 canonical and p a polynomial:
+
+* inverse: d/n is already coprime; only the shift and the scale change;
+* p + n/d = (p d + n)/d is already reduced;
+* n1/d1 + n2/d2: g = gcd(d1, d2); with e_i = d_i/g the sum is
+  (n1 e2 + n2 e1)/(g e1 e2), and only a gcd with g can cancel.  Equal
+  denominators take one gcd of n1 + n2 with d, coprime ones none;
+* (n1/d1)(n2/d2): only the cross gcds gcd(n1, d2) and gcd(n2, d1) can
+  cancel, and a monomial numerator shares nothing with d;
+* anything else (parsing) goes through ``_canon``: one gcd, then
+  ``_normalize`` (shift and monic).
+
+Every gcd and exact division runs in the q-grading: after the Laurent shift,
+with s the gcd of all exponents of both polynomials, it runs on coefficient
+lists in u = t^s (s = 2(n+1) for the q-polynomials of this package), which
+is exact because u -> t^s is an injective ring map that keeps Bezout
+identities.
+
 A context may instead pin ``t`` to a fixed rational value (the "specialized"
 backend).  Scalars then degenerate to plain rationals but flow through the
 same code paths, which keeps symbolic and specialized runs bit-identical in
@@ -17,12 +40,14 @@ structure.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Union
 
 Rat = Fraction
 
 # Shared canonical denominator for polynomial scalars.  Never mutated.
 _DEN_ONE: dict[int, Fraction] = {0: Fraction(1)}
+_ZERO = Fraction(0)
 
 NumberLike = Union[int, Fraction, "Scalar"]
 
@@ -139,23 +164,12 @@ def _dict_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _dense(p: dict) -> list:
-    """Coefficient list of a genuine polynomial dict (min exponent 0)."""
-    deg = max(p)
-    out = [Fraction(0)] * (deg + 1)
-    for e, c in p.items():
-        out[e] = c
-    return out
-
-
-def _dense_trim(a: list) -> list:
-    while a and not a[-1]:
-        a.pop()
-    return a
+def _shifted(p: dict, k: int) -> dict:
+    return {e + k: c for e, c in p.items()} if k else p
 
 
 def _dense_rem(a: list, b: list) -> list:
-    """Remainder of a by monic-normalized b (b made monic by caller)."""
+    """Remainder of a by monic b, trimmed."""
     a = list(a)
     db = len(b) - 1
     while len(a) - 1 >= db and a:
@@ -165,7 +179,9 @@ def _dense_rem(a: list, b: list) -> list:
             for i in range(db + 1):
                 a[da - db + i] -= lead * b[i]
         a.pop()
-    return _dense_trim(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
 def _dense_monic(a: list) -> list:
@@ -175,21 +191,12 @@ def _dense_monic(a: list) -> list:
     return [c / lead for c in a]
 
 
-def _poly_gcd(p: dict, r: dict) -> list:
-    """Monic gcd of two polynomial dicts (min exponents 0), as a dense list."""
-    a = _dense_monic(_dense_trim(_dense(p)))
-    b = _dense_monic(_dense_trim(_dense(r)))
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _dense_rem(a, b)
-        if b:
-            b = _dense_monic(b)
-    return a
+def _dense_div_exact(a: list, b: list, s: int, shift: int) -> dict:
+    """Exact quotient a / b for monic b, as a sparse dict in t.
 
-
-def _dense_div_exact(a: list, b: list) -> dict:
-    """Exact quotient a / b as a sparse dict; b monic, remainder must vanish."""
+    a and b are coefficient lists in u = t^s; quotient exponent k becomes
+    k * s + shift.
+    """
     a = list(a)
     db = len(b) - 1
     q: dict[int, Fraction] = {}
@@ -197,17 +204,75 @@ def _dense_div_exact(a: list, b: list) -> dict:
         lead = a[-1]
         da = len(a) - 1
         if lead:
-            q[da - db] = lead
+            q[(da - db) * s + shift] = lead
             for i in range(db + 1):
                 a[da - db + i] -= lead * b[i]
         a.pop()
-    if _dense_trim(a):
+    if any(a):
         raise ArithmeticError("non-exact polynomial division")
     return q
 
 
+def _cancel(a: dict, b: dict):
+    """(a/g, b/g, g) for the monic gcd g of two nonzero Laurent polynomials.
+
+    Returns None when g = 1.  Both are shifted to polynomials with nonzero
+    constant term, and the gcd and the exact divisions run in u = t^s, where
+    s is the gcd of all their exponents: u -> t^s is an injective ring map
+    that keeps Bezout identities, so the gcd in u expands to the gcd in t,
+    from coefficient lists s times shorter.  The quotients keep the shifts of
+    a and b, and g has nonzero constant term.
+    """
+    if len(a) == 1 or len(b) == 1:
+        return None
+    amin, bmin = min(a), min(b)
+    s = 0
+    for e in a:
+        s = gcd(s, e - amin)
+    for e in b:
+        s = gcd(s, e - bmin)
+    da = [_ZERO] * ((max(a) - amin) // s + 1)
+    for e, c in a.items():
+        da[(e - amin) // s] = c
+    db = [_ZERO] * ((max(b) - bmin) // s + 1)
+    for e, c in b.items():
+        db[(e - bmin) // s] = c
+    x, y = _dense_monic(da), _dense_monic(db)
+    if len(x) < len(y):
+        x, y = y, x
+    while y:
+        x, y = y, _dense_rem(x, y)
+        if y:
+            y = _dense_monic(y)
+    if len(x) == 1:
+        return None
+    g = {k * s: c for k, c in enumerate(x) if c}
+    return _dense_div_exact(da, x, s, amin), _dense_div_exact(db, x, s, bmin), g
+
+
+def _normalize(num: dict, den: dict):
+    """Canonical form of num/den for coprime num and den, num nonzero.
+
+    Shifts the denominator to a polynomial with nonzero constant term (the
+    numerator takes the Laurent shift) and makes it monic; a constant
+    denominator becomes the shared ``_DEN_ONE``.
+    """
+    dmin = min(den)
+    if len(den) == 1:
+        c = den[dmin]
+        if c != 1:
+            return {e - dmin: v / c for e, v in num.items()}, _DEN_ONE
+        return _shifted(num, -dmin), _DEN_ONE
+    num, den = _shifted(num, -dmin), _shifted(den, -dmin)
+    lead = den[max(den)]
+    if lead != 1:
+        den = {e: c / lead for e, c in den.items()}
+        num = {e: c / lead for e, c in num.items()}
+    return num, den
+
+
 def _canon(num: dict, den: dict):
-    """Reduce num/den to canonical form.
+    """Reduce an arbitrary num/den to canonical form: one gcd, then normalize.
 
     The denominator ends up a genuine polynomial with nonzero constant term
     and leading coefficient 1; the numerator absorbs any Laurent shift; the
@@ -219,31 +284,10 @@ def _canon(num: dict, den: dict):
         raise ZeroDivisionError("scalar with zero denominator")
     if not num:
         return {}, _DEN_ONE
-    dmin = min(den)
-    if dmin:
-        den = {e - dmin: c for e, c in den.items()}
-        num = {e - dmin: c for e, c in num.items()}
-    if len(den) == 1:
-        c = den[0]
-        if c != 1:
-            num = {e: v / c for e, v in num.items()}
-        return num, _DEN_ONE
-    nmin = min(num)
-    npoly = {e - nmin: c for e, c in num.items()} if nmin else num
-    g = _poly_gcd(npoly, den)
-    if len(g) > 1:
-        npoly = _dense_div_exact(_dense(npoly), g)
-        den = _dense_div_exact(_dense(den), g)
-        if len(den) == 1:
-            c = den[0]
-            num = {e + nmin: v / c for e, v in npoly.items()}
-            return num, _DEN_ONE
-    lead = den[max(den)]
-    if lead != 1:
-        den = {e: c / lead for e, c in den.items()}
-        npoly = {e: c / lead for e, c in npoly.items()}
-    num = {e + nmin: c for e, c in npoly.items()} if nmin else npoly
-    return num, den
+    reduced = _cancel(num, den)
+    if reduced is not None:
+        num, den, _ = reduced
+    return _normalize(num, den)
 
 
 class Scalar:
@@ -286,12 +330,37 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.den is _DEN_ONE and o.den is _DEN_ONE:
-            return Scalar(self.ctx, _dict_add(self.num, o.num), _DEN_ONE)
-        num = _dict_add(_dict_mul(self.num, o.den), _dict_mul(o.num, self.den))
-        den = _dict_mul(self.den, o.den)
-        num, den = _canon(num, den)
-        return Scalar(self.ctx, num, den)
+        n1, d1, n2, d2 = self.num, self.den, o.num, o.den
+        if d1 is _DEN_ONE and d2 is _DEN_ONE:
+            return Scalar(self.ctx, _dict_add(n1, n2), _DEN_ONE)
+        # p + n/d = (p d + n)/d is already reduced
+        if d1 is _DEN_ONE:
+            return Scalar(self.ctx, _dict_add(_dict_mul(n1, d2), n2), d2)
+        if d2 is _DEN_ONE:
+            return Scalar(self.ctx, _dict_add(n1, _dict_mul(n2, d1)), d1)
+        if d1 == d2:
+            num = _dict_add(n1, n2)
+            if not num:
+                return self.ctx._zero
+            reduced = _cancel(num, d1)
+            if reduced is None:
+                return Scalar(self.ctx, num, d1)
+            num, den, _ = reduced
+            return Scalar(self.ctx, *_normalize(num, den))
+        # Henrici: with g = gcd(d1, d2), n1/d1 + n2/d2 = s / (g e1 e2) for
+        # e_i = d_i/g and s = n1 e2 + n2 e1, and only gcd(s, g) can cancel
+        reduced = _cancel(d1, d2)
+        if reduced is None:
+            num = _dict_add(_dict_mul(n1, d2), _dict_mul(n2, d1))
+            return Scalar(self.ctx, num, _dict_mul(d1, d2))
+        e1, e2, g = reduced
+        num = _dict_add(_dict_mul(n1, e2), _dict_mul(n2, e1))
+        if not num:
+            return self.ctx._zero
+        reduced = _cancel(num, g)
+        if reduced is not None:
+            num, g, _ = reduced
+        return Scalar(self.ctx, *_normalize(num, _dict_mul(_dict_mul(e1, e2), g)))
 
     __radd__ = __add__
 
@@ -311,20 +380,30 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if not self.num or not o.num:
+        n1, d1, n2, d2 = self.num, self.den, o.num, o.den
+        if not n1 or not n2:
             return self.ctx._zero
-        if self.den is _DEN_ONE and o.den is _DEN_ONE:
-            return Scalar(self.ctx, _dict_mul(self.num, o.num), _DEN_ONE)
-        num, den = _canon(_dict_mul(self.num, o.num), _dict_mul(self.den, o.den))
-        return Scalar(self.ctx, num, den)
+        if d1 is _DEN_ONE and d2 is _DEN_ONE:
+            return Scalar(self.ctx, _dict_mul(n1, n2), _DEN_ONE)
+        # Henrici: only the cross pairs n1/d2 and n2/d1 can share factors
+        if d2 is not _DEN_ONE:
+            reduced = _cancel(n1, d2)
+            if reduced is not None:
+                n1, d2, _ = reduced
+        if d1 is not _DEN_ONE:
+            reduced = _cancel(n2, d1)
+            if reduced is not None:
+                n2, d1, _ = reduced
+        return Scalar(self.ctx, *_normalize(_dict_mul(n1, n2), _dict_mul(d1, d2)))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         if not self.num:
             raise ZeroDivisionError("inverse of zero scalar")
-        num, den = _canon(self.den, self.num)
-        return Scalar(self.ctx, num, den)
+        # den/num is already coprime, so only the shift and the scale remain
+        num = self.den if self.den is not _DEN_ONE else {0: Fraction(1)}
+        return Scalar(self.ctx, *_normalize(num, self.num))
 
     def __truediv__(self, other):
         o = self._coerce(other)

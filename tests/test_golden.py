@@ -1,0 +1,85 @@
+"""Golden digests of fixed results over Q(t).
+
+Each scalar has one canonical form (coprime numerator and denominator, the
+denominator a monic polynomial with nonzero constant term, any Laurent shift
+on the numerator), so a change to how scalars are reduced must leave every
+result bit-identical.  These SHA-256 digests of the serialised results pin
+that: they were recorded before the scalar kernel was last rewritten, and any
+change to a canonical form, a module basis or a rendering shows up here.
+
+If a digest has to change on purpose (a new basis convention, say), record
+the reason next to the new value.
+"""
+
+import hashlib
+import json
+import random
+
+from qschur.affine_hecke import hecke_regular_module, universal_module
+from qschur.affinization import functor_F, theorem55_check
+from qschur.classification import irreducible_V_a, parse_segments
+from qschur.scalars import ScalarContext
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def test_functor_of_universal_module_digest():
+    # F(M_a) at n = 2, ell = 3
+    ctx = ScalarContext(2)
+    avec = (ctx.one, ctx.scalar(2) * ctx.q, ctx.scalar(-3) * ctx.q_power(-2))
+    W = functor_F(universal_module(ctx, avec), 2, check_source=False)
+    assert _digest(W.to_json()) == (
+        "bdfa5ea31e709cc8a4cf9900fbb33f77f36e060109624d15416ab663ced9890a"
+    )
+
+
+def test_functor_of_linked_ideal_digest():
+    # F(I_pi) for a length-2 segment and a length-1 segment at q^3 times its
+    # center, n = 3
+    ctx = ScalarContext(3)
+    _, _, ideal = irreducible_V_a(parse_segments(ctx, "1@0:2,1@6:1"), ctx)
+    W = functor_F(ideal.module, 3, check_source=False)
+    assert _digest(W.to_json()) == (
+        "74213cfb13aec5af4f7080c40fac9c3870acfaf5b241e23a69be26a17de66592"
+    )
+
+
+def test_theorem55_pair_digest():
+    # both evaluation routes of the regular H_2-module at a = q, n = 2
+    ctx = ScalarContext(2)
+    T, lhs, rhs = theorem55_check(hecke_regular_module(ctx, 2), ctx.q, 2)
+    assert T is not None
+    assert [_digest(lhs.to_json()), _digest(rhs.to_json())] == [
+        "24b6505ee2c9da43cbd75fda3ba939c3c8dedfa87cca91bc847e70f79abd16ed"
+    ] * 2
+
+
+def test_rational_function_chain_digest():
+    # The modules above come out with polynomial entries only, so also pin
+    # a seeded chain of field operations whose values carry denominators in
+    # the q-grading and outside it.
+    out = []
+    for n in (2, 3):
+        ctx = ScalarContext(n)
+        rng = random.Random(n)
+        pool = [ctx.q, ctx.q_power(-1) + 2, ctx.t_power(1) - 1, ctx.q_half + ctx.scalar(3)]
+        for _ in range(150):
+            a, b = rng.choice(pool), rng.choice(pool)
+            op = rng.randrange(4)
+            if op == 0:
+                c = a + b
+            elif op == 1:
+                c = a - b * ctx.q_power(rng.randint(-2, 2))
+            elif op == 2:
+                c = a * b
+            else:
+                c = a / b if b else a
+            if not c or len(c.num) + len(c.den) > 16:
+                c = rng.choice(pool[:4]) + rng.randint(1, 3)
+            pool.append(c)
+            out.append(str(c))
+    assert _digest(out) == (
+        "b839a37bf4c1d04e951f614c6b42b34c940e815ec0e151ad0b3bb41851f64598"
+    )

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qschur.scalars import ScalarContext, parse_scalar, q_binom, q_int
+from qschur.scalars import _DEN_ONE, Scalar, ScalarContext, parse_scalar, q_binom, q_int
 
 
 @pytest.fixture(scope="module")
@@ -183,3 +183,181 @@ def test_cached_q_numbers_stay_in_their_context(symbolic_first):
     # a second query returns the memoized value
     assert q_binom(spec, 4, 2) is q_binom(spec, 4, 2)
     assert q_int(sym, 3) is q_int(sym, 3)
+
+
+# -- the reduction kernel against a plain reference ---------------------------
+#
+# The reference cross-multiplies and reduces with an uncompressed dense gcd in
+# t.  The canonical form is unique, so every field operation must return
+# exactly the reference's numerator and denominator dicts, and a constant
+# denominator must be the shared _DEN_ONE.
+
+
+def _ref_rem(a: list, b: list) -> list:
+    a = list(a)
+    while len(a) >= len(b):
+        f = a[-1] / b[-1]
+        for i, c in enumerate(b):
+            a[len(a) - len(b) + i] -= f * c
+        a.pop()
+        while a and not a[-1]:
+            a.pop()
+    return a
+
+
+def _ref_div(a: list, b: list) -> list:
+    a, out = list(a), [Fraction(0)] * (len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        f = out[len(a) - len(b)] = a[-1] / b[-1]
+        for i, c in enumerate(b):
+            a[len(a) - len(b) + i] -= f * c
+        a.pop()
+    assert not any(a)
+    return out
+
+
+def _ref_canon(num: dict, den: dict):
+    num = {e: c for e, c in num.items() if c}
+    den = {e: c for e, c in den.items() if c}
+    if not num:
+        return {}, {0: Fraction(1)}
+    nmin, dmin = min(num), min(den)
+    N = [num.get(e + nmin, Fraction(0)) for e in range(max(num) - nmin + 1)]
+    D = [den.get(e + dmin, Fraction(0)) for e in range(max(den) - dmin + 1)]
+    g, r = N, D
+    while r:
+        # monic remainders keep the Fraction sizes down
+        g, r = r, _ref_rem(g, r)
+        r = [c / r[-1] for c in r] if r else r
+    if len(g) > 1:
+        N, D = _ref_div(N, g), _ref_div(D, g)
+    lead = D[-1]
+    return ({e + nmin - dmin: c / lead for e, c in enumerate(N) if c},
+            {e: c / lead for e, c in enumerate(D) if c})
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return out
+
+
+def _ref_add_dicts(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return out
+
+
+def _ref_add(x, y):
+    num = _ref_add_dicts(_ref_mul(x.num, y.den), _ref_mul(y.num, x.den))
+    return _ref_canon(num, _ref_mul(x.den, y.den))
+
+
+def _ref_pow(x, k: int):
+    num, den = (x.num, x.den) if k > 0 else (x.den, x.num)
+    pn, pd = {0: Fraction(1)}, {0: Fraction(1)}
+    for _ in range(abs(k)):
+        pn, pd = _ref_mul(pn, num), _ref_mul(pd, den)
+    return _ref_canon(pn, pd)
+
+
+def _make(ctx, num: dict, den: dict) -> Scalar:
+    num, den = _ref_canon(num, den)
+    return Scalar(ctx, num, _DEN_ONE if den == {0: 1} else den)
+
+
+def _assert_is(got: Scalar, ref) -> None:
+    num, den = ref
+    assert got.num == num and got.den == den
+    assert (got.den is _DEN_ONE) == (den == {0: 1})
+    assert all(type(c) is Fraction for c in [*got.num.values(), *got.den.values()])
+
+
+_nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool)
+_MIXED = (-12, -1, 0, 2, 3, 12, 24)
+
+
+def _exponents(grading):
+    if grading == "mixed":
+        return st.sampled_from(_MIXED)
+    return st.integers(-3, 3).map(lambda k: k * grading)
+
+
+def _laurent(grading):
+    def build(terms):
+        out: dict = {}
+        for e, c in terms:
+            out[e] = out.get(e, 0) + c
+        return {e: c for e, c in out.items() if c}
+
+    return st.lists(st.tuples(_exponents(grading), _nonzero), min_size=1, max_size=3) \
+        .map(build).filter(bool)
+
+
+@st.composite
+def _operands(draw):
+    """Two Q(t) values of one grading that exercise each reduction rule."""
+    grading = draw(st.sampled_from([1, 2, 3, 12, "mixed"]))
+    poly = _laurent(grading)
+    one = {0: Fraction(1)}
+    kind = draw(st.sampled_from(["free", "equal-den", "shared-factor", "cancelling-sum",
+                                 "poly", "monomial"]))
+    if kind == "free":
+        return (_make(_CTX, draw(poly), draw(poly)), _make(_CTX, draw(poly), draw(poly)))
+    if kind == "equal-den":
+        d = draw(poly)
+        return _make(_CTX, draw(poly), d), _make(_CTX, draw(poly), d)
+    if kind == "shared-factor":
+        # p * (n/d) with gcd(p, d) != 1, and (n1/d1)(n2/d2) with crossed factors
+        h, f, g = draw(poly), draw(poly), draw(poly)
+        return (_make(_CTX, _ref_mul(f, h), draw(st.sampled_from([one, draw(poly)]))),
+                _make(_CTX, draw(poly), _ref_mul(g, h)))
+    if kind == "cancelling-sum":
+        # (al/h + be/e1) + (ga/e2 - al/h): the denominators share h, and so
+        # does the cross sum, so h cancels only in Henrici's second gcd
+        h, e1, e2, al = draw(poly), draw(poly), draw(poly), draw(poly)
+        return (_make(_CTX, _ref_add_dicts(_ref_mul(al, e1), _ref_mul(draw(poly), h)),
+                      _ref_mul(h, e1)),
+                _make(_CTX, _ref_add_dicts(_ref_mul(draw(poly), h),
+                                           _ref_mul({e: -c for e, c in al.items()}, e2)),
+                      _ref_mul(h, e2)))
+    if kind == "poly":
+        return _make(_CTX, draw(poly), one), _make(_CTX, draw(poly), draw(poly))
+    (e, c), = draw(st.lists(st.tuples(_exponents(grading), _nonzero), min_size=1, max_size=1))
+    return _make(_CTX, {e: c}, one), _make(_CTX, draw(poly), draw(poly))
+
+
+def _check_field_operations(a: Scalar, b: Scalar) -> None:
+    neg_b = _make(b.ctx, {e: -c for e, c in b.num.items()}, b.den)
+    for x, y in ((a, b), (b, a)):
+        _assert_is(x + y, _ref_add(x, y))
+        _assert_is(x * y, _ref_canon(_ref_mul(x.num, y.num), _ref_mul(x.den, y.den)))
+        if y:
+            _assert_is(x / y, _ref_canon(_ref_mul(x.num, y.den), _ref_mul(x.den, y.num)))
+            _assert_is(y.inverse(), _ref_canon(y.den, y.num))
+        for k in (-2, -1, 2):
+            if k > 0 or y:
+                _assert_is(y ** k, _ref_pow(y, k))
+    _assert_is(a - b, _ref_add(a, neg_b))
+    _assert_is(a + neg_b, _ref_add(a, neg_b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_operands())
+def test_reduction_matches_dense_reference(pair):
+    _check_field_operations(*pair)
+
+
+_RATIONAL = ScalarContext(2, t0=Fraction(5, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fractions(min_value=-9, max_value=9, max_denominator=7),
+       st.fractions(min_value=-9, max_value=9, max_denominator=7))
+def test_rational_backend_matches_reference(x, y):
+    a, b = _RATIONAL.scalar(x), _RATIONAL.scalar(y)
+    _check_field_operations(a, b)
+    assert (a * b).num == ({0: x * y} if x * y else {})
