@@ -330,9 +330,10 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        n1, d1, n2, d2 = self.num, self.den, o.num, o.den
+        d1, d2 = self.den, o.den
         if d1 is _DEN_ONE and d2 is _DEN_ONE:
-            return Scalar(self.ctx, _dict_add(n1, n2), _DEN_ONE)
+            return Scalar(self.ctx, _dict_add(self.num, o.num), _DEN_ONE)
+        n1, n2 = self.num, o.num
         # p + n/d = (p d + n)/d is already reduced
         if d1 is _DEN_ONE:
             return Scalar(self.ctx, _dict_add(_dict_mul(n1, d2), n2), d2)
@@ -380,9 +381,10 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        n1, d1, n2, d2 = self.num, self.den, o.num, o.den
+        n1, n2 = self.num, o.num
         if not n1 or not n2:
             return self.ctx._zero
+        d1, d2 = self.den, o.den
         if d1 is _DEN_ONE and d2 is _DEN_ONE:
             return Scalar(self.ctx, _dict_mul(n1, n2), _DEN_ONE)
         # Henrici: only the cross pairs n1/d2 and n2/d1 can share factors
