@@ -306,7 +306,7 @@ def _operands(draw):
     kind = draw(st.sampled_from(["free", "equal-den", "shared-factor", "cancelling-sum",
                                  "poly", "monomial"]))
     if kind == "free":
-        return (_make(_CTX, draw(poly), draw(poly)), _make(_CTX, draw(poly), draw(poly)))
+        return _make(_CTX, draw(poly), draw(poly)), _make(_CTX, draw(poly), draw(poly))
     if kind == "equal-den":
         d = draw(poly)
         return _make(_CTX, draw(poly), d), _make(_CTX, draw(poly), d)
@@ -326,7 +326,7 @@ def _operands(draw):
                       _ref_mul(h, e2)))
     if kind == "poly":
         return _make(_CTX, draw(poly), one), _make(_CTX, draw(poly), draw(poly))
-    (e, c), = draw(st.lists(st.tuples(_exponents(grading), _nonzero), min_size=1, max_size=1))
+    e, c = draw(st.tuples(_exponents(grading), _nonzero))
     return _make(_CTX, {e: c}, one), _make(_CTX, draw(poly), draw(poly))
 
 
