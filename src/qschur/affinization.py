@@ -320,11 +320,13 @@ def jimbo_eval_pullback(W: UqModule, a) -> UqModule:
     return replace(W, x0p=x0p, x0m=x0m, k0=k0, k0inv=k0inv, jimbo=None)
 
 
-def theorem55_check(M: RightModule, a, n: int, seed: int = 0):
+def theorem55_check(M: RightModule, a, n: int):
     """Compare the two evaluation routes through the functor.
 
     Builds F(M(q^{-2 ell/(n+1)} a)) via the Cherednik pullback and J(M)(a)
-    via the Jimbo pullback, and returns (isomorphism or None, lhs, rhs).
+    via the Jimbo pullback; returns (T, lhs, rhs), T the identity if the two
+    act by the same matrices and None otherwise.  Both routes are natural in
+    M, so the literal identity on the regular module gives it for every M.
     """
     ctx = M.ctx
     if M.kind != "H":
@@ -336,12 +338,9 @@ def theorem55_check(M: RightModule, a, n: int, seed: int = 0):
         a = ctx.scalar(a)
     shift = ctx.q_power(Fraction(-2 * ell, n + 1))
     lhs = functor_F(cherednik_pullback(M, shift * a), n)
-    img = jimbo_J(M, n)
-    rhs = jimbo_eval_pullback(img.module, a)
-    from .module_tools import are_isomorphic
-
-    T = are_isomorphic(lhs, rhs, seed=seed)
-    return T, lhs, rhs
+    rhs = jimbo_eval_pullback(jimbo_J(M, n).module, a)
+    same = lhs.generators() == rhs.generators()
+    return (Matrix.identity(ctx, lhs.dim) if same else None), lhs, rhs
 
 
 # ---------------------------------------------------------------------------

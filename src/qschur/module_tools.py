@@ -7,9 +7,10 @@ Everything is deterministic given a seed: randomized choices come from an
 explicit random.Random, and every verdict is backed by a certificate that
 can be re-checked with plain linear algebra.
 
-Left modules (quantum group side) are handled by transposing their action
-matrices: invariant subspaces are unchanged, so one right-action code path
-serves both sides.
+Every algorithm reads a module through its ``ModuleView``, the one place
+that tells right Hecke modules from left U_q-modules.  The view transposes
+the latter's matrices (invariant subspaces are unchanged), so one
+right-action code path serves both species.
 """
 
 from __future__ import annotations
@@ -24,20 +25,47 @@ from .uq_rep import UqModule
 from fractions import Fraction
 
 
-def _as_right_action(mod) -> tuple:
-    """(ctx, dim, matrices-as-right-action, names) for either module species."""
-    if isinstance(mod, RightModule):
+class ModuleView:
+    """A right Hecke module or a left U_q-module, seen as a right action.
+
+    ``mats`` act on row vectors, one per generator in ``names``;
+    ``signature`` is the descriptor's ``algebra`` key with ``ell`` or ``n``;
+    ``weights`` are a U_q-module's, else None.  ``algebra_names`` leave out
+    the t_r: they act by the gl_{n+1} torus, which is not in U_q(sl_{n+1}),
+    so an isomorphism need not respect them.
+    """
+
+    def __init__(self, mod):
+        if not isinstance(mod, (RightModule, UqModule)):
+            raise TypeError(f"not a module: {mod!r}")
+        self._left = isinstance(mod, UqModule)
         gens = mod.generators()
-        return mod.ctx, mod.dim, list(gens.values()), list(gens.keys())
-    if isinstance(mod, UqModule):
-        gens = mod.generators()
-        return (
-            mod.ctx,
-            mod.dim,
-            [m.transpose() for m in gens.values()],
-            list(gens.keys()),
-        )
-    raise TypeError(f"not a module: {mod!r}")
+        self.ctx, self.dim = mod.ctx, mod.dim
+        self.names = list(gens)
+        self.mats = [self.native(m) for m in gens.values()]
+        if self._left:
+            self.signature = ("Uq-affine" if mod.is_affine() else "Uq", mod.n)
+            self.weights = mod.weights
+        else:
+            self.signature = (mod.kind, mod.ell)
+            self.weights = None
+        self.algebra_names = [k for k in self.names if not k.startswith("t")]
+
+    def native(self, m: Matrix) -> Matrix:
+        """A right-action matrix in the species' own convention, and back."""
+        return m.transpose() if self._left else m
+
+    def rebuild(self, mats, dim: int, columns: list):
+        """The module of this species acting by the right-action mats.
+
+        New basis vector k carries the weight of basis vector columns[k].
+        """
+        gens = {name: self.native(m) for name, m in zip(self.names, mats)}
+        algebra, size = self.signature
+        if not self._left:
+            return RightModule.from_generators(self.ctx, algebra, size, dim, gens)
+        weights = None if self.weights is None else [self.weights[c] for c in columns]
+        return UqModule.from_generators(self.ctx, size, dim, gens, weights)
 
 
 def spin(ctx: ScalarContext, ambient: int, mats, vectors) -> SubspaceBasis:
@@ -60,23 +88,8 @@ def spin(ctx: ScalarContext, ambient: int, mats, vectors) -> SubspaceBasis:
 
 
 def spin_module(mod, vector) -> SubspaceBasis:
-    ctx, dim, mats, _ = _as_right_action(mod)
-    return spin(ctx, dim, mats, [vector])
-
-
-def _rebuild(mod, mats, dim: int, columns: list):
-    """A module of mod's species acting by the right-action mats.
-
-    New basis vector k carries the weight of ambient basis vector columns[k].
-    """
-    names = list(mod.generators())
-    if isinstance(mod, RightModule):
-        return RightModule.from_generators(mod.ctx, mod.kind, mod.ell, dim,
-                                           dict(zip(names, mats)))
-    weights = None if mod.weights is None else [mod.weights[c] for c in columns]
-    return UqModule.from_generators(mod.ctx, mod.n, dim,
-                                    {name: m.transpose() for name, m in zip(names, mats)},
-                                    weights)
+    view = ModuleView(mod)
+    return spin(view.ctx, view.dim, view.mats, [vector])
 
 
 def submodule(mod, basis: SubspaceBasis):
@@ -86,15 +99,15 @@ def submodule(mod, basis: SubspaceBasis):
     a right module; a UqModule acts on columns, so there rho(g) B^T =
     B^T rho_sub(g).  Raises ValueError if the subspace is not stable.
     """
-    ctx, _, mats, _ = _as_right_action(mod)
+    view = ModuleView(mod)
     rows = basis.rows()
     out = []
-    for m in mats:
+    for m in view.mats:
         images = [basis.coords(m.apply_row(row)) for row in rows]
         if any(c is None for c in images):
             raise ValueError("subspace is not stable under the action")
-        out.append(Matrix(ctx, basis.dim, basis.dim, images))
-    return _rebuild(mod, out, basis.dim, basis.pivot_columns())
+        out.append(Matrix(view.ctx, basis.dim, basis.dim, images))
+    return view.rebuild(out, basis.dim, basis.pivot_columns())
 
 
 def quotient(mod, basis: SubspaceBasis):
@@ -104,15 +117,15 @@ def quotient(mod, basis: SubspaceBasis):
     P rho_quot(g) for a right module (transpose both sides for a UqModule).
     Raises ValueError if the subspace is not stable.
     """
-    ctx, _, mats, _ = _as_right_action(mod)
+    view = ModuleView(mod)
     rows = basis.rows()
     free = basis.free_columns()
     out = []
-    for m in mats:
+    for m in view.mats:
         if any(basis.reduce(m.apply_row(row)) for row in rows):
             raise ValueError("subspace is not stable under the action")
-        out.append(Matrix(ctx, len(free), len(free), [basis.coset(m.rows[c]) for c in free]))
-    return _rebuild(mod, out, len(free), free)
+        out.append(Matrix(view.ctx, len(free), len(free), [basis.coset(m.rows[c]) for c in free]))
+    return view.rebuild(out, len(free), free)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +181,9 @@ def _theta_candidates(ctx, mats, names, rng, rounds):
         yield from shifted(_word_sample(ctx, mats, rng))
 
 
-def _decide_irreducibility(ctx, dim, mats, names, seed, budget):
+def _decide_irreducibility(view: ModuleView, seed, budget):
     """("reducible", vector, SubspaceBasis) or ("irreducible", cert dict)."""
+    ctx, dim, mats = view.ctx, view.dim, view.mats
     if dim == 0:
         raise ValueError("empty module")
     if dim == 1:
@@ -181,7 +195,7 @@ def _decide_irreducibility(ctx, dim, mats, names, seed, budget):
     rng = random.Random(seed)
     mats_t = None
     tried = 0
-    for theta in _theta_candidates(ctx, mats, names, rng, rounds=budget):
+    for theta in _theta_candidates(ctx, mats, view.names, rng, rounds=budget):
         tried += 1
         if tried > budget:
             break
@@ -223,7 +237,7 @@ def _decide_irreducibility(ctx, dim, mats, names, seed, budget):
                 if sub.dim < dim:
                     return ("reducible", v, sub)
     # kernels of centralizer elements are submodules outright
-    for z in _centralizer_elements(ctx, dim, mats):
+    for z in _centralizer_elements(view):
         for i in range(dim):
             c = z.rows[i].get(i)
             shift = z if c is None else z - Matrix.identity(ctx, dim).scale(c)
@@ -237,10 +251,11 @@ def _decide_irreducibility(ctx, dim, mats, names, seed, budget):
     )
 
 
-def _centralizer_elements(ctx, dim, mats):
+def _centralizer_elements(view: ModuleView):
     """A basis of matrices commuting with the whole action."""
+    ctx, dim = view.ctx, view.dim
     idx = {(r, c): r * dim + c for r in range(dim) for c in range(dim)}
-    pairs = [(m, m) for m in mats]
+    pairs = [(m, m) for m in view.mats]
     return [_unflatten(ctx, dim, kv)
             for kv in _intertwiner_kernel(ctx, pairs, dim, dim, idx)]
 
@@ -254,22 +269,21 @@ def is_irreducible(mod, seed: int = 0, budget: int = 60) -> tuple:
     action algebra spanning the full matrix algebra (density), both of which
     are re-checkable by direct linear algebra.
     """
-    ctx, dim, mats, names = _as_right_action(mod)
-    verdict = _decide_irreducibility(ctx, dim, mats, names, seed, budget)
+    view = ModuleView(mod)
+    verdict = _decide_irreducibility(view, seed, budget)
     if verdict[0] == "irreducible":
         return True, verdict[1]
     _, v, sub = verdict
     return False, {
         "kind": "submodule",
-        "vector": _vec_json(ctx, v, dim),
+        "vector": _vec_json(view.ctx, v, view.dim),
         "submodule_dim": sub.dim,
     }
 
 
 def proper_submodule(mod, seed: int = 0, budget: int = 60):
     """A proper nonzero submodule as a SubspaceBasis, or None if irreducible."""
-    ctx, dim, mats, names = _as_right_action(mod)
-    verdict = _decide_irreducibility(ctx, dim, mats, names, seed, budget)
+    verdict = _decide_irreducibility(ModuleView(mod), seed, budget)
     if verdict[0] == "irreducible":
         return None
     return verdict[2]
@@ -305,41 +319,19 @@ def verify_submodule_certificate(mod, cert) -> bool:
     """Re-check a reducibility certificate by spinning its vector."""
     from .scalars import parse_scalar
 
-    ctx, dim, mats, _ = _as_right_action(mod)
+    view = ModuleView(mod)
     v = {
         i: s
         for i, raw in enumerate(cert["vector"])
-        if not (s := parse_scalar(ctx, raw)).is_zero()
+        if not (s := parse_scalar(view.ctx, raw)).is_zero()
     }
-    sub = spin(ctx, dim, mats, [v])
-    return 0 < sub.dim == cert["submodule_dim"] < dim
+    sub = spin(view.ctx, view.dim, view.mats, [v])
+    return 0 < sub.dim == cert["submodule_dim"] < view.dim
 
 
 # ---------------------------------------------------------------------------
 # Isomorphism
 # ---------------------------------------------------------------------------
-
-
-def _matched_generators(A, B) -> tuple:
-    """Paired action matrices, plus the convention ("right" or "left")."""
-    if isinstance(A, RightModule) and isinstance(B, RightModule):
-        if A.kind != B.kind or A.ell != B.ell:
-            raise ValueError("modules over different algebras")
-        ga, gb = A.generators(), B.generators()
-        return [(ga[k], gb[k]) for k in ga], "right"
-    if isinstance(A, UqModule) and isinstance(B, UqModule):
-        if A.n != B.n or A.is_affine() != B.is_affine():
-            raise ValueError("modules over different algebras")
-        ga, gb = A.generators(), B.generators()
-        keys = [k for k in ga if not k.startswith("t")]
-        return [(ga[k], gb[k]) for k in keys], "left"
-    raise TypeError("cannot match generator signatures")
-
-
-def _weights_or_none(m):
-    if isinstance(m, UqModule) and m.weights is not None:
-        return m.weights
-    return None
 
 
 ISO_MAX_TRIES = 24  # candidate intertwiners tried for invertibility
@@ -354,15 +346,18 @@ def are_isomorphic(A, B, seed: int = 0) -> Optional[Matrix]:
     Invertibility of a candidate is certified by full rank, checked cheaply
     at a specialization point first and symbolically as a fallback.
     """
-    pairs, conv = _matched_generators(A, B)
-    da = A.dim
-    db = B.dim
+    va, vb = ModuleView(A), ModuleView(B)
+    if va.signature != vb.signature:
+        raise ValueError("modules over different algebras")
+    da, db = va.dim, vb.dim
     if da != db:
         return None
-    ctx = pairs[0][0].ctx if pairs else A.ctx
-    wa, wb = _weights_or_none(A), _weights_or_none(B)
-    if conv == "right":
-        pairs = [(ga.transpose(), gb.transpose()) for ga, gb in pairs]
+    ctx = va.ctx
+    wa, wb = va.weights, vb.weights
+    # the solve finds X with X ga^T = gb^T X for the right-action ga, gb;
+    # X^T is then the right-action intertwiner ga X^T = X^T gb
+    ga, gb = (dict(zip(v.names, v.mats)) for v in (va, vb))
+    pairs = [(ga[k].transpose(), gb[k].transpose()) for k in va.algebra_names]
     if wa is not None and wb is not None:
         if sorted(wa) != sorted(wb):
             return None
@@ -402,9 +397,7 @@ def are_isomorphic(A, B, seed: int = 0) -> Optional[Matrix]:
                 continue
         x = assemble(coords)
         if _is_invertible(x):
-            if conv == "right":
-                return x.transpose()
-            return x
+            return va.native(x.transpose())
         tries += 1
     return None
 
@@ -468,9 +461,10 @@ def _is_invertible(m: Matrix) -> bool:
 
 def character(W) -> dict:
     """Weight multiplicity table of a quantum group module."""
-    if not isinstance(W, UqModule) or W.weights is None:
+    weights = ModuleView(W).weights
+    if weights is None:
         raise ValueError("character needs a weight-labelled module")
     out: dict[tuple, int] = {}
-    for w in W.weights:
+    for w in weights:
         out[w] = out.get(w, 0) + 1
     return out

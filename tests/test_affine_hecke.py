@@ -16,6 +16,7 @@ from qschur.affine_hecke import (
     zelevinsky_induce,
     zelevinsky_induce_finite,
 )
+from qschur.checks import _induced_by_quotient
 from qschur.hecke import HeckeElt
 from qschur.linalg import Matrix
 from qschur.module_tools import are_isomorphic, is_irreducible
@@ -220,6 +221,16 @@ def test_restriction_of_induction(ctx):
         M1.restrict_to_finite(), M2.restrict_to_finite()
     )
     assert are_isomorphic(Z.restrict_to_finite(), Zfin) is not None
+
+
+def test_induction_by_quotient_tells_sources_apart(ctx):
+    # check prop-3.3 builds the finite induction independently, as a
+    # quotient; it must agree with Zelevinsky's construction on the same
+    # factors and differ on others
+    sign, triv = (one_dimensional_module(ctx, 2, v) for v in (ctx.scalar(-1), ctx.q_power(2)))
+    Z = zelevinsky_induce_finite(triv, triv)
+    assert are_isomorphic(_induced_by_quotient(triv, triv), Z) is not None
+    assert are_isomorphic(_induced_by_quotient(sign, triv), Z) is None
 
 
 def test_induction_associative_up_to_isomorphism(ctx):

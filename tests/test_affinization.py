@@ -173,6 +173,17 @@ def test_theorem55_regular_sources(ctx2):
             assert T is not None, (ell, str(a))
 
 
+def test_theorem55_mismatched_routes_give_none(ctx2, monkeypatch):
+    # the check compares the two routes' matrices literally; a Jimbo route
+    # evaluated at the wrong parameter must not pass
+    import qschur.affinization as aff
+
+    right_route = aff.jimbo_eval_pullback
+    monkeypatch.setattr(aff, "jimbo_eval_pullback", lambda W, a: right_route(W, a * 2))
+    T, lhs, rhs = theorem55_check(hecke_regular_module(ctx2, 2), ctx2.q, 2)
+    assert T is None and lhs.dim == rhs.dim
+
+
 def test_theorem55_needs_small_ell(ctx2):
     with pytest.raises(ValueError):
         theorem55_check(hecke_regular_module(ctx2, 3), ctx2.one, 2)

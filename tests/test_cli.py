@@ -139,6 +139,20 @@ def test_isomorphic_distinct_parameters(tmp_path, capsys):
     assert "not isomorphic" in out
 
 
+def test_isomorphic_mixed_species_exits_2(tmp_path, capsys):
+    # a Hecke descriptor against a U_q descriptor: no traceback, a usage error
+    code, out, _ = run(capsys, "build", "--n", "2", "--segments", "1@0:2")
+    data = json.loads(out)
+    files = []
+    for key in ("V_a", "F"):
+        f = tmp_path / f"{key}.json"
+        f.write_text(json.dumps(data[key]))
+        files.append(str(f))
+    code, _, err = run(capsys, "isomorphic", "--n", "2", *files)
+    assert code == 2
+    assert "different algebras" in err
+
+
 def test_large_ell_needs_force(capsys):
     code, _, err = run(capsys, "build", "--n", "1", "--segments", "1@0:1,2@0:1")
     assert code == 2

@@ -7,6 +7,11 @@ result bit-identical.  These SHA-256 digests of the serialised results pin
 that: they were recorded before the scalar kernel was last rewritten, and any
 change to a canonical form, a module basis or a rendering shows up here.
 
+The intertwiner digests pin the matrix T that are_isomorphic returns, for
+one pair of right Hecke modules and one pair of left U_q-modules; they were
+recorded before are_isomorphic was moved onto the module view, and any
+change to the Hom solve or to its row and column conventions shows up here.
+
 If a digest has to change on purpose (a new basis convention, say), record
 the reason next to the new value.
 """
@@ -15,9 +20,15 @@ import hashlib
 import json
 import random
 
-from qschur.affine_hecke import hecke_regular_module, universal_module
-from qschur.affinization import functor_F, theorem55_check
+from qschur.affine_hecke import (
+    hecke_regular_module,
+    one_dimensional_affine_module,
+    universal_module,
+    zelevinsky_induce,
+)
+from qschur.affinization import evaluation_natural, functor_F, tensor_affine_chain, theorem55_check
 from qschur.classification import irreducible_V_a, parse_segments
+from qschur.module_tools import are_isomorphic
 from qschur.scalars import ScalarContext
 
 
@@ -54,6 +65,28 @@ def test_theorem55_pair_digest():
     assert [_digest(lhs.to_json()), _digest(rhs.to_json())] == [
         "24b6505ee2c9da43cbd75fda3ba939c3c8dedfa87cca91bc847e70f79abd16ed"
     ] * 2
+
+
+def test_right_module_intertwiner_digest():
+    # Z(1, 3) = M_(1) o M_(3) against the universal module M_(1,3), n = 2
+    ctx = ScalarContext(2)
+    a = (ctx.one, ctx.scalar(3))
+    Z = zelevinsky_induce(*(one_dimensional_affine_module(ctx, [x]) for x in a))
+    T = are_isomorphic(Z, universal_module(ctx, a))
+    assert _digest(T.to_triplets()) == (
+        "d4e9f2b4abcf68f2cf542c5a984de1f727576fa5294433da6279042f1282d73c"
+    )
+
+
+def test_left_module_intertwiner_digest():
+    # F(M_(1,5)) against V(1) (x) V(5), n = 2
+    ctx = ScalarContext(2)
+    a = (ctx.one, ctx.scalar(5))
+    W = functor_F(universal_module(ctx, a), 2, check_source=False)
+    T = are_isomorphic(W, tensor_affine_chain([evaluation_natural(ctx, 2, x) for x in a]))
+    assert _digest(T.to_triplets()) == (
+        "a535b5f64c7eb4722b876508d7a83c40aeae1b9f622f070c05100cc0f4b2fbe4"
+    )
 
 
 def test_rational_function_chain_digest():

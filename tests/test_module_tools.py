@@ -1,7 +1,14 @@
 import pytest
 
-from qschur.affine_hecke import RightModule, one_dimensional_module, universal_module
-from qschur.linalg import Matrix, span
+from qschur.affine_hecke import (
+    RightModule,
+    one_dimensional_affine_module,
+    one_dimensional_module,
+    universal_module,
+    zelevinsky_induce,
+)
+from qschur.affinization import evaluation_natural, functor_F, tensor_affine_chain
+from qschur.linalg import Matrix, rank, span
 from qschur.module_tools import (
     are_isomorphic,
     character,
@@ -13,7 +20,7 @@ from qschur.module_tools import (
     verify_submodule_certificate,
 )
 from qschur.scalars import ScalarContext
-from qschur.uq_rep import jimbo_J, natural_rep, tensor_rep
+from qschur.uq_rep import UqModule, jimbo_J, natural_rep, tensor_rep
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +168,54 @@ def test_sub_and_quotient_refuse_an_unstable_subspace(ctx, vv):
 def test_are_isomorphic_identity(ctx, vv):
     T = are_isomorphic(vv, vv)
     assert T is not None
+
+
+@pytest.fixture(scope="module")
+def intertwined_pairs():
+    """(species, A, B) pairs that are_isomorphic must match, by test id.
+
+    The first two are the pinned pairs of test_golden.py.  In the last two B
+    is A conjugated by a non-symmetric P, so a transposed T would fail.
+    """
+    c = ScalarContext(2)
+    a = (c.one, c.scalar(3))
+    M = universal_module(c, a)
+    Z = zelevinsky_induce(*(one_dimensional_affine_module(c, [x]) for x in a))
+    b = (c.one, c.scalar(5))
+    W = functor_F(universal_module(c, b), 2, check_source=False)
+    prod = tensor_affine_chain([evaluation_natural(c, 2, x) for x in b])
+    P = Matrix.from_triplets(c, 2, 2, [[0, 0, "1"], [0, 1, "2"], [1, 1, "1"]])
+    P_inv = Matrix.from_triplets(c, 2, 2, [[0, 0, "1"], [0, 1, "-2"], [1, 1, "1"]])
+    M_conj = RightModule.from_generators(
+        c, M.kind, M.ell, 2, {k: P_inv * g * P for k, g in M.generators().items()})
+    V = evaluation_natural(c, 2, c.scalar(2))
+    P3 = Matrix.from_triplets(c, 3, 3, [[0, 0, "1"], [0, 2, "2"], [1, 1, "1"], [2, 2, "1"]])
+    P3_inv = Matrix.from_triplets(c, 3, 3, [[0, 0, "1"], [0, 2, "-2"], [1, 1, "1"], [2, 2, "1"]])
+    V_conj = UqModule.from_generators(
+        c, 2, 3, {k: P3 * g * P3_inv for k, g in V.generators().items()})
+    return {"Z(1,3)-M(1,3)": ("right", Z, M), "F(M(1,5))-V(1)V(5)": ("left", W, prod),
+            "right-conj": ("right", M, M_conj), "left-conj": ("left", V, V_conj)}
+
+
+@pytest.mark.parametrize("pair", ["Z(1,3)-M(1,3)", "F(M(1,5))-V(1)V(5)", "right-conj",
+                                  "left-conj"])
+def test_are_isomorphic_satisfies_its_equation(intertwined_pairs, pair):
+    # right modules: rho_A T = T rho_B; left modules: T rho_A = rho_B T
+    species, A, B = intertwined_pairs[pair]
+    T = are_isomorphic(A, B)
+    assert T is not None and rank(T) == T.nrows == A.dim
+    ga, gb = A.generators(), B.generators()
+    for k in ga:
+        if species == "right":
+            assert ga[k] * T == T * gb[k], k
+        else:
+            assert T * ga[k] == gb[k] * T, k
+
+
+def test_are_isomorphic_refuses_mixed_species():
+    c = ScalarContext(2)
+    with pytest.raises(ValueError, match="different algebras"):
+        are_isomorphic(one_dimensional_module(c, 1, c.one), evaluation_natural(c, 2, c.one))
 
 
 def test_are_isomorphic_dimension_mismatch(ctx):
