@@ -283,9 +283,11 @@ class RightModule:
 
     @staticmethod
     def from_json(ctx, data) -> "RightModule":
-        dim = int(data["dim"])
+        dim, ell = int(data["dim"]), int(data["ell"])
+        if ell < 1:
+            raise ValueError(f"ell must be >= 1, got {ell}")
         return RightModule.from_generators(
-            ctx, data["algebra"], int(data["ell"]), dim,
+            ctx, data["algebra"], ell, dim,
             named_matrices(ctx, dim, data["generators"]), labels=data.get("labels"),
         )
 

@@ -47,7 +47,7 @@ from .classification import (
     rogawski_quotient,
 )
 from .hecke import HeckeElt, kl_parabolic_element
-from .linalg import Matrix, diag_inverse, span
+from .linalg import Matrix, add_scaled, diag_inverse, span
 from .module_tools import are_isomorphic, is_irreducible, quotient, spin_module, submodule
 from .scalars import ScalarContext
 from .symgroup import all_perms, block_boundaries, parabolic_longest
@@ -158,15 +158,8 @@ def check_lemma_7_3(cfg: RunConfig) -> CheckResult:
             ok = True
             for j in range(1, ell + 1):
                 lead = avec[wpi(j) - 1]
-                img = M.y[j - 1].apply_row(v)
-                resid = dict(img)
-                for k, c in v.items():
-                    nv = resid.get(k, ctx.zero) - lead * c
-                    if nv.is_zero():
-                        resid.pop(k, None)
-                    else:
-                        resid[k] = nv
-                # the residual must live below w_pi in length
+                resid = add_scaled(M.y[j - 1].apply_row(v), v, -lead)
+                # the residual v y_j - lead v must live below w_pi in length
                 for k in resid:
                     if perms[k].length() >= wpi.length():
                         ok = False

@@ -12,6 +12,7 @@ KL polynomial is 1, so no KL recursion lives here.
 
 from __future__ import annotations
 
+from .linalg import add_scaled
 from .scalars import Scalar, ScalarContext
 from .symgroup import (
     Perm,
@@ -49,23 +50,11 @@ class _SigmaBasisElt:
     # -- linear structure -------------------------------------------------------
 
     def _add_term(self, key, c: Scalar):
-        s = self.terms.get(key)
-        if s is None:
-            if not c.is_zero():
-                self.terms[key] = c
-        else:
-            s = s + c
-            if s.is_zero():
-                del self.terms[key]
-            else:
-                self.terms[key] = s
+        add_scaled(self.terms, {key: c})
 
     def __add__(self, other):
         self._check(other)
-        out = type(self)(self.ctx, self.ell, dict(self.terms))
-        for k, c in other.terms.items():
-            out._add_term(k, c)
-        return out
+        return type(self)(self.ctx, self.ell, add_scaled(dict(self.terms), other.terms))
 
     def __neg__(self):
         return type(self)(self.ctx, self.ell, {k: -c for k, c in self.terms.items()})
@@ -133,8 +122,7 @@ class _SigmaBasisElt:
         self._check(other)
         out = type(self)(self.ctx, self.ell)
         for key, d in other.terms.items():
-            for k, c in self._times_basis(key).terms.items():
-                out._add_term(k, c * d)
+            add_scaled(out.terms, self._times_basis(key).terms, d)
         return out
 
     def __rmul__(self, other):

@@ -1,14 +1,17 @@
 """Sparse exact linear algebra over the scalar field.
 
 Matrices are lists of sparse rows (dict column -> Scalar) and never contain
-stored zeros.  Vectors are sparse dicts.  Row convention: right-module
-actions multiply row vectors on the right (v . M); left-module actions
-multiply column vectors (M . v).  :class:`SubspaceBasis` keeps a subspace U
-in fully reduced row echelon form, which makes subspace equality literal
-equality of the pivot rows.  The same basis is the quotient V/U: the class
-of v has coordinates ``U.coset(v)``, the reduction of v read off on the free
-(non-pivot) columns, and ``U.descend(op)`` is the map an operator induces on
-V/U.  A vector of U has coordinates ``U.coords(v)`` in the pivot rows.
+stored zeros.  Vectors are sparse dicts.  Every sum of sparse maps goes
+through one primitive, :func:`add_scaled` (acc += c*v in place, deleting an
+entry whose sum cancels), so an identity holds exactly when two maps are
+equal as dicts.  Row convention: right-module actions multiply row vectors
+on the right (v . M); left-module actions multiply column vectors (M . v).
+:class:`SubspaceBasis` keeps a subspace U in fully reduced row echelon
+form, which makes subspace equality literal equality of the pivot rows.
+The same basis is the quotient V/U: the class of v has coordinates
+``U.coset(v)``, the reduction of v read off on the free (non-pivot)
+columns, and ``U.descend(op)`` is the map an operator induces on V/U.  A
+vector of U has coordinates ``U.coords(v)`` in the pivot rows.
 """
 
 from __future__ import annotations
@@ -21,45 +24,32 @@ from .scalars import Scalar, ScalarContext
 Vec = dict  # sparse vector: column index -> Scalar
 
 
+def add_scaled(acc: dict, v: dict, c: Optional[Scalar] = None) -> dict:
+    """acc += c*v (acc += v when c is None) in place, and return acc.
+
+    The one accumulation rule of the package: a zero summand is skipped and
+    an entry whose sum cancels is deleted, so acc never stores a zero.  The
+    keys may be anything hashable.  acc must belong to the caller.
+    """
+    if c is not None and c.is_one():
+        c = None
+    for j, x in v.items():
+        if c is not None:
+            x = c * x
+        if x.is_zero():
+            continue
+        s = acc.get(j)
+        if s is None:
+            acc[j] = x
+        elif (s := s + x).is_zero():
+            del acc[j]
+        else:
+            acc[j] = s
+    return acc
+
+
 def vec_add(a: Vec, b: Vec) -> Vec:
-    out = dict(a)
-    for j, c in b.items():
-        s = out.get(j)
-        if s is None:
-            out[j] = c
-        else:
-            s = s + c
-            if s.is_zero():
-                del out[j]
-            else:
-                out[j] = s
-    return out
-
-
-def vec_scale(a: Vec, c: Scalar) -> Vec:
-    if c.is_zero():
-        return {}
-    if c.is_one():
-        return dict(a)
-    return {j: c * v for j, v in a.items()}
-
-
-def vec_sub_scaled(a: Vec, c: Scalar, b: Vec) -> Vec:
-    """a - c*b, sparse."""
-    out = dict(a)
-    for j, v in b.items():
-        s = out.get(j)
-        cv = c * v
-        if s is None:
-            if not cv.is_zero():
-                out[j] = -cv
-        else:
-            s = s - cv
-            if s.is_zero():
-                del out[j]
-            else:
-                out[j] = s
-    return out
+    return add_scaled(dict(a), b)
 
 
 class Matrix:
@@ -111,17 +101,7 @@ class Matrix:
             self.rows[i][j] = c
 
     def add_to_entry(self, i: int, j: int, c: Scalar):
-        if c.is_zero():
-            return
-        s = self.rows[i].get(j)
-        if s is None:
-            self.rows[i][j] = c
-        else:
-            s = s + c
-            if s.is_zero():
-                del self.rows[i][j]
-            else:
-                self.rows[i][j] = s
+        add_scaled(self.rows[i], {j: c})
 
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows)
@@ -159,25 +139,8 @@ class Matrix:
     def __mul__(self, other):
         if isinstance(other, Matrix):
             assert self.ncols == other.nrows, "matrix shape mismatch"
-            rows = []
-            orows = other.rows
-            for r in self.rows:
-                acc: Vec = {}
-                for k, c in r.items():
-                    for j, v in orows[k].items():
-                        s = acc.get(j)
-                        cv = c * v
-                        if s is None:
-                            if not cv.is_zero():
-                                acc[j] = cv
-                        else:
-                            s = s + cv
-                            if s.is_zero():
-                                del acc[j]
-                            else:
-                                acc[j] = s
-                rows.append(acc)
-            return Matrix(self.ctx, self.nrows, other.ncols, rows)
+            return Matrix(self.ctx, self.nrows, other.ncols,
+                          [other.apply_row(r) for r in self.rows])
         if isinstance(other, Scalar):
             return self.scale(other)
         if isinstance(other, int):
@@ -213,18 +176,7 @@ class Matrix:
         """v . M for a sparse row vector v."""
         out: Vec = {}
         for i, c in v.items():
-            for j, m in self.rows[i].items():
-                s = out.get(j)
-                cm = c * m
-                if s is None:
-                    if not cm.is_zero():
-                        out[j] = cm
-                else:
-                    s = s + cm
-                    if s.is_zero():
-                        del out[j]
-                    else:
-                        out[j] = s
+            add_scaled(out, self.rows[i], c)
         return out
 
     def apply_col(self, v: Vec) -> Vec:
@@ -288,6 +240,8 @@ class Matrix:
 
 def named_matrices(ctx, dim: int, data) -> dict:
     """{name: dim x dim Matrix} from a JSON object of triplet lists."""
+    if dim < 1:
+        raise ValueError(f"dimension {dim} is not positive")
     if not isinstance(data, dict):
         raise ValueError("generators must map names to triplet lists")
     return {name: Matrix.from_triplets(ctx, dim, dim, t) for name, t in data.items()}
@@ -321,14 +275,9 @@ class SubspaceBasis:
         each pivot entry of v once cannot reintroduce pivot entries.
         """
         piv = self.pivots
-        hits = [j for j in v if j in piv]
-        if not hits:
-            return dict(v)
         out = dict(v)
-        for j in hits:
-            c = out.get(j)
-            if c is not None and not c.is_zero():
-                out = vec_sub_scaled(out, c, piv[j])
+        for j in [j for j in v if j in piv]:
+            add_scaled(out, piv[j], -out[j])
         return out
 
     def contains(self, v: Vec) -> bool:
@@ -346,7 +295,7 @@ class SubspaceBasis:
         for p, row in self.pivots.items():
             c = row.get(j)
             if c is not None:
-                self.pivots[p] = vec_sub_scaled(row, c, v)
+                self.pivots[p] = add_scaled(dict(row), v, -c)
         self.pivots[j] = v
         self._free_pos = None
         return True
@@ -468,6 +417,6 @@ def intersect(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
         v: Vec = {}
         for i, c in w.items():
             if i < len(ra):
-                v = vec_add(v, vec_scale(ra[i], c))
+                add_scaled(v, ra[i], c)
         out.add(v)
     return out

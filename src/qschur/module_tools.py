@@ -19,9 +19,9 @@ import random
 from typing import Optional
 
 from .affine_hecke import RightModule
-from .linalg import Matrix, SubspaceBasis, column_kernel, left_kernel, rank, span
-from .scalars import Scalar, ScalarContext
-from .uq_rep import UqModule
+from .linalg import Matrix, SubspaceBasis, add_scaled, column_kernel, left_kernel, rank, span
+from .scalars import ScalarContext
+from .uq_rep import UqModule, weight_decomposition
 from fractions import Fraction
 
 
@@ -181,7 +181,10 @@ def _theta_candidates(ctx, mats, names, rng, rounds):
         yield from shifted(_word_sample(ctx, mats, rng))
 
 
-def _decide_irreducibility(view: ModuleView, seed, budget):
+IRR_MAX_CANDIDATES = 60  # singular candidates tried before the density fallback
+
+
+def _decide_irreducibility(view: ModuleView, seed):
     """("reducible", vector, SubspaceBasis) or ("irreducible", cert dict)."""
     ctx, dim, mats = view.ctx, view.dim, view.mats
     if dim == 0:
@@ -195,9 +198,9 @@ def _decide_irreducibility(view: ModuleView, seed, budget):
     rng = random.Random(seed)
     mats_t = None
     tried = 0
-    for theta in _theta_candidates(ctx, mats, view.names, rng, rounds=budget):
+    for theta in _theta_candidates(ctx, mats, view.names, rng, rounds=IRR_MAX_CANDIDATES):
         tried += 1
-        if tried > budget:
+        if tried > IRR_MAX_CANDIDATES:
             break
         ker = left_kernel(theta)
         if not ker or len(ker) == dim:
@@ -247,7 +250,8 @@ def _decide_irreducibility(view: ModuleView, seed, budget):
                 if sub.dim < dim:
                     return ("reducible", ker[0], sub)
     raise RuntimeError(
-        "irreducibility undecided within budget; raise the budget or the seed"
+        f"irreducibility undecided after {IRR_MAX_CANDIDATES} singular candidates, "
+        "the density test and the centralizer; try another seed"
     )
 
 
@@ -260,7 +264,7 @@ def _centralizer_elements(view: ModuleView):
             for kv in _intertwiner_kernel(ctx, pairs, dim, dim, idx)]
 
 
-def is_irreducible(mod, seed: int = 0, budget: int = 60) -> tuple:
+def is_irreducible(mod, seed: int = 0) -> tuple:
     """Decide irreducibility; returns (bool, certificate dict).
 
     Reducible verdicts carry a generating vector of a proper submodule.
@@ -270,7 +274,7 @@ def is_irreducible(mod, seed: int = 0, budget: int = 60) -> tuple:
     are re-checkable by direct linear algebra.
     """
     view = ModuleView(mod)
-    verdict = _decide_irreducibility(view, seed, budget)
+    verdict = _decide_irreducibility(view, seed)
     if verdict[0] == "irreducible":
         return True, verdict[1]
     _, v, sub = verdict
@@ -281,9 +285,9 @@ def is_irreducible(mod, seed: int = 0, budget: int = 60) -> tuple:
     }
 
 
-def proper_submodule(mod, seed: int = 0, budget: int = 60):
+def proper_submodule(mod, seed: int = 0):
     """A proper nonzero submodule as a SubspaceBasis, or None if irreducible."""
-    verdict = _decide_irreducibility(ModuleView(mod), seed, budget)
+    verdict = _decide_irreducibility(ModuleView(mod), seed)
     if verdict[0] == "irreducible":
         return None
     return verdict[2]
@@ -387,11 +391,7 @@ def are_isomorphic(A, B, seed: int = 0) -> Optional[Matrix]:
             for s in sols:
                 w = rng.randint(-3, 3)
                 if w:
-                    for k, c in s.items():
-                        cur = coords.get(k)
-                        nc = c * w if cur is None else cur + c * w
-                        coords[k] = nc
-            coords = {k: c for k, c in coords.items() if not c.is_zero()}
+                    add_scaled(coords, s, ctx.scalar(w))
             if not coords:
                 tries += 1
                 continue
@@ -418,19 +418,9 @@ def _intertwiner_kernel(ctx, pairs, db, da, idx) -> list:
         for r in range(db):
             grow = gb.rows[r]
             for c in range(da):
-                row: dict[int, Scalar] = {}
-                for k, v in ga_cols.get(c, {}).items():
-                    key = idx.get((r, k))
-                    if key is not None:
-                        cur = row.get(key)
-                        row[key] = v if cur is None else cur + v
-                for k, v in grow.items():
-                    key = idx.get((k, c))
-                    if key is not None:
-                        cur = row.get(key)
-                        nv = -v if cur is None else cur - v
-                        row[key] = nv
-                row = {k: v for k, v in row.items() if not v.is_zero()}
+                # (X ga)[r, c] = sum_k X[r, k] ga[k, c]; (gb X)[r, c] = sum_k gb[r, k] X[k, c]
+                row = {idx[r, k]: v for k, v in ga_cols.get(c, {}).items() if (r, k) in idx}
+                add_scaled(row, {idx[k, c]: -v for k, v in grow.items() if (k, c) in idx})
                 if row:
                     constraints.add(row)
     return column_kernel(constraints.to_matrix())
@@ -461,10 +451,6 @@ def _is_invertible(m: Matrix) -> bool:
 
 def character(W) -> dict:
     """Weight multiplicity table of a quantum group module."""
-    weights = ModuleView(W).weights
-    if weights is None:
-        raise ValueError("character needs a weight-labelled module")
-    out: dict[tuple, int] = {}
-    for w in weights:
-        out[w] = out.get(w, 0) + 1
-    return out
+    if not isinstance(W, UqModule):
+        raise ValueError("character needs a U_q-module")
+    return {w: len(basis) for w, basis in weight_decomposition(W).items()}

@@ -97,7 +97,7 @@ class UqModule:
 
         Raises KeyError naming a missing generator (the loop generators and
         the t_r may only be absent as a whole), and ValueError when the
-        weights do not label every basis vector.
+        weights do not label every basis vector with a weight of length n.
         """
         def family(names):
             if not any(name in gens for name in names):
@@ -110,15 +110,19 @@ class UqModule:
         t = family([f"t{r}" for r in range(1, n + 2)])
         if weights is not None and len(weights) != dim:
             raise ValueError(f"{len(weights)} weights for a module of dimension {dim}")
+        if weights is not None and any(len(w) != n for w in weights):
+            raise ValueError(f"a weight is not of length n={n}")
         return UqModule(ctx, n, dim, *finite, weights=weights, t=t,
                         x0p=x0p, x0m=x0m, k0=k0, k0inv=k0inv)
 
     @staticmethod
     def from_json(ctx, data) -> "UqModule":
-        dim = int(data["dim"])
+        dim, n = int(data["dim"]), int(data["n"])
+        if n != ctx.n:
+            raise ValueError(f"n={n} does not match the rank {ctx.n}")
         weights = data.get("weights")
         return UqModule.from_generators(
-            ctx, int(data["n"]), dim, named_matrices(ctx, dim, data["generators"]),
+            ctx, n, dim, named_matrices(ctx, dim, data["generators"]),
             weights=None if weights is None else [tuple(w) for w in weights],
         )
 

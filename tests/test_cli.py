@@ -245,9 +245,15 @@ def _drop(name):
     ("F", _drop("x-0")),
     ("F", _drop("t2")),
     ("F", lambda d: d.update(weights=d["weights"][:-1])),
+    ("F", lambda d: d.update(weights=[w + [0] for w in d["weights"]])),
+    ("F", lambda d: d.update(n=1)),
+    ("F", lambda d: d.update(n=0)),
+    ("V_a", lambda d: d.update(ell=0)),
+    ("V_a", lambda d: d.update(dim=-1, generators={k: [] for k in d["generators"]})),
 ], ids=["bad-scalar", "scalar-not-a-string", "zero-denominator", "index-outside-dim",
      "missing-generator", "uq-missing-generator", "uq-partial-loop-generators",
-     "uq-partial-torus", "uq-short-weights"])
+     "uq-partial-torus", "uq-short-weights", "uq-weight-length", "uq-rank-mismatch",
+     "uq-rank-zero", "ell-zero", "negative-dim"])
 @pytest.mark.parametrize("command", ["relations", "isomorphic"])
 def test_malformed_descriptor_exits_2(tmp_path, capsys, part, edit, command):
     path = _descriptor(capsys, tmp_path, edit, part)

@@ -5,13 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from qschur.linalg import (
     Matrix,
+    add_scaled,
     column_kernel,
     intersect,
     left_kernel,
     rank,
     span,
-    vec_add,
-    vec_scale,
 )
 from qschur.scalars import ScalarContext
 
@@ -44,6 +43,15 @@ def test_kron_indexing(ctx):
     assert k.nrows == 6
     assert k.entry(0, 3).is_one()  # (0,0) x (0,0) block structure
     assert k.entry(1, 4).is_one()
+
+
+def test_add_scaled_stores_no_zero(ctx):
+    one, two, three = ctx.one, ctx.scalar(2), ctx.scalar(3)
+    acc = {0: one, 1: two}
+    assert add_scaled(acc, {0: one, 2: one}, -one) is acc
+    assert acc == {1: two, 2: -one}
+    assert add_scaled(acc, {1: one, 3: ctx.zero}) == {1: three, 2: -one}
+    assert add_scaled(acc, {1: one, 2: one}, ctx.zero) == {1: three, 2: -one}
 
 
 def test_apply_row_col(ctx):
@@ -180,7 +188,7 @@ def test_coset_kills_subspace_and_is_linear(case):
     U = span(ctx, _AMB, gens)
     for row in U.rows() + gens:
         assert U.coset(row) == {}
-    assert U.coset(vec_add(vec_scale(v, c), w)) == vec_add(vec_scale(U.coset(v), c), U.coset(w))
+    assert U.coset(add_scaled(dict(w), v, c)) == add_scaled(U.coset(w), U.coset(v), c)
     assert all(0 <= k < _AMB - U.dim for k in U.coset(v))
 
 
@@ -190,12 +198,12 @@ def test_coords_rebuild_vectors_of_the_span(case):
     ctx, _, gens, v, w, c = case
     U = span(ctx, _AMB, gens)
     rows = U.rows()
-    inside = vec_add(vec_scale(gens[0], c), w if U.contains(w) else {})
+    inside = add_scaled(dict(w) if U.contains(w) else {}, gens[0], c)
     coords = U.coords(inside)
     assert all(0 <= k < U.dim for k in coords)
     rebuilt = {}
     for k, x in coords.items():
-        rebuilt = vec_add(rebuilt, vec_scale(rows[k], x))
+        add_scaled(rebuilt, rows[k], x)
     assert rebuilt == inside
     # off the span: a free unit vector, and v whenever it is not in U
     assert U.coords({U.free_columns()[0]: ctx.one}) is None

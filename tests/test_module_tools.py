@@ -1,5 +1,6 @@
 import pytest
 
+from qschur import module_tools
 from qschur.affine_hecke import (
     RightModule,
     one_dimensional_affine_module,
@@ -60,10 +61,11 @@ def test_natural_rep_irreducible(ctx):
     assert cert["kind"] in ("norton", "density")
 
 
-def test_density_certificate_without_theta_budget():
-    # budget=0 skips every singular candidate, so only the density test remains
+def test_density_certificate_without_theta_budget(monkeypatch):
+    # no singular candidates at all, so only the density test remains
+    monkeypatch.setattr(module_tools, "IRR_MAX_CANDIDATES", 0)
     c = ScalarContext(2)
-    ok, cert = is_irreducible(natural_rep(c, 2), budget=0)
+    ok, cert = is_irreducible(natural_rep(c, 2))
     assert ok
     assert cert == {"kind": "density", "algebra_dim": 9}
 
@@ -273,6 +275,23 @@ def test_character_constant_on_iso_classes():
 
 def test_character_sums_to_dim(ctx, vv):
     assert sum(character(vv).values()) == vv.dim
+
+
+def test_character_without_stored_weights():
+    # the multiplicities come off the k diagonal when the labels are absent
+    c = ScalarContext(2)
+    W = functor_F(universal_module(c, (c.one, c.q_power(2))), 2)
+    data = W.to_json()
+    data["weights"] = None
+    bare = UqModule.from_json(c, data)
+    assert bare.weights is None
+    assert character(bare) == character(W)
+
+
+def test_character_needs_a_quantum_module():
+    c = ScalarContext(2)
+    with pytest.raises(ValueError):
+        character(universal_module(c, (c.one, c.q_power(2))))
 
 
 def test_character_of_trivial_module():

@@ -1,0 +1,28 @@
+"""The README's examples and lists agree with the package."""
+
+import ast
+import contextlib
+import io
+import re
+from pathlib import Path
+
+from qschur.checks import CHECKS
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_quick_start_prints_its_commented_output():
+    section = README.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    expected = [ast.literal_eval(line.split("#", 1)[1].strip())
+                for line in code.splitlines() if line.startswith("print(")]
+    assert expected, "the quick start shows no printed output"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README quick start", "exec"), {})
+    assert [ast.literal_eval(line) for line in out.getvalue().splitlines()] == expected
+
+
+def test_check_ids_list_the_registry():
+    listed = re.search(r"Check ids: (.*?), or `all`\.", README, re.S).group(1)
+    assert re.findall(r"`([^`]+)`", listed) == list(CHECKS)
