@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .linalg import Matrix, named_matrices
+from .linalg import Matrix, json_int, named_matrices
 from .scalars import Scalar, ScalarContext
 from .symgroup import (
     Perm,
@@ -272,18 +272,26 @@ class RightModule:
                         labels=None) -> "RightModule":
         """The module acting by ``gens``, a {name: Matrix} dict as generators() returns.
 
-        Raises KeyError naming a missing generator.
+        Raises KeyError naming a missing generator, and ValueError for a
+        name that ``kind`` and ``ell`` do not define or labels that do not
+        name every basis vector.
         """
         sigma = [gens[f"s{i}"] for i in range(1, ell)]
         y = y_inv = None
         if kind == "Hhat":
             y = [gens[f"y{j}"] for j in range(1, ell + 1)]
             y_inv = [gens[f"y{j}inv"] for j in range(1, ell + 1)]
-        return RightModule(ctx, kind, ell, dim, sigma, y, y_inv, labels=labels)
+        if labels is not None and (not isinstance(labels, list) or len(labels) != dim):
+            raise ValueError(f"labels must be a list of {dim}, one per basis vector")
+        mod = RightModule(ctx, kind, ell, dim, sigma, y, y_inv, labels=labels)
+        extra = sorted(set(gens) - set(mod.generators()))
+        if extra:
+            raise ValueError(f"generators {extra} are not defined for {kind} with ell={ell}")
+        return mod
 
     @staticmethod
     def from_json(ctx, data) -> "RightModule":
-        dim, ell = int(data["dim"]), int(data["ell"])
+        dim, ell = json_int(data["dim"], "dim"), json_int(data["ell"], "ell")
         if ell < 1:
             raise ValueError(f"ell must be >= 1, got {ell}")
         return RightModule.from_generators(

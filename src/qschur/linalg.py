@@ -10,8 +10,11 @@ on the right (v . M); left-module actions multiply column vectors (M . v).
 form, which makes subspace equality literal equality of the pivot rows.
 The same basis is the quotient V/U: the class of v has coordinates
 ``U.coset(v)``, the reduction of v read off on the free (non-pivot)
-columns, and ``U.descend(op)`` is the map an operator induces on V/U.  A
-vector of U has coordinates ``U.coords(v)`` in the pivot rows.
+columns, and ``U.descend(op)`` is the map an operator induces on V/U.  The
+quotient map itself is the matrix P = ``U.projection()`` (P v = coset(v)),
+so an operator carries U into U' exactly when PO u = 0 for every basis row
+u of U, with P the projection of U' and PO = P . op formed once.  A vector
+of U has coordinates ``U.coords(v)`` in the pivot rows.
 """
 
 from __future__ import annotations
@@ -50,6 +53,17 @@ def add_scaled(acc: dict, v: dict, c: Optional[Scalar] = None) -> dict:
 
 def vec_add(a: Vec, b: Vec) -> Vec:
     return add_scaled(dict(a), b)
+
+
+def json_int(x, what: str) -> int:
+    """x when it is a JSON integer; ValueError naming ``what`` otherwise.
+
+    Descriptor sizes, weights and matrix indices are read with this, so
+    1.5, "2" or true are refused instead of coerced.
+    """
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
 
 
 class Matrix:
@@ -180,12 +194,17 @@ class Matrix:
         return out
 
     def apply_col(self, v: Vec) -> Vec:
-        """M . v for a sparse column vector v."""
+        """M . v for a sparse column vector v.
+
+        Each dot product walks the shorter of the row and v; an exact sum
+        does not depend on the order of its terms.
+        """
         out: Vec = {}
         for i, r in enumerate(self.rows):
+            short, long_ = (r, v) if len(r) <= len(v) else (v, r)
             acc = None
-            for j, c in r.items():
-                x = v.get(j)
+            for j, c in short.items():
+                x = long_.get(j)
                 if x is not None:
                     acc = c * x if acc is None else acc + c * x
             if acc is not None and not acc.is_zero():
@@ -229,7 +248,7 @@ class Matrix:
 
         m = Matrix(ctx, nrows, ncols)
         for i, j, s in triplets:
-            i, j = int(i), int(j)
+            i, j = json_int(i, "a row index"), json_int(j, "a column index")
             if not (0 <= i < nrows and 0 <= j < ncols):
                 raise ValueError(f"entry ({i}, {j}) outside a {nrows}x{ncols} matrix")
             if not isinstance(s, str):
@@ -256,13 +275,14 @@ class SubspaceBasis:
     columns' unit vectors as its basis, in increasing column order.
     """
 
-    __slots__ = ("ctx", "ambient", "pivots", "_free_pos")
+    __slots__ = ("ctx", "ambient", "pivots", "_free_pos", "_projection")
 
     def __init__(self, ctx: ScalarContext, ambient: int):
         self.ctx = ctx
         self.ambient = ambient
         self.pivots: dict[int, Vec] = {}
         self._free_pos: Optional[dict] = None  # free column -> quotient index
+        self._projection: Optional[Matrix] = None
 
     @property
     def dim(self) -> int:
@@ -298,6 +318,7 @@ class SubspaceBasis:
                 self.pivots[p] = add_scaled(dict(row), v, -c)
         self.pivots[j] = v
         self._free_pos = None
+        self._projection = None
         return True
 
     def add_all(self, vectors: Iterable[Vec]) -> None:
@@ -314,12 +335,37 @@ class SubspaceBasis:
         piv = self.pivots
         return [j for j in range(self.ambient) if j not in piv]
 
-    def coset(self, v: Vec) -> Vec:
-        """Quotient coordinates of the class of v in ambient/subspace."""
+    def _positions(self) -> dict:
+        """Free column -> quotient index, cached until the next add."""
         if self._free_pos is None:
             self._free_pos = {c: k for k, c in enumerate(self.free_columns())}
-        pos = self._free_pos
+        return self._free_pos
+
+    def coset(self, v: Vec) -> Vec:
+        """Quotient coordinates of the class of v in ambient/subspace."""
+        pos = self._positions()
         return {pos[c]: x for c, x in self.reduce(v).items()}
+
+    def projection(self) -> Matrix:
+        """The quotient map P as a matrix: column c is coset(e_c), so P v = coset(v).
+
+        Read off the echelon form with negations only: the unit vector of a
+        free column is its own class, and for a pivot column c, e_c is
+        congruent to e_c - (pivot row c), which is minus that row's free
+        entries.
+        Cached until the next add; callers must not modify the result.
+        """
+        if self._projection is None:
+            pos = self._positions()
+            out = Matrix(self.ctx, len(pos), self.ambient)
+            for c, k in pos.items():
+                out.rows[k][c] = self.ctx.one
+            for c, row in self.pivots.items():
+                for j, x in row.items():
+                    if j != c:
+                        out.rows[pos[j]][c] = -x
+            self._projection = out
+        return self._projection
 
     def coords(self, v: Vec) -> Optional[Vec]:
         """Coordinates of v in the rows (sorted by pivot), or None off the span.
@@ -338,14 +384,16 @@ class SubspaceBasis:
         Column convention: op maps this ambient space to the target's, and
         the result maps quotient coordinates to quotient coordinates.  The
         target defaults to self.  With ``check``, raises ValueError unless op
-        carries this subspace into the target subspace; without it, that is
-        the caller's promise.
+        carries this subspace into the target subspace, that is unless
+        PO u = 0 for every basis row u, where PO = P . op and P is the
+        target's ``projection()`` (PO u = target.coset(op u)); without it,
+        that is the caller's promise.
         """
         target = self if target is None else target
         if check:
-            for row in self.rows():
-                if target.reduce(op.apply_col(row)):
-                    raise ValueError("operator does not carry the subspace into its target")
+            moved = target.projection() * op
+            if any(moved.apply_col(row) for row in self.pivots.values()):
+                raise ValueError("operator does not carry the subspace into its target")
         cols = op.transpose().rows
         out = Matrix(self.ctx, target.ambient - target.dim, self.ambient - self.dim)
         for k, c in enumerate(self.free_columns()):

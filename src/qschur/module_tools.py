@@ -113,18 +113,18 @@ def submodule(mod, basis: SubspaceBasis):
 def quotient(mod, basis: SubspaceBasis):
     """The quotient module ambient/subspace on the classes of the free unit vectors.
 
-    With P the matrix whose row c is basis.coset(e_c), rho(g) P =
-    P rho_quot(g) for a right module (transpose both sides for a UqModule).
-    Raises ValueError if the subspace is not stable.
+    With P the matrix whose row c is basis.coset(e_c) (the transpose of
+    basis.projection()), rho(g) P = P rho_quot(g) for a right module
+    (transpose both sides for a UqModule).  Each rho_quot(g) is
+    basis.descend of the column-convention rho(g).  Raises ValueError if
+    the subspace is not stable.
     """
     view = ModuleView(mod)
-    rows = basis.rows()
     free = basis.free_columns()
-    out = []
-    for m in view.mats:
-        if any(basis.reduce(m.apply_row(row)) for row in rows):
-            raise ValueError("subspace is not stable under the action")
-        out.append(Matrix(view.ctx, len(free), len(free), [basis.coset(m.rows[c]) for c in free]))
+    try:
+        out = [basis.descend(m.transpose(), check=True).transpose() for m in view.mats]
+    except ValueError:
+        raise ValueError("subspace is not stable under the action") from None
     return view.rebuild(out, len(free), free)
 
 

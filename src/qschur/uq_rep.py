@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .linalg import Matrix, SubspaceBasis, column_kernel, named_matrices
+from .linalg import Matrix, SubspaceBasis, column_kernel, json_int, named_matrices
 from .scalars import ScalarContext
 from .affine_hecke import RightModule
 
@@ -96,8 +96,9 @@ class UqModule:
         """The module acting by ``gens``, a {name: Matrix} dict as generators() returns.
 
         Raises KeyError naming a missing generator (the loop generators and
-        the t_r may only be absent as a whole), and ValueError when the
-        weights do not label every basis vector with a weight of length n.
+        the t_r may only be absent as a whole), and ValueError for a name
+        that rank n does not define or when the weights do not label every
+        basis vector with a weight of length n.
         """
         def family(names):
             if not any(name in gens for name in names):
@@ -112,18 +113,23 @@ class UqModule:
             raise ValueError(f"{len(weights)} weights for a module of dimension {dim}")
         if weights is not None and any(len(w) != n for w in weights):
             raise ValueError(f"a weight is not of length n={n}")
-        return UqModule(ctx, n, dim, *finite, weights=weights, t=t,
-                        x0p=x0p, x0m=x0m, k0=k0, k0inv=k0inv)
+        mod = UqModule(ctx, n, dim, *finite, weights=weights, t=t,
+                       x0p=x0p, x0m=x0m, k0=k0, k0inv=k0inv)
+        extra = sorted(set(gens) - set(mod.generators()))
+        if extra:
+            raise ValueError(f"generators {extra} are not defined at n={n}")
+        return mod
 
     @staticmethod
     def from_json(ctx, data) -> "UqModule":
-        dim, n = int(data["dim"]), int(data["n"])
+        dim, n = json_int(data["dim"], "dim"), json_int(data["n"], "n")
         if n != ctx.n:
             raise ValueError(f"n={n} does not match the rank {ctx.n}")
         weights = data.get("weights")
+        if weights is not None:
+            weights = [tuple(json_int(c, "a weight entry") for c in w) for w in weights]
         return UqModule.from_generators(
-            ctx, n, dim, named_matrices(ctx, dim, data["generators"]),
-            weights=None if weights is None else [tuple(w) for w in weights],
+            ctx, n, dim, named_matrices(ctx, dim, data["generators"]), weights=weights,
         )
 
 

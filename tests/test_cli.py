@@ -263,6 +263,40 @@ def test_malformed_descriptor_exits_2(tmp_path, capsys, part, edit, command):
     assert f"bad module descriptor in {path}" in err
 
 
+def _add_generator(name):
+    return lambda d: d["generators"].update({name: []})
+
+
+@pytest.mark.parametrize("part,edit,reason", [
+    ("V_a", lambda d: d.update(ell=1), "['s1', 'y2', 'y2inv'] are not defined"),
+    ("V_a", lambda d: d.update(algebra="H"), "are not defined for H"),
+    ("F", _add_generator("x+3"), "['x+3'] are not defined at n=2"),
+    ("F", _add_generator("t4"), "['t4'] are not defined at n=2"),
+    ("V_a", lambda d: d.update(dim=1.5), "dim must be an integer, got 1.5"),
+    ("V_a", lambda d: d.update(ell=2.0), "ell must be an integer, got 2.0"),
+    ("F", lambda d: d.update(dim="3"), "dim must be an integer, got '3'"),
+    ("F", lambda d: d.update(n=True), "n must be an integer, got True"),
+    ("F", lambda d: d.update(weights=[[str(c) for c in w] for w in d["weights"]]),
+     "a weight entry must be an integer"),
+    ("F", lambda d: d["weights"][0].__setitem__(0, 0.5), "a weight entry must be an integer"),
+    ("V_a", lambda d: d.update(labels=["a", "b"]), "labels must be a list of 1"),
+    ("V_a", lambda d: d.update(labels="a"), "labels must be a list of 1"),
+    ("V_a", _edit_generators(s1=[[0.9, 0, "-1"]]), "a row index must be an integer"),
+    ("F", _edit_generators(k0=[[0, "1", "1"]]), "a column index must be an integer"),
+], ids=["size-drops-generators", "finite-with-y", "uq-generator-beyond-n",
+     "uq-torus-beyond-n", "fractional-dim", "float-ell", "string-dim", "bool-n",
+     "string-weights", "fractional-weight", "labels-length", "labels-not-a-list",
+     "fractional-row-index", "string-column-index"])
+@pytest.mark.parametrize("command", ["relations", "isomorphic"])
+def test_descriptor_rules_exit_2(tmp_path, capsys, part, edit, reason, command):
+    path = _descriptor(capsys, tmp_path, edit, part)
+    files = ["--module-file", path] if command == "relations" else [path, path]
+    code, out, err = run(capsys, command, "--n", "2", *files)
+    assert code == 2
+    assert "PASS" not in out
+    assert f"bad module descriptor in {path}: " in err and reason in err
+
+
 def test_descriptor_failing_its_relations_reports(tmp_path, capsys):
     path = _descriptor(capsys, tmp_path, _edit_generators(y1inv=[[0, 0, "2"]]))
     code, out, _ = run(capsys, "relations", "--n", "2", "--module-file", path)

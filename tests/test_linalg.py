@@ -232,6 +232,63 @@ def test_descend_into_target_commutes_with_coset(case):
     assert target.coset(op.apply_col(v)) == down.apply_col(U.coset(v))
 
 
+@settings(max_examples=60, deadline=None)
+@given(_quotient_case())
+def test_apply_col_matches_apply_row_of_the_transpose(case):
+    _, op, gens, v, _, _ = case
+    for u in gens + [v]:
+        assert op.apply_col(u) == op.transpose().apply_row(u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_quotient_case())
+def test_projection_is_the_quotient_map(case):
+    ctx, _, gens, v, w, _ = case
+    U = span(ctx, _AMB, gens)
+    P = U.projection()
+    assert (P.nrows, P.ncols) == (_AMB - U.dim, _AMB)
+    for row in U.rows() + gens:
+        assert P.apply_col(row) == {}
+    for k, f in enumerate(U.free_columns()):
+        assert P.apply_col({f: ctx.one}) == {k: ctx.one}
+    for u in (v, w):
+        assert P.apply_col(u) == U.coset(u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_quotient_case())
+def test_projection_cache_resets_after_add(case):
+    ctx, _, gens, v, w, _ = case
+    U = span(ctx, _AMB, gens[:1])
+    P = U.projection()
+    assert U.projection() is P
+    for u in gens[1:] + [v]:
+        if U.add(u):
+            assert U.projection() is not P
+        P = U.projection()
+        assert (P.nrows, P.ncols) == (_AMB - U.dim, _AMB)
+        assert P.apply_col(u) == {} and P.apply_col(w) == U.coset(w)
+
+
+def _leaves_target(U, op, target):
+    """The row-by-row reference rule: some op u of a basis row u is not in target."""
+    return any(target.reduce(op.apply_col(u)) for u in U.rows())
+
+
+@settings(max_examples=80, deadline=None)
+@given(_quotient_case(), st.booleans())
+def test_descend_check_raises_exactly_when_a_row_leaves(case, stable):
+    ctx, op, gens, v, w, _ = case
+    U = _column_spin(ctx, op, gens) if stable else span(ctx, _AMB, gens)
+    images = [op.apply_col(row) for row in U.rows()]
+    for target in (None, span(ctx, _AMB, images[1:] + [w]), span(ctx, _AMB, images)):
+        if _leaves_target(U, op, U if target is None else target):
+            with pytest.raises(ValueError, match="does not carry the subspace"):
+                U.descend(op, target, check=True)
+        else:
+            assert U.descend(op, target, check=True) == U.descend(op, target)
+
+
 def test_descend_check_rejects_a_map_off_the_subspace(ctx):
     U = span(ctx, 3, [{0: ctx.one, 1: ctx.one}])
     swap = _m(ctx, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])  # e0 + e1 -> e0 + e2

@@ -167,6 +167,47 @@ def test_sub_and_quotient_refuse_an_unstable_subspace(ctx, vv):
         quotient(vv, basis)
 
 
+def _quotient_by_rows(mod, basis):
+    """The row-by-row quotient rule: None if some image of a basis row leaves
+    the subspace, else each generator's matrix on the free rows' classes."""
+    view = module_tools.ModuleView(mod)
+    free = basis.free_columns()
+    out = []
+    for m in view.mats:
+        if any(basis.reduce(m.apply_row(row)) for row in basis.rows()):
+            return None
+        out.append(Matrix(view.ctx, len(free), len(free), [basis.coset(m.rows[c]) for c in free]))
+    return out
+
+
+@pytest.fixture(scope="module")
+def quotient_cases(ctx, vv):
+    c = ctx
+    M = universal_module(c, [c.one, c.q_power(2)])
+    return {
+        "hecke-submodule": (M, proper_submodule(M)),
+        "uq-symmetric": (vv, spin_module(vv, {0: c.one})),
+        "uq-singular": (vv, spin_module(vv, {1: c.one, 2: -c.q_power(-1)})),
+        "hecke-unstable": (M, span(c, M.dim, [{0: c.one}])),
+        "uq-unstable": (vv, span(c, vv.dim, [{1: c.one}])),
+    }
+
+
+@pytest.mark.parametrize("name,stable", [
+    ("hecke-submodule", True), ("uq-symmetric", True), ("uq-singular", True),
+    ("hecke-unstable", False), ("uq-unstable", False)])
+def test_quotient_matches_the_row_by_row_rule(quotient_cases, name, stable):
+    mod, basis = quotient_cases[name]
+    want = _quotient_by_rows(mod, basis)
+    assert (want is not None) == stable
+    if want is None:
+        with pytest.raises(ValueError) as err:
+            quotient(mod, basis)
+        assert str(err.value) == "subspace is not stable under the action"
+    else:
+        assert module_tools.ModuleView(quotient(mod, basis)).mats == want
+
+
 def test_are_isomorphic_identity(ctx, vv):
     T = are_isomorphic(vv, vv)
     assert T is not None
