@@ -219,7 +219,7 @@ def check_prop_3_3(cfg: RunConfig) -> CheckResult:
             Z = zelevinsky_induce(M1, M2)
             dims_ok = Z.dim == M1.dim * M2.dim * comb(l1 + l2, l1)
             Zfin = _induced_by_quotient(M1.restrict_to_finite(), M2.restrict_to_finite())
-            T = are_isomorphic(Z.restrict_to_finite(), Zfin, seed=cfg.seed)
+            T = are_isomorphic(Z.restrict_to_finite(), Zfin)
             details.append(
                 (f"n={n} (l1,l2)=({l1},{l2})", dims_ok and T is not None,
                  f"dim={Z.dim}")
@@ -248,7 +248,7 @@ def check_prop_3_4c(cfg: RunConfig) -> CheckResult:
         ctx = cfg.context(n)
         for label, c, expect_reducible in _grid_points(ctx):
             M = universal_module(ctx, (ctx.one, c))
-            red, cert = is_irreducible(M, seed=cfg.seed)
+            red, cert = is_irreducible(M)
             got_reducible = not red
             details.append(
                 (f"n={n} a=(1,{label})", got_reducible == expect_reducible,
@@ -328,7 +328,7 @@ def check_prop_4_6(cfg: RunConfig) -> CheckResult:
             F2 = functor_F(M2, n, check_source=False)
             prod = tensor_affine_chain([F1, F2])
             dims_ok = FZ.dim == F1.dim * F2.dim
-            T = are_isomorphic(FZ, prod, seed=cfg.seed)
+            T = are_isomorphic(FZ, prod)
             details.append(
                 (f"n={n} a=({a1},{a2})", dims_ok and T is not None, f"dim={FZ.dim}")
             )
@@ -350,7 +350,7 @@ def check_prop_4_7(cfg: RunConfig) -> CheckResult:
             prod = tensor_affine_chain(
                 [evaluation_natural(ctx, n, a) for a in avec]
             )
-            T = are_isomorphic(W, prod, seed=cfg.seed)
+            T = are_isomorphic(W, prod)
             details.append(
                 (f"n={n} ell={ell}", dims_ok and T is not None,
                  f"dim J={img.module.dim}")
@@ -366,7 +366,7 @@ def check_cor_4_8b(cfg: RunConfig) -> CheckResult:
         for label, c, expect_reducible in _grid_points(ctx):
             M = universal_module(ctx, (ctx.one, c))
             W = functor_F(M, n, check_source=False)
-            red, cert = is_irreducible(W, seed=cfg.seed)
+            red, cert = is_irreducible(W)
             got_reducible = not red
             details.append(
                 (f"n={n} F(M_(1,{label}))", got_reducible == expect_reducible,
@@ -431,12 +431,12 @@ def check_prop_7_2(cfg: RunConfig) -> CheckResult:
         ctx = cfg.context(n)
         for ell in [e for e in cfg.ell_values if e <= n]:
             for parts in _partitions(ell):
-                Jpi = rogawski_quotient(ctx, parts, n, seed=cfg.seed)
+                Jpi = rogawski_quotient(ctx, parts, n)
                 img = jimbo_J(Jpi, n)
                 target = partition_weight(n, parts)
                 Vlam = _highest_weight_module(ctx, n, ell, target)
                 hw_ok = dominant_highest_weights(img.module) == {target: 1}
-                T = are_isomorphic(img.module, Vlam, seed=cfg.seed)
+                T = are_isomorphic(img.module, Vlam)
                 details.append(
                     (f"n={n} pi={parts}", hw_ok and T is not None,
                      f"dims {img.module.dim}/{Vlam.dim}")
@@ -536,7 +536,7 @@ def check_thm_7_6(cfg: RunConfig) -> CheckResult:
             if s.ell > n:
                 continue
             dp = drinfeld_polys(s, n)
-            vmod, _, ideal = irreducible_V_a(s, ctx, seed=cfg.seed)
+            vmod, _, ideal = irreducible_V_a(s, ctx)
             W = functor_F(vmod, n, check_source=False)
             hw = dominant_highest_weights(W)
             target = tuple(dp.degrees())
@@ -546,10 +546,10 @@ def check_thm_7_6(cfg: RunConfig) -> CheckResult:
             factors = []
             for seg in s.segments:
                 sub = make_segments(ctx, [(seg.center, seg.length)])
-                m1, _, _ = irreducible_V_a(sub, ctx, seed=cfg.seed)
+                m1, _, _ = irreducible_V_a(sub, ctx)
                 factors.append(functor_F(m1, n, check_source=False))
             prod = tensor_affine_chain(factors)
-            T = are_isomorphic(FI, prod, seed=cfg.seed)
+            T = are_isomorphic(FI, prod)
             ok = ok and (T is not None)
             details.append(
                 (f"n={n} {s!r}", ok, f"degrees={dp.degrees()} dimF={W.dim}")

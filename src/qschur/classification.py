@@ -287,7 +287,7 @@ def image_intersection_I_pi(s: SegmentList, ctx: ScalarContext) -> SubspaceBasis
 # ---------------------------------------------------------------------------
 
 
-def head_with_marked_vector(mod: RightModule, marked: dict, seed: int = 0):
+def head_with_marked_vector(mod: RightModule, marked: dict):
     """The irreducible quotient of a cyclic module along its marked generator.
 
     Repeatedly splits off proper submodules (which can never contain the
@@ -295,38 +295,35 @@ def head_with_marked_vector(mod: RightModule, marked: dict, seed: int = 0):
     returns (quotient module, image of the marked vector).
     """
     U = SubspaceBasis(mod.ctx, mod.dim)
-    step = 0
     while True:
         qmod = quotient(mod, U)
         qmarked = U.coset(marked)
         assert qmarked, "marked vector died in the quotient"
-        found = proper_submodule(qmod, seed=seed + step)
+        found = proper_submodule(qmod)
         if found is None:
             return qmod, qmarked
         # the preimage of a submodule of the quotient is again stable
         free = U.free_columns()
         for row in found.rows():
             U.add({free[c]: v for c, v in row.items()})
-        step += 1
 
 
-def irreducible_V_a(s: SegmentList, ctx: ScalarContext, seed: int = 0):
+def irreducible_V_a(s: SegmentList, ctx: ScalarContext):
     """The irreducible subquotient of M_a with nonzero image of C_{w_pi}.
 
     Returns (module, marked vector image, IdealImage).
     """
     ideal = ideal_I_pi(s, ctx)
-    mod, marked = head_with_marked_vector(ideal.module, ideal.marked, seed=seed)
+    mod, marked = head_with_marked_vector(ideal.module, ideal.marked)
     return mod, marked, ideal
 
 
-def composition_factors(mod: RightModule, seed: int = 0) -> list:
+def composition_factors(mod: RightModule) -> list:
     """All composition factors, as modules (recursive Meataxe splitting)."""
-    sub = proper_submodule(mod, seed=seed)
+    sub = proper_submodule(mod)
     if sub is None:
         return [mod]
-    return (composition_factors(submodule(mod, sub), seed)
-            + composition_factors(quotient(mod, sub), seed))
+    return composition_factors(submodule(mod, sub)) + composition_factors(quotient(mod, sub))
 
 
 def finite_ideal_module(ctx: ScalarContext, parts) -> tuple:
@@ -335,7 +332,7 @@ def finite_ideal_module(ctx: ScalarContext, parts) -> tuple:
     return _kl_ideal(hecke_regular_module(ctx, sum(parts)), parts)
 
 
-def rogawski_quotient(ctx: ScalarContext, parts, n: int, seed: int = 0) -> RightModule:
+def rogawski_quotient(ctx: ScalarContext, parts, n: int) -> RightModule:
     """The irreducible H_ell-constituent J_pi of I_pi.
 
     The finite Hecke algebra is semisimple, so I_pi splits and the marked
@@ -350,7 +347,7 @@ def rogawski_quotient(ctx: ScalarContext, parts, n: int, seed: int = 0) -> Right
     target = partition_weight(n, parts)
     sub, _, _ = finite_ideal_module(ctx, parts)
     matches = []
-    for factor in composition_factors(sub, seed=seed):
+    for factor in composition_factors(sub):
         img = jimbo_J(factor, n)
         if img.module.dim == 0:
             continue

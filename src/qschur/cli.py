@@ -11,7 +11,8 @@ Subcommands:
   isomorphic  test two module descriptor files for isomorphism
 
 Exit status: 0 when every requested check passes, 1 when a mathematical
-check fails, 2 on usage or parse errors.
+check fails or an irreducibility decision stays undecided, 2 on usage or
+parse errors.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .classification import (
     irreducible_V_a,
     parse_segments,
 )
-from .module_tools import are_isomorphic, character
+from .module_tools import Undecided, are_isomorphic, character
 from .scalars import ScalarContext
 from .uq_rep import UqModule
 
@@ -83,12 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=True, as_json=True):
-        """--backend on every command; --seed and --json where they are read."""
+    def common(sp, as_json=True):
+        """--backend on every command; --json where it is read."""
         sp.add_argument("--backend", type=_parse_backend, default=None,
                         help="symbolic (default) or rational:<t0>")
-        if seed:
-            sp.add_argument("--seed", type=int, default=0)
         if as_json:
             sp.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -109,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--force", action="store_true")
 
     sp = sub.add_parser("drinfeld", help="emit the Drinfeld polynomials")
-    single_rank(sp, seed=False)
+    single_rank(sp)
     sp.add_argument("--segments", required=True)
 
     sp = sub.add_parser("check", help="run a named identity check")
@@ -117,6 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ell", type=_int_list, default=[1, 2, 3],
                     help="module sizes, comma separated")
     common(sp)
+    sp.add_argument("--seed", type=int, default=0, help="draws the check parameters")
     sp.add_argument("check_id", choices=sorted(CHECKS) + ["all"])
     sp.add_argument("--segments", default=None)
 
@@ -206,7 +206,7 @@ def cmd_relations(args) -> int:
         return USAGE_ERROR
     if args.segments:
         segs = _segments_or_die(ctx, args.segments, n, args.force)
-        vmod, _, _ = irreducible_V_a(segs, ctx, seed=args.seed)
+        vmod, _, _ = irreducible_V_a(segs, ctx)
         W = functor_F(vmod, n)
     else:
         mod = _load_module(ctx, args.module_file)
@@ -232,7 +232,7 @@ def cmd_build(args) -> int:
     n = args.n
     ctx = _context(args, n)
     segs = _segments_or_die(ctx, args.segments, n, args.force)
-    vmod, _, _ = irreducible_V_a(segs, ctx, seed=args.seed)
+    vmod, _, _ = irreducible_V_a(segs, ctx)
     W = functor_F(vmod, n)
     out = {"n": n, "segments": args.segments, "V_a": vmod.to_json(), "F": W.to_json()}
     print(json.dumps(out, indent=2))
@@ -289,7 +289,7 @@ def cmd_character(args) -> int:
     n = args.n
     ctx = _context(args, n)
     segs = _segments_or_die(ctx, args.segments, n, args.force)
-    vmod, _, _ = irreducible_V_a(segs, ctx, seed=args.seed)
+    vmod, _, _ = irreducible_V_a(segs, ctx)
     W = functor_F(vmod, n)
     table = character(W)
     if args.json:
@@ -309,7 +309,7 @@ def cmd_isomorphic(args) -> int:
     A = _load_module(ctx, args.files[0])
     B = _load_module(ctx, args.files[1])
     try:
-        T = are_isomorphic(A, B, seed=args.seed)
+        T = are_isomorphic(A, B)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
@@ -337,6 +337,9 @@ def main(argv=None) -> int:
         code = COMMANDS[args.command](args)
     except SystemExit as e:
         return int(e.code) if e.code is not None else 0
+    except Undecided as e:
+        print(f"undecided: {e}", file=sys.stderr)
+        return CHECK_FAILED
     return code
 
 

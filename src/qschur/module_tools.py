@@ -3,9 +3,9 @@
 Submodule spinning, sub- and quotient modules on a stable subspace, a
 Meataxe-style irreducibility decision with checkable certificates,
 isomorphism testing by solving the intertwiner equations, and characters.
-Everything is deterministic given a seed: randomized choices come from an
-explicit random.Random, and every verdict is backed by a certificate that
-can be re-checked with plain linear algebra.
+Every decision depends only on its modules: the few sampled choices come
+from a random.Random(0) of the call's own, and every verdict is backed by a
+certificate that can be re-checked with plain linear algebra.
 
 Every algorithm reads a module through its ``ModuleView``, the one place
 that tells right Hecke modules from left U_q-modules.  The view transposes
@@ -16,6 +16,7 @@ right-action code path serves both species.
 from __future__ import annotations
 
 import random
+from itertools import chain, islice
 from typing import Optional
 
 from .affine_hecke import RightModule
@@ -145,27 +146,30 @@ def _word_sample(ctx, mats, rng, max_len=4):
     return z
 
 
+def _shifts(z, eye):
+    """z, then z minus each distinct diagonal entry: exact eigenvalues for the
+    diagonal k's and good guesses for triangular-ish actions."""
+    yield z
+    seen = []
+    for i in range(z.nrows):
+        c = z.rows[i].get(i)
+        if c is not None and all(not (c == d) for d in seen):
+            seen.append(c)
+            yield z - eye.scale(c)
+
+
 def _theta_candidates(ctx, mats, names, rng, rounds):
     """Singular-candidate stream.
 
     Hecke generators are shifted by their two known eigenvalues -1 and q^2
-    (forced by the quadratic relation); everything else is shifted by its
-    own diagonal entries, which are exact eigenvalues for the diagonal k's
-    and good guesses for triangular-ish actions.  Raw generators come first,
-    which catches the nilpotent raising/lowering operators immediately.
+    (forced by the quadratic relation); everything else by at most four of
+    its diagonal entries (``_shifts``).  Raw generators come first, which
+    catches the nilpotent raising/lowering operators immediately.
     """
-    dim = mats[0].nrows
-    eye = Matrix.identity(ctx, dim)
+    eye = Matrix.identity(ctx, mats[0].nrows)
 
     def shifted(z):
-        diag_vals = []
-        for i in range(dim):
-            c = z.rows[i].get(i)
-            if c is not None and all(not (c == d) for d in diag_vals):
-                diag_vals.append(c)
-        yield z
-        for c in diag_vals[:4]:
-            yield z - eye.scale(c)
+        return islice(_shifts(z, eye), 5)
 
     q2 = ctx.q_power(2)
     for name, m in zip(names, mats):
@@ -184,7 +188,23 @@ def _theta_candidates(ctx, mats, names, rng, rounds):
 IRR_MAX_CANDIDATES = 60  # singular candidates tried before the density fallback
 
 
-def _decide_irreducibility(view: ModuleView, seed):
+class Undecided(RuntimeError):
+    """Irreducibility was neither certified nor refuted."""
+
+
+def _kernel_split(ctx, dim, mats, theta):
+    """(left kernel of theta, ("reducible", v, spin of v) for the first kernel
+    vector v whose spin is proper, or None)."""
+    ker = left_kernel(theta)
+    if 0 < len(ker) < dim:
+        for v in ker:
+            sub = spin(ctx, dim, mats, [v])
+            if sub.dim < dim:
+                return ker, ("reducible", v, sub)
+    return ker, None
+
+
+def _decide_irreducibility(view: ModuleView):
     """("reducible", vector, SubspaceBasis) or ("irreducible", cert dict)."""
     ctx, dim, mats = view.ctx, view.dim, view.mats
     if dim == 0:
@@ -195,33 +215,19 @@ def _decide_irreducibility(view: ModuleView, seed):
         # no generators: every line is a submodule
         v = {0: ctx.one}
         return ("reducible", v, span(ctx, dim, [v]))
-    rng = random.Random(seed)
-    mats_t = None
-    tried = 0
-    for theta in _theta_candidates(ctx, mats, view.names, rng, rounds=IRR_MAX_CANDIDATES):
-        tried += 1
-        if tried > IRR_MAX_CANDIDATES:
-            break
-        ker = left_kernel(theta)
-        if not ker or len(ker) == dim:
-            continue
-        for v in ker:
-            sub = spin(ctx, dim, mats, [v])
-            if sub.dim < dim:
-                return ("reducible", v, sub)
+    thetas = _theta_candidates(ctx, mats, view.names, random.Random(0), IRR_MAX_CANDIDATES)
+    for theta in islice(thetas, IRR_MAX_CANDIDATES):
+        ker, split = _kernel_split(ctx, dim, mats, theta)
+        if split:
+            return split
         if len(ker) == 1:
-            if mats_t is None:
-                mats_t = [m.transpose() for m in mats]
             dker = left_kernel(theta.transpose())
             if len(dker) == 1:
-                u = dker[0]
-                dsub = spin(ctx, dim, mats_t, [u])
+                dsub = spin(ctx, dim, [m.transpose() for m in mats], [dker[0]])
                 if dsub.dim < dim:
                     # the annihilator of a dual submodule is a submodule
-                    comp = _annihilator(ctx, dim, dsub)
-                    gen = comp.rows()[0]
-                    full = spin(ctx, dim, mats, [gen])
-                    return ("reducible", gen, full)
+                    gen = _annihilator(ctx, dim, dsub).rows()[0]
+                    return ("reducible", gen, spin(ctx, dim, mats, [gen]))
                 return ("irreducible", {"kind": "norton", "nullity": 1})
     # density fallback: the unital algebra generated by the action matrices
     # flatten(z m) = flatten(z) (I (x) m), so spinning the flattened identity
@@ -230,51 +236,41 @@ def _decide_irreducibility(view: ModuleView, seed):
     alg = spin(ctx, dim * dim, [eye.kron(m) for m in mats], [_flatten(eye)])
     if alg.dim == dim * dim:
         return ("irreducible", {"kind": "density", "algebra_dim": alg.dim})
-    # algebra is proper: hunt for a submodule via kernels of algebra elements
-    for row in alg.rows():
-        theta = _unflatten(ctx, dim, row)
-        ker = left_kernel(theta)
-        if 0 < len(ker) < dim:
-            for v in ker:
-                sub = spin(ctx, dim, mats, [v])
-                if sub.dim < dim:
-                    return ("reducible", v, sub)
-    # kernels of centralizer elements are submodules outright
-    for z in _centralizer_elements(view):
-        for i in range(dim):
-            c = z.rows[i].get(i)
-            shift = z if c is None else z - Matrix.identity(ctx, dim).scale(c)
-            ker = left_kernel(shift)
-            if 0 < len(ker) < dim:
-                sub = spin(ctx, dim, mats, [ker[0]])
-                if sub.dim < dim:
-                    return ("reducible", ker[0], sub)
-    raise RuntimeError(
+    # algebra is proper: hunt kernels of algebra elements, then of shifted
+    # centralizer elements (whose kernels are submodules outright)
+    thetas = chain((_unflatten(ctx, dim, row) for row in alg.rows()),
+                   (s for z in _centralizer_elements(view) for s in _shifts(z, eye)))
+    for theta in thetas:
+        _, split = _kernel_split(ctx, dim, mats, theta)
+        if split:
+            return split
+    raise Undecided(
         f"irreducibility undecided after {IRR_MAX_CANDIDATES} singular candidates, "
-        "the density test and the centralizer; try another seed"
+        "the density test and the centralizer"
     )
 
 
 def _centralizer_elements(view: ModuleView):
-    """A basis of matrices commuting with the whole action."""
+    """A basis of matrices commuting with the whole action, solved when first drawn."""
     ctx, dim = view.ctx, view.dim
     idx = {(r, c): r * dim + c for r in range(dim) for c in range(dim)}
     pairs = [(m, m) for m in view.mats]
-    return [_unflatten(ctx, dim, kv)
-            for kv in _intertwiner_kernel(ctx, pairs, dim, dim, idx)]
+    for kv in _intertwiner_kernel(ctx, pairs, dim, dim, idx):
+        yield _unflatten(ctx, dim, kv)
 
 
-def is_irreducible(mod, seed: int = 0) -> tuple:
+def is_irreducible(mod) -> tuple:
     """Decide irreducibility; returns (bool, certificate dict).
 
     Reducible verdicts carry a generating vector of a proper submodule.
     Irreducible verdicts are certified either by a nullity-one Norton check
     (kernel vector and dual kernel vector both spin to everything) or by the
     action algebra spanning the full matrix algebra (density), both of which
-    are re-checkable by direct linear algebra.
+    are re-checkable by direct linear algebra.  Raises Undecided when
+    neither is found.
     """
     view = ModuleView(mod)
-    verdict = _decide_irreducibility(view, seed)
+    verdict = _decide_irreducibility(view)
     if verdict[0] == "irreducible":
         return True, verdict[1]
     _, v, sub = verdict
@@ -285,9 +281,9 @@ def is_irreducible(mod, seed: int = 0) -> tuple:
     }
 
 
-def proper_submodule(mod, seed: int = 0):
+def proper_submodule(mod):
     """A proper nonzero submodule as a SubspaceBasis, or None if irreducible."""
-    verdict = _decide_irreducibility(ModuleView(mod), seed)
+    verdict = _decide_irreducibility(ModuleView(mod))
     if verdict[0] == "irreducible":
         return None
     return verdict[2]
@@ -341,14 +337,17 @@ def verify_submodule_certificate(mod, cert) -> bool:
 ISO_MAX_TRIES = 24  # candidate intertwiners tried for invertibility
 
 
-def are_isomorphic(A, B, seed: int = 0) -> Optional[Matrix]:
+def are_isomorphic(A, B) -> Optional[Matrix]:
     """An invertible intertwiner between A and B, or None.
 
     For right modules the result T satisfies rho_A(g) T = T rho_B(g) (row
     convention); for left modules T rho_A(g) = rho_B(g) T (column
     convention), i.e. T carries A-coordinates to B-coordinates either way.
-    Invertibility of a candidate is certified by full rank, checked cheaply
-    at a specialization point first and symbolically as a fallback.
+    Up to ISO_MAX_TRIES candidates are tried: the Hom-space basis, then, if
+    it has two or more elements, small combinations drawn from
+    random.Random(0).  Invertibility is certified by full rank, checked
+    cheaply at a specialization point first and symbolically as a fallback.
+    None proves non-isomorphism when the Hom space is at most a line.
     """
     va, vb = ModuleView(A), ModuleView(B)
     if va.signature != vb.signature:
@@ -380,25 +379,22 @@ def are_isomorphic(A, B, seed: int = 0) -> Optional[Matrix]:
             x.add_to_entry(r, cc, c)
         return x
 
-    rng = random.Random(seed)
-    candidates = list(sols)
-    tries = 0
-    while tries < ISO_MAX_TRIES:
-        if tries < len(candidates):
-            coords = candidates[tries]
-        else:
+    def candidates():
+        yield from sols
+        if len(sols) == 1:
+            return  # multiples of a singular matrix are singular
+        rng = random.Random(0)
+        while True:
             coords = {}
             for s in sols:
                 w = rng.randint(-3, 3)
                 if w:
                     add_scaled(coords, s, ctx.scalar(w))
-            if not coords:
-                tries += 1
-                continue
-        x = assemble(coords)
-        if _is_invertible(x):
+            yield coords
+
+    for coords in islice(candidates(), ISO_MAX_TRIES):
+        if coords and _is_invertible(x := assemble(coords)):
             return va.native(x.transpose())
-        tries += 1
     return None
 
 

@@ -233,6 +233,21 @@ def test_induction_by_quotient_tells_sources_apart(ctx):
     assert are_isomorphic(_induced_by_quotient(sign, triv), Z) is None
 
 
+def test_a_lone_hom_solution_is_tried_once(ctx, monkeypatch):
+    # the Hom space of the sign-type and trivial-type inductions is a line;
+    # its multiples are as singular as its basis matrix
+    from qschur import module_tools
+
+    calls = []
+    invertible = module_tools._is_invertible
+    monkeypatch.setattr(module_tools, "_is_invertible",
+                        lambda m: calls.append(m) or invertible(m))
+    sign, triv = (one_dimensional_module(ctx, 2, v) for v in (ctx.scalar(-1), ctx.q_power(2)))
+    Z = zelevinsky_induce_finite(triv, triv)
+    assert are_isomorphic(_induced_by_quotient(sign, triv), Z) is None
+    assert len(calls) == 1
+
+
 def test_induction_associative_up_to_isomorphism(ctx):
     mods = [
         one_dimensional_affine_module(ctx, [ctx.one]),

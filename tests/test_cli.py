@@ -101,6 +101,10 @@ def test_single_rank_command_refuses_a_rank_list(capsys, argv):
     ["relations", "--ell", "2", "--segments", "1@0:1"],
     ["drinfeld", "--seed", "1", "--segments", "1@0:1"],
     ["build", "--json", "--segments", "1@0:1"],
+    ["relations", "--seed", "1", "--segments", "1@0:1"],
+    ["build", "--seed", "1", "--segments", "1@0:1"],
+    ["character", "--seed", "1", "--segments", "1@0:1"],
+    ["isomorphic", "--seed", "1", "a.json", "b.json"],
 ])
 def test_flags_a_command_never_reads_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -346,4 +350,18 @@ def test_oversized_segment_list_refused_even_when_forced(capsys, monkeypatch):
     code, out, err = run(capsys, "relations", "--n", "2", "--segments", "1@0:9", "--force")
     assert code == 2
     assert "segment list too large" in err and "Traceback" not in err
+    assert out == ""
+
+
+def test_undecided_irreducibility_exits_1_without_traceback(capsys, monkeypatch):
+    import qschur.cli as cli
+    from qschur.module_tools import Undecided
+
+    def undecided(*args, **kwargs):
+        raise Undecided("irreducibility undecided after 60 singular candidates")
+
+    monkeypatch.setattr(cli, "irreducible_V_a", undecided)
+    code, out, err = run(capsys, "relations", "--n", "2", "--segments", "1@0:2")
+    assert code == 1
+    assert err == "undecided: irreducibility undecided after 60 singular candidates\n"
     assert out == ""

@@ -87,6 +87,22 @@ def test_scalar_action_reaches_centralizer_kernel():
     assert verify_submodule_certificate(M, cert)
 
 
+def test_sampled_words_split_a_module_no_diagonal_entry_splits():
+    # y = [[2,1],[1,2]] has eigenvalues 1 and 3 but diagonal entries 2, and
+    # its action algebra and centralizer hold no singular basis element, so
+    # only a sampled word in y and y^-1 finds the eigenlines
+    c = ScalarContext(1)
+    two, one, third = c.scalar(2), c.one, c.scalar(3).inverse()
+    y = Matrix(c, 2, 2, [{0: two, 1: one}, {0: one, 1: two}])
+    y_inv = Matrix(c, 2, 2, [{0: two * third, 1: -third}, {0: -third, 1: two * third}])
+    assert y * y_inv == Matrix.identity(c, 2)
+    M = RightModule(c, "Hhat", 1, 2, [], [y], [y_inv])
+    ok, cert = is_irreducible(M)
+    assert not ok
+    assert verify_submodule_certificate(M, cert)
+    assert is_irreducible(M) == (ok, cert)
+
+
 def test_tensor_square_reducible(ctx, vv):
     ok, cert = is_irreducible(vv)
     assert not ok

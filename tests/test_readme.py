@@ -1,5 +1,6 @@
 """The README's examples and lists agree with the package."""
 
+import argparse
 import ast
 import contextlib
 import io
@@ -7,6 +8,7 @@ import re
 from pathlib import Path
 
 from qschur.checks import CHECKS
+from qschur.cli import build_parser
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -26,3 +28,11 @@ def test_quick_start_prints_its_commented_output():
 def test_check_ids_list_the_registry():
     listed = re.search(r"Check ids: (.*?), or `all`\.", README, re.S).group(1)
     assert re.findall(r"`([^`]+)`", listed) == list(CHECKS)
+
+
+def test_seed_is_taken_by_the_commands_the_readme_names():
+    said = re.search(r"Only (.*?) takes? `--seed`", README, re.S).group(1)
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    taking = [name for name, sp in commands.items() if "--seed" in sp._option_string_actions]
+    assert re.findall(r"`([^`]+)`", said) == taking
