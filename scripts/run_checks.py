@@ -7,7 +7,8 @@ This is the batch driver used for CI-style runs:
     python scripts/run_checks.py --backend 5/3   # specialized backend
     python scripts/run_checks.py --n 2 --ell 1,2 # smaller sweep
 
-Exit status 0 iff every check passes.
+Exit status 0 iff every check passes.  A check whose irreducibility
+decision stays undecided prints one UNDECIDED line and the sweep goes on.
 """
 
 import argparse
@@ -16,6 +17,7 @@ import time
 
 from qschur.checks import CHECKS, RunConfig, run_check
 from qschur.cli import _int_list, _parse_backend
+from qschur.module_tools import Undecided
 
 
 def _backend(text: str):
@@ -58,7 +60,12 @@ def main() -> int:
     all_ok = True
     total = time.time()
     for cid in ids:
-        r = run_check(cid, cfg)
+        try:
+            r = run_check(cid, cfg)
+        except Undecided as e:
+            all_ok = False
+            print(f"UNDECIDED {cid}: {e}")
+            continue
         all_ok = all_ok and r.passed
         print(f"{cid:<12} {'PASS' if r.passed else 'FAIL':<6} "
               f"{len(r.details):>5} {r.seconds:>7.2f}s")

@@ -3,9 +3,13 @@
 Submodule spinning, sub- and quotient modules on a stable subspace, a
 Meataxe-style irreducibility decision with checkable certificates,
 isomorphism testing by solving the intertwiner equations, and characters.
-Every decision depends only on its modules: the few sampled choices come
-from a random.Random(0) of the call's own, and every verdict is backed by a
-certificate that can be re-checked with plain linear algebra.
+The irreducibility decision tries the weight line first: a basis line that
+no other basis vector shares under the diagonal action matrices (the k_i
+of a U_q-module) is the kernel of an element of the action algebra, so
+Norton's test on it decides without a guess.  Every decision depends only
+on its modules: the few sampled choices come from a random.Random(0) of
+the call's own, and every verdict is backed by a certificate that can be
+re-checked with plain linear algebra.
 
 Every algorithm reads a module through its ``ModuleView``, the one place
 that tells right Hecke modules from left U_q-modules.  The view transposes
@@ -16,7 +20,7 @@ right-action code path serves both species.
 from __future__ import annotations
 
 import random
-from itertools import chain, islice
+from itertools import islice
 from typing import Optional
 
 from .affine_hecke import RightModule
@@ -147,8 +151,8 @@ def _word_sample(ctx, mats, rng, max_len=4):
 
 
 def _shifts(z, eye):
-    """z, then z minus each distinct diagonal entry: exact eigenvalues for the
-    diagonal k's and good guesses for triangular-ish actions."""
+    """z, then z minus each distinct diagonal entry: exact eigenvalues for
+    diagonal matrices and good guesses for triangular-ish ones."""
     yield z
     seen = []
     for i in range(z.nrows):
@@ -158,31 +162,32 @@ def _shifts(z, eye):
             yield z - eye.scale(c)
 
 
-def _theta_candidates(ctx, mats, names, rng, rounds):
-    """Singular-candidate stream.
+def _theta_candidates(ctx, mats, names, rng):
+    """Singular-candidate stream, the weight line first.
 
-    Hecke generators are shifted by their two known eigenvalues -1 and q^2
-    (forced by the quadratic relation); everything else by at most four of
-    its diagonal entries (``_shifts``).  Raw generators come first, which
-    catches the nilpotent raising/lowering operators immediately.
+    The weight line is the first basis line whose entries under the
+    diagonal action matrices (the k_i and t_r of a U_q-module) no other
+    basis vector shares.  The projector P onto it is a polynomial in those
+    matrices, so theta = 1 - P lies in the action algebra, its kernel is the
+    line, and Norton's test on it decides irreducibility outright.  Then the
+    Hecke generators shifted by their eigenvalues -1 and q^2 (the quadratic
+    relation), then sampled words and at most four diagonal shifts of each.
     """
     eye = Matrix.identity(ctx, mats[0].nrows)
-
-    def shifted(z):
-        return islice(_shifts(z, eye), 5)
-
+    diagonal = [m for m in mats if all(r.keys() <= {i} for i, r in enumerate(m.rows))]
+    weights = [tuple(m.entry(i, i) for m in diagonal) for i in range(eye.nrows)]
+    line = next((i for i, w in enumerate(weights) if weights.count(w) == 1), None)
+    if line is not None:
+        theta = eye.copy()
+        theta.set_entry(line, line, ctx.zero)
+        yield theta
     q2 = ctx.q_power(2)
     for name, m in zip(names, mats):
         if name.startswith("s"):
             yield m + eye
             yield m - eye.scale(q2)
-    for m in mats:
-        yield from shifted(m)
-    for a in mats:
-        for b in mats:
-            yield from shifted(a * b)
-    for _ in range(rounds):
-        yield from shifted(_word_sample(ctx, mats, rng))
+    while True:
+        yield from islice(_shifts(_word_sample(ctx, mats, rng), eye), 5)
 
 
 IRR_MAX_CANDIDATES = 60  # singular candidates tried before the density fallback
@@ -215,7 +220,7 @@ def _decide_irreducibility(view: ModuleView):
         # no generators: every line is a submodule
         v = {0: ctx.one}
         return ("reducible", v, span(ctx, dim, [v]))
-    thetas = _theta_candidates(ctx, mats, view.names, random.Random(0), IRR_MAX_CANDIDATES)
+    thetas = _theta_candidates(ctx, mats, view.names, random.Random(0))
     for theta in islice(thetas, IRR_MAX_CANDIDATES):
         ker, split = _kernel_split(ctx, dim, mats, theta)
         if split:
@@ -236,14 +241,13 @@ def _decide_irreducibility(view: ModuleView):
     alg = spin(ctx, dim * dim, [eye.kron(m) for m in mats], [_flatten(eye)])
     if alg.dim == dim * dim:
         return ("irreducible", {"kind": "density", "algebra_dim": alg.dim})
-    # algebra is proper: hunt kernels of algebra elements, then of shifted
-    # centralizer elements (whose kernels are submodules outright)
-    thetas = chain((_unflatten(ctx, dim, row) for row in alg.rows()),
-                   (s for z in _centralizer_elements(view) for s in _shifts(z, eye)))
-    for theta in thetas:
-        _, split = _kernel_split(ctx, dim, mats, theta)
-        if split:
-            return split
+    # the algebra is proper: the kernel of a shifted centralizer element is
+    # a submodule outright
+    for z in _centralizer_elements(view):
+        for theta in _shifts(z, eye):
+            _, split = _kernel_split(ctx, dim, mats, theta)
+            if split:
+                return split
     raise Undecided(
         f"irreducibility undecided after {IRR_MAX_CANDIDATES} singular candidates, "
         "the density test and the centralizer"

@@ -423,26 +423,3 @@ def highest_weight_vectors(W: UqModule) -> dict:
 def dominant_highest_weights(W: UqModule) -> dict:
     """weight -> multiplicity of highest weight vectors (socle-of-x+ count)."""
     return {w: len(v) for w, v in highest_weight_vectors(W).items()}
-
-
-@dataclass
-class WeightReport:
-    """Weight decomposition, highest weight vectors, and levels in one bundle."""
-
-    decomposition: dict   # weight -> basis indices
-    highest: dict         # weight -> list of highest weight vectors
-    levels: dict          # highest weight -> sum of i * weight(i)
-
-    @property
-    def dim(self) -> int:
-        return sum(len(v) for v in self.decomposition.values())
-
-
-def weight_tools(W: UqModule) -> WeightReport:
-    """One-stop weight analysis of a module with diagonal torus action."""
-    hw = highest_weight_vectors(W)
-    return WeightReport(
-        decomposition=weight_decomposition(W),
-        highest=hw,
-        levels={w: weight_level(w) for w in hw},
-    )

@@ -326,6 +326,36 @@ def test_run_checks_rejects_bad_input(argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_run_checks_reports_an_undecided_check_and_goes_on(capsys, monkeypatch):
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    from qschur.checks import CheckResult
+    from qschur.module_tools import Undecided
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_checks.py"
+    spec = importlib.util.spec_from_file_location("run_checks", path)
+    run_checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_checks)
+
+    def run_check(cid, cfg):
+        if cid == "prop-7.2":
+            raise Undecided("irreducibility undecided after 60 singular candidates")
+        return CheckResult(cid, True, [("case", True, "")])
+
+    monkeypatch.setattr(run_checks, "run_check", run_check)
+    monkeypatch.setattr(sys, "argv", ["run_checks.py", "--only", "prop-4.6,prop-7.2,thm-7.6"])
+    assert run_checks.main() == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    lines = out.splitlines()
+    assert "UNDECIDED prop-7.2: irreducibility undecided after 60 singular candidates" in lines
+    for cid in ("prop-4.6", "thm-7.6"):
+        assert any(line.split()[:2] == [cid, "PASS"] for line in lines)
+    assert lines[-1].startswith("SOME FAILED")
+
+
 def test_check_runs_every_requested_rank(capsys):
     code, out, _ = run(capsys, "check", "prop-4.6", "--n", "3,4", "--json")
     assert code == 0

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from qschur import module_tools
@@ -9,6 +11,12 @@ from qschur.affine_hecke import (
     zelevinsky_induce,
 )
 from qschur.affinization import evaluation_natural, functor_F, tensor_affine_chain
+from qschur.classification import (
+    composition_factors,
+    finite_ideal_module,
+    irreducible_V_a,
+    parse_segments,
+)
 from qschur.linalg import Matrix, rank, span
 from qschur.module_tools import (
     are_isomorphic,
@@ -101,6 +109,37 @@ def test_sampled_words_split_a_module_no_diagonal_entry_splits():
     assert not ok
     assert verify_submodule_certificate(M, cert)
     assert is_irreducible(M) == (ok, cert)
+
+
+def test_weight_line_is_read_from_the_matrices():
+    # an l = 1 module of Hhat: no sigma, and y = diag(2, 3) has two lines of
+    # distinct eigenvalue, so the first one is a submodule
+    c = ScalarContext(1)
+    two, three = c.scalar(2), c.scalar(3)
+    M = RightModule(c, "Hhat", 1, 2, [], [Matrix.diagonal(c, [two, three])],
+                    [Matrix.diagonal(c, [two.inverse(), three.inverse()])])
+    ok, cert = is_irreducible(M)
+    assert not ok
+    assert cert["submodule_dim"] == 1
+    assert verify_submodule_certificate(M, cert)
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)])
+def test_kl_ideal_22_splits_into_irreducibles(t0):
+    # I_(2,2) in H_4 has dimension 6 = 4!/(2!2!); by Young's rule its
+    # composition factors have dimensions 1, 3 and 2
+    ctx = ScalarContext(3, t0=t0)
+    sub, _, _ = finite_ideal_module(ctx, (2, 2))
+    factors = composition_factors(sub)
+    assert sorted(f.dim for f in factors) == [1, 2, 3]
+    assert all(is_irreducible(f)[0] for f in factors)
+
+
+def test_functor_image_is_certified_by_a_weight_line():
+    ctx = ScalarContext(3)
+    vmod, _, _ = irreducible_V_a(parse_segments(ctx, "1@0:2,3@0:1"), ctx)
+    W = functor_F(vmod, 3)
+    assert is_irreducible(W) == (True, {"kind": "norton", "nullity": 1})
 
 
 def test_tensor_square_reducible(ctx, vv):

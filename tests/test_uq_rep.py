@@ -297,10 +297,8 @@ def test_distinct_tensor_basis_vector_generates_everything(ctx2):
 
 
 def test_weight_tools_bundle(ctx1):
-    from qschur.uq_rep import weight_tools
-
     T = tensor_rep(natural_rep(ctx1, 1), 2)
-    report = weight_tools(T)
-    assert report.dim == T.dim
-    assert set(report.highest) == {(2,), (0,)}
-    assert report.levels == {(2,): 2, (0,): 0}
+    highest = highest_weight_vectors(T)
+    assert sum(len(v) for v in weight_decomposition(T).values()) == T.dim
+    assert set(highest) == {(2,), (0,)}
+    assert {w: weight_level(w) for w in highest} == {(2,): 2, (0,): 0}
