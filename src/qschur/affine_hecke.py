@@ -119,9 +119,6 @@ class AffHeckeElt(_SigmaBasisElt):
                 cur = cur.times_y(j, bj)
         return cur._times_sigma_word(v)
 
-    def coeff(self, alpha, w: Perm) -> Scalar:
-        return self.terms.get((tuple(alpha), w), self.ctx.zero)
-
     def __repr__(self):
         if not self.terms:
             return "0"

@@ -227,9 +227,6 @@ def check_prop_3_3(cfg: RunConfig) -> CheckResult:
     return _package("prop-3.3", details)
 
 
-REDUCIBLE_GRID_EXPONENTS = {2, -2}  # c = q^2 and c = q^-2 are the reducible points
-
-
 def _grid_points(ctx):
     return [
         ("1", ctx.one, False),
@@ -431,7 +428,7 @@ def check_prop_7_2(cfg: RunConfig) -> CheckResult:
         ctx = cfg.context(n)
         for ell in [e for e in cfg.ell_values if e <= n]:
             for parts in _partitions(ell):
-                Jpi = rogawski_quotient(ctx, parts, n)
+                Jpi = rogawski_quotient(ctx, parts)
                 img = jimbo_J(Jpi, n)
                 target = partition_weight(n, parts)
                 Vlam = _highest_weight_module(ctx, n, ell, target)

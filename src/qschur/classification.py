@@ -9,6 +9,9 @@ submodule I_pi of the universal module.  The irreducible subquotient with
 nonzero marked vector is carved out constructively by repeated Meataxe
 splitting, and the n-tuple of Drinfeld polynomials of its affinization is
 the product formula P_i(u) = prod over segments of length i of (u - a_j^{-1}).
+At finite level, Rogawski's constituent J_pi of I_pi inside H_ell is the
+spin of the one line I_pi * x_{pi'}, with x_{pi'} the sum of sigma_w over
+the parabolic subgroup of the conjugate partition.
 
 Centers are restricted to Laurent monomials c * q^{e/2} so that all segment
 arithmetic stays inside the exact field.
@@ -26,15 +29,8 @@ from .hecke import HeckeElt, kl_parabolic_element
 from .linalg import Matrix, SubspaceBasis, intersect, row_space, span
 from .module_tools import proper_submodule, quotient, spin_module, submodule
 from .scalars import Scalar, ScalarContext
-from .symgroup import all_perms, block_boundaries, check_partition
-from .uq_rep import (
-    UqModule,
-    dominant_highest_weights,
-    fundamental_weight,
-    highest_weight_vectors,
-    jimbo_J,
-    partition_weight,
-)
+from .symgroup import all_perms, block_boundaries, check_partition, elements_of_parabolic
+from .uq_rep import UqModule, fundamental_weight, highest_weight_vectors
 
 
 class SegmentSpecError(ValueError):
@@ -318,47 +314,31 @@ def irreducible_V_a(s: SegmentList, ctx: ScalarContext):
     return mod, marked, ideal
 
 
-def composition_factors(mod: RightModule) -> list:
-    """All composition factors, as modules (recursive Meataxe splitting)."""
-    sub = proper_submodule(mod)
-    if sub is None:
-        return [mod]
-    return composition_factors(submodule(mod, sub)) + composition_factors(quotient(mod, sub))
-
-
 def finite_ideal_module(ctx: ScalarContext, parts) -> tuple:
     """I_pi inside the right regular representation of H_ell."""
     parts = check_partition(parts)
     return _kl_ideal(hecke_regular_module(ctx, sum(parts)), parts)
 
 
-def rogawski_quotient(ctx: ScalarContext, parts, n: int) -> RightModule:
-    """The irreducible H_ell-constituent J_pi of I_pi.
+def rogawski_quotient(ctx: ScalarContext, parts) -> RightModule:
+    """Rogawski's constituent J_pi of I_pi: the spin of I_pi * x_{pi'}.
 
-    The finite Hecke algebra is semisimple, so I_pi splits and the marked
-    vector alone cannot single out a factor; the factor is pinned down as
-    the one whose Jimbo image has highest weight lambda_{l_1} + ... +
-    lambda_{l_p} with multiplicity one (needs n >= ell).
+    x_mu is the sum of sigma_w over the parabolic S_mu, so x_mu sigma_i =
+    q^2 x_mu there; R_i acts by q^2 on v_r (x) v_r, so the mu-weight space
+    of Jimbo's J(M) has dimension rank rho_M(x_mu).  J_pi is the constituent
+    that J sends to V(lambda_pi), whose weight has content mu = pi', the
+    conjugate partition.  By Kostka triangularity every other constituent
+    of I_pi has a strictly lower Jimbo highest weight, so x_{pi'} kills it:
+    I_pi * x_{pi'} is one line inside J_pi, and J_pi is its spin.
     """
     parts = check_partition(parts)
-    ell = sum(parts)
-    if n < ell:
-        raise ValueError("pinning the factor needs n >= ell")
-    target = partition_weight(n, parts)
+    conj = tuple(sum(1 for p in parts if p >= r) for r in range(1, max(parts) + 1))
     sub, _, _ = finite_ideal_module(ctx, parts)
-    matches = []
-    for factor in composition_factors(sub):
-        img = jimbo_J(factor, n)
-        if img.module.dim == 0:
-            continue
-        hw = dominant_highest_weights(img.module)
-        if hw == {target: 1}:
-            matches.append(factor)
-    if len(matches) != 1:
-        raise RuntimeError(
-            f"expected a unique factor with highest weight {target}, got {len(matches)}"
-        )
-    return matches[0]
+    x = HeckeElt(ctx, sum(parts), {w: ctx.one for w in elements_of_parabolic(conj)})
+    image = row_space(sub.act_elt(x))
+    if image.dim != 1:
+        raise RuntimeError(f"expected I_pi * x_{conj} to be a line, got dimension {image.dim}")
+    return submodule(sub, spin_module(sub, image.rows()[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ Subcommands:
   isomorphic  test two module descriptor files for isomorphism
 
 Exit status: 0 when every requested check passes, 1 when a mathematical
-check fails or an irreducibility decision stays undecided, 2 on usage or
-parse errors.
+check fails or an irreducibility decision or intertwiner search stays
+undecided, 2 on usage or parse errors.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 # Largest Jimbo ambient dimension ell! * (n+1)^ell a segment list may need.
-# Building V_a for three generic singletons takes minutes at 384 (n = 3) and
-# 750 (n = 4) on a 2-core x86-64 host; 1944 (n = 2, four singletons) does
-# not finish in 15 minutes.  Larger lists are refused, --force or not.
+# `build` for three generic singletons (2@0:1,3@0:1,5@0:1) takes 1.4 s at
+# 384 (n = 3) and 2.2 s at 750 (n = 4) on a 2-core x86-64 host; V_a and F
+# for four generic singletons at 1944 (n = 2) take 77 s.  Larger lists are
+# refused, --force or not.
 MAX_JIMBO_AMBIENT = 1000
 
 

@@ -164,9 +164,6 @@ class HeckeElt(_SigmaBasisElt):
     def sigma(ctx, ell, i) -> "HeckeElt":
         return HeckeElt.basis(ctx, Perm.transposition(ell, i))
 
-    def coeff(self, w: Perm) -> Scalar:
-        return self.terms.get(w, self.ctx.zero)
-
     def support(self) -> set:
         return set(self.terms)
 

@@ -194,7 +194,7 @@ IRR_MAX_CANDIDATES = 60  # singular candidates tried before the density fallback
 
 
 class Undecided(RuntimeError):
-    """Irreducibility was neither certified nor refuted."""
+    """A decision ran out of candidates with neither a proof nor a refutation."""
 
 
 def _kernel_split(ctx, dim, mats, theta):
@@ -342,7 +342,7 @@ ISO_MAX_TRIES = 24  # candidate intertwiners tried for invertibility
 
 
 def are_isomorphic(A, B) -> Optional[Matrix]:
-    """An invertible intertwiner between A and B, or None.
+    """An invertible intertwiner between A and B, or None if there is none.
 
     For right modules the result T satisfies rho_A(g) T = T rho_B(g) (row
     convention); for left modules T rho_A(g) = rho_B(g) T (column
@@ -351,7 +351,9 @@ def are_isomorphic(A, B) -> Optional[Matrix]:
     it has two or more elements, small combinations drawn from
     random.Random(0).  Invertibility is certified by full rank, checked
     cheaply at a specialization point first and symbolically as a fallback.
-    None proves non-isomorphism when the Hom space is at most a line.
+    None is proven: the dimensions or weights differ, the Hom space is zero,
+    or it is the line of one singular map.  A search that runs out of
+    candidates raises Undecided.
     """
     va, vb = ModuleView(A), ModuleView(B)
     if va.signature != vb.signature:
@@ -399,7 +401,12 @@ def are_isomorphic(A, B) -> Optional[Matrix]:
     for coords in islice(candidates(), ISO_MAX_TRIES):
         if coords and _is_invertible(x := assemble(coords)):
             return va.native(x.transpose())
-    return None
+    if len(sols) == 1:
+        return None
+    raise Undecided(
+        f"no invertible intertwiner among {ISO_MAX_TRIES} candidates "
+        f"in a Hom space of dimension {len(sols)}"
+    )
 
 
 def _intertwiner_kernel(ctx, pairs, db, da, idx) -> list:

@@ -41,15 +41,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Union
-
-Rat = Fraction
+from typing import Optional
 
 # Shared canonical denominator for polynomial scalars.  Never mutated.
 _DEN_ONE: dict[int, Fraction] = {0: Fraction(1)}
 _ZERO = Fraction(0)
-
-NumberLike = Union[int, Fraction, "Scalar"]
 
 
 class ScalarContext:

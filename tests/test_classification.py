@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from qschur import classification
 from qschur.affinization import functor_F, functor_F_map
 from qschur.classification import (
     Segment,
@@ -19,6 +20,7 @@ from qschur.classification import (
 from qschur.linalg import Matrix
 from qschur.module_tools import is_irreducible
 from qschur.scalars import ScalarContext
+from qschur.symgroup import Perm
 from qschur.uq_rep import (
     dominant_highest_weights,
     fundamental_weight,
@@ -301,7 +303,7 @@ def test_degree_law(ctx3):
 
 
 def test_rogawski_quotient_2_1(ctx3):
-    Jpi = rogawski_quotient(ctx3, (2, 1), 3)
+    Jpi = rogawski_quotient(ctx3, (2, 1))
     assert Jpi.dim == 2  # the two-dimensional constituent of S_3
     img = jimbo_J(Jpi, 3)
     hw = dominant_highest_weights(img.module)
@@ -312,9 +314,32 @@ def test_rogawski_quotient_2_1(ctx3):
 
 
 def test_rogawski_singletons(ctx3):
-    Jpi = rogawski_quotient(ctx3, (1, 1), 3)
+    Jpi = rogawski_quotient(ctx3, (1, 1))
     assert Jpi.dim == 1
     assert Jpi.sigma[0].entry(0, 0) == ctx3.q_power(2)  # trivial type
-    Jpi2 = rogawski_quotient(ctx3, (2,), 3)
+    Jpi2 = rogawski_quotient(ctx3, (2,))
     assert Jpi2.dim == 1
     assert Jpi2.sigma[0].entry(0, 0) == ctx3.scalar(-1)  # sign type
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)])
+def test_rogawski_quotients_of_h4(t0):
+    # n = 3 < ell = 4: the symmetrizer rule does not depend on n
+    ctx = ScalarContext(3, t0=t0)
+    standard_tableaux = {(4,): 1, (3, 1): 3, (2, 2): 2, (2, 1, 1): 3, (1, 1, 1, 1): 1}
+    for parts, dim in standard_tableaux.items():
+        Jpi = rogawski_quotient(ctx, parts)
+        assert Jpi.dim == dim, parts
+        assert is_irreducible(Jpi)[0], parts
+    sign = rogawski_quotient(ctx, (4,))
+    assert all(s.entry(0, 0) == ctx.scalar(-1) for s in sign.sigma)
+    trivial = rogawski_quotient(ctx, (1, 1, 1, 1))
+    assert all(s.entry(0, 0) == ctx.q_power(2) for s in trivial.sigma)
+
+
+def test_rogawski_quotient_needs_a_line(ctx3, monkeypatch):
+    # with x = 1 the image is all of I_(2,1), which is three-dimensional
+    monkeypatch.setattr(classification, "elements_of_parabolic",
+                        lambda parts: iter([Perm.identity(sum(parts))]))
+    with pytest.raises(RuntimeError, match="line"):
+        rogawski_quotient(ctx3, (2, 1))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qschur import module_tools
 from qschur.cli import main
 
 
@@ -155,6 +156,21 @@ def test_isomorphic_mixed_species_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "isomorphic", "--n", "2", *files)
     assert code == 2
     assert "different algebras" in err
+
+
+def test_isomorphic_exhausted_search_is_undecided(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(module_tools, "ISO_MAX_TRIES", 4)
+    scalar_y = {"algebra": "Hhat", "ell": 1, "dim": 2, "generators": {
+        "y1": [[0, 0, "3"], [1, 1, "3"]], "y1inv": [[0, 0, "1/3"], [1, 1, "1/3"]]}}
+    files = []
+    for name in ("a.json", "b.json"):
+        f = tmp_path / name
+        f.write_text(json.dumps(scalar_y))
+        files.append(str(f))
+    code, out, err = run(capsys, "isomorphic", "--n", "2", *files)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("undecided: ") and err.count("\n") == 1
 
 
 def test_large_ell_needs_force(capsys):

@@ -12,10 +12,10 @@ from qschur.affine_hecke import (
 )
 from qschur.affinization import evaluation_natural, functor_F, tensor_affine_chain
 from qschur.classification import (
-    composition_factors,
     finite_ideal_module,
     irreducible_V_a,
     parse_segments,
+    rogawski_quotient,
 )
 from qschur.linalg import Matrix, rank, span
 from qschur.module_tools import (
@@ -29,7 +29,14 @@ from qschur.module_tools import (
     verify_submodule_certificate,
 )
 from qschur.scalars import ScalarContext
-from qschur.uq_rep import UqModule, jimbo_J, natural_rep, tensor_rep
+from qschur.uq_rep import (
+    UqModule,
+    dominant_highest_weights,
+    jimbo_J,
+    natural_rep,
+    partition_weight,
+    tensor_rep,
+)
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +131,14 @@ def test_weight_line_is_read_from_the_matrices():
     assert verify_submodule_certificate(M, cert)
 
 
+def composition_factors(mod) -> list:
+    """All composition factors, as modules (recursive Meataxe splitting)."""
+    sub = proper_submodule(mod)
+    if sub is None:
+        return [mod]
+    return composition_factors(submodule(mod, sub)) + composition_factors(quotient(mod, sub))
+
+
 @pytest.mark.parametrize("t0", [None, Fraction(5, 3)])
 def test_kl_ideal_22_splits_into_irreducibles(t0):
     # I_(2,2) in H_4 has dimension 6 = 4!/(2!2!); by Young's rule its
@@ -133,6 +148,20 @@ def test_kl_ideal_22_splits_into_irreducibles(t0):
     factors = composition_factors(sub)
     assert sorted(f.dim for f in factors) == [1, 2, 3]
     assert all(is_irreducible(f)[0] for f in factors)
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)])
+def test_rogawski_quotient_is_the_factor_its_jimbo_image_picks(t0):
+    # the spin of I_pi * x_{pi'} is literally the composition factor whose
+    # Jimbo image has highest weights {lambda_pi: 1}
+    ctx = ScalarContext(3, t0=t0)
+    for parts in [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]:
+        target = partition_weight(3, parts)
+        sub, _, _ = finite_ideal_module(ctx, parts)
+        matches = [f for f in composition_factors(sub)
+                   if dominant_highest_weights(jimbo_J(f, 3).module) == {target: 1}]
+        assert len(matches) == 1, parts
+        assert rogawski_quotient(ctx, parts).to_json() == matches[0].to_json(), parts
 
 
 def test_functor_image_is_certified_by_a_weight_line():
@@ -320,6 +349,20 @@ def test_are_isomorphic_dimension_mismatch(ctx):
     V = natural_rep(ctx, 1)
     T3 = tensor_rep(V, 3)
     assert are_isomorphic(V, T3) is None
+
+
+def test_exhausted_intertwiner_search_is_undecided(monkeypatch):
+    # y = diag(3, 3) on H-hat_1: End is all of M_2, spanned by four singular
+    # matrix units, so four candidates prove nothing either way
+    c = ScalarContext(1)
+    M = RightModule.from_generators(c, "Hhat", 1, 2, {
+        "y1": Matrix.diagonal(c, [c.scalar(3)] * 2),
+        "y1inv": Matrix.diagonal(c, [c.scalar(Fraction(1, 3))] * 2),
+    })
+    assert are_isomorphic(M, M) is not None
+    monkeypatch.setattr(module_tools, "ISO_MAX_TRIES", 4)
+    with pytest.raises(module_tools.Undecided, match="dimension 4"):
+        are_isomorphic(M, M)
 
 
 def test_are_isomorphic_equivalence_on_triple():
