@@ -48,7 +48,7 @@ from .classification import (
 )
 from .hecke import HeckeElt, kl_parabolic_element
 from .linalg import Matrix, add_scaled, diag_inverse, span
-from .module_tools import are_isomorphic, is_irreducible, quotient, spin_module, submodule
+from .module_tools import are_isomorphic, is_irreducible, quotient, spin, submodule
 from .scalars import ScalarContext
 from .symgroup import all_perms, block_boundaries, parabolic_longest
 from .uq_rep import (
@@ -427,11 +427,13 @@ def check_prop_7_2(cfg: RunConfig) -> CheckResult:
     for n in [v for v in cfg.n_values if v >= 2]:
         ctx = cfg.context(n)
         for ell in [e for e in cfg.ell_values if e <= n]:
+            power = tensor_rep(natural_rep(ctx, n), ell)
+            hw = highest_weight_vectors(power)
             for parts in _partitions(ell):
                 Jpi = rogawski_quotient(ctx, parts)
                 img = jimbo_J(Jpi, n)
                 target = partition_weight(n, parts)
-                Vlam = _highest_weight_module(ctx, n, ell, target)
+                Vlam = _highest_weight_module(power, hw, target)
                 hw_ok = dominant_highest_weights(img.module) == {target: 1}
                 T = are_isomorphic(img.module, Vlam)
                 details.append(
@@ -441,13 +443,15 @@ def check_prop_7_2(cfg: RunConfig) -> CheckResult:
     return _package("prop-7.2", details)
 
 
-def _highest_weight_module(ctx, n, ell, weight) -> UqModule:
-    """V(weight) carved out of the tensor power by spinning a highest vector."""
-    T = tensor_rep(natural_rep(ctx, n), ell)
-    hw = highest_weight_vectors(T)
+def _highest_weight_module(T: UqModule, hw: dict, weight) -> UqModule:
+    """V(weight) = U^- v inside the module T, hw its highest weight vectors.
+
+    U^0 acts on v by scalars and U^+ kills it, so by the triangular
+    decomposition the lowering operators alone spin v to U v.
+    """
     if weight not in hw:
         raise ValueError(f"no highest weight vector of weight {weight}")
-    return submodule(T, spin_module(T, hw[weight][0]))
+    return submodule(T, spin(T.ctx, T.dim, [m.transpose() for m in T.xm], [hw[weight][0]]))
 
 
 def check_prop_7_5(cfg: RunConfig) -> CheckResult:

@@ -14,7 +14,9 @@ re-checked with plain linear algebra.
 Every algorithm reads a module through its ``ModuleView``, the one place
 that tells right Hecke modules from left U_q-modules.  The view transposes
 the latter's matrices (invariant subspaces are unchanged), so one
-right-action code path serves both species.
+right-action code path serves both species.  A U_q-module's weights, which
+restrict the unknowns of an isomorphism search, are read off its k_i, so no
+wrong label can change an isomorphism verdict either.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ class ModuleView:
 
     ``mats`` act on row vectors, one per generator in ``names``;
     ``signature`` is the descriptor's ``algebra`` key with ``ell`` or ``n``;
-    ``weights`` are a U_q-module's, else None.  ``algebra_names`` leave out
+    ``weights`` are a U_q-module's, read off its k_i (None for a right
+    module or when the k_i are not diagonal).  ``algebra_names`` leave out
     the t_r: they act by the gl_{n+1} torus, which is not in U_q(sl_{n+1}),
     so an isomorphism need not respect them.
     """
@@ -60,17 +63,13 @@ class ModuleView:
         """A right-action matrix in the species' own convention, and back."""
         return m.transpose() if self._left else m
 
-    def rebuild(self, mats, dim: int, columns: list):
-        """The module of this species acting by the right-action mats.
-
-        New basis vector k carries the weight of basis vector columns[k].
-        """
+    def rebuild(self, mats, dim: int):
+        """The module of this species acting by the right-action mats."""
         gens = {name: self.native(m) for name, m in zip(self.names, mats)}
         algebra, size = self.signature
         if not self._left:
             return RightModule.from_generators(self.ctx, algebra, size, dim, gens)
-        weights = None if self.weights is None else [self.weights[c] for c in columns]
-        return UqModule.from_generators(self.ctx, size, dim, gens, weights)
+        return UqModule.from_generators(self.ctx, size, dim, gens)
 
 
 def spin(ctx: ScalarContext, ambient: int, mats, vectors) -> SubspaceBasis:
@@ -112,7 +111,7 @@ def submodule(mod, basis: SubspaceBasis):
         if any(c is None for c in images):
             raise ValueError("subspace is not stable under the action")
         out.append(Matrix(view.ctx, basis.dim, basis.dim, images))
-    return view.rebuild(out, basis.dim, basis.pivot_columns())
+    return view.rebuild(out, basis.dim)
 
 
 def quotient(mod, basis: SubspaceBasis):
@@ -125,12 +124,11 @@ def quotient(mod, basis: SubspaceBasis):
     the subspace is not stable.
     """
     view = ModuleView(mod)
-    free = basis.free_columns()
     try:
         out = [basis.descend(m.transpose(), check=True).transpose() for m in view.mats]
     except ValueError:
         raise ValueError("subspace is not stable under the action") from None
-    return view.rebuild(out, len(free), free)
+    return view.rebuild(out, basis.ambient - basis.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,16 @@ construction keeps that span as a reduced basis (``JimboImage.relations``),
 which is the quotient: quotient coordinates and induced operators come from
 ``SubspaceBasis.coset``/``descend``, so the affine extension pushes the
 loop operators through the same quotient.
+
+A module's weights are read off its k_i (``UqModule.weights``), never
+stored beside them, so no label can contradict the matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import log
 from typing import Optional
 
 from .linalg import Matrix, SubspaceBasis, column_kernel, json_int, named_matrices
@@ -37,9 +42,11 @@ from .affine_hecke import RightModule
 class UqModule:
     """A finite-dimensional left module, stored as generator matrices.
 
-    Matrices act on column vectors.  ``weights`` labels each basis vector
-    with its integer weight (length n), which is available because every
-    construction here keeps the k_i diagonal.
+    Matrices act on column vectors.  ``weights`` are read off the k_i: the
+    weight of basis vector r is the tuple of exponents m with
+    k_i[r, r] == q^m.  Every construction here keeps the k_i diagonal, so
+    they are defined, and since they are not stored beside the matrices no
+    wrong label can change a verdict.
     """
 
     ctx: ScalarContext
@@ -49,7 +56,6 @@ class UqModule:
     xm: list
     k: list
     kinv: list
-    weights: Optional[list] = None
     t: Optional[list] = None  # t_r, index r-1, r = 1..n+1
     x0p: Optional[Matrix] = None
     x0m: Optional[Matrix] = None
@@ -64,6 +70,23 @@ class UqModule:
 
     def is_affine(self) -> bool:
         return self.x0p is not None
+
+    @cached_property
+    def weights(self) -> Optional[list]:
+        """The weight of each basis vector, or None unless every k_i is
+        diagonal with q-power entries.  Read once and cached, so the k_i
+        must not be changed in place afterwards."""
+        out = []
+        for r in range(self.dim):
+            w = []
+            for k in self.k:
+                row = k.rows[r]
+                m = _q_exponent(self.ctx, row[r]) if row.keys() == {r} else None
+                if m is None:
+                    return None
+                w.append(m)
+            out.append(tuple(w))
+        return out
 
     def generators(self) -> dict:
         out = {}
@@ -92,13 +115,12 @@ class UqModule:
         }
 
     @staticmethod
-    def from_generators(ctx, n: int, dim: int, gens: dict, weights=None) -> "UqModule":
+    def from_generators(ctx, n: int, dim: int, gens: dict) -> "UqModule":
         """The module acting by ``gens``, a {name: Matrix} dict as generators() returns.
 
         Raises KeyError naming a missing generator (the loop generators and
         the t_r may only be absent as a whole), and ValueError for a name
-        that rank n does not define or when the weights do not label every
-        basis vector with a weight of length n.
+        that rank n does not define.
         """
         def family(names):
             if not any(name in gens for name in names):
@@ -109,12 +131,7 @@ class UqModule:
         finite = [[gens[fmt.format(i)] for i in range(1, n + 1)]
                   for fmt in ("x+{}", "x-{}", "k{}", "k{}inv")]
         t = family([f"t{r}" for r in range(1, n + 2)])
-        if weights is not None and len(weights) != dim:
-            raise ValueError(f"{len(weights)} weights for a module of dimension {dim}")
-        if weights is not None and any(len(w) != n for w in weights):
-            raise ValueError(f"a weight is not of length n={n}")
-        mod = UqModule(ctx, n, dim, *finite, weights=weights, t=t,
-                       x0p=x0p, x0m=x0m, k0=k0, k0inv=k0inv)
+        mod = UqModule(ctx, n, dim, *finite, t=t, x0p=x0p, x0m=x0m, k0=k0, k0inv=k0inv)
         extra = sorted(set(gens) - set(mod.generators()))
         if extra:
             raise ValueError(f"generators {extra} are not defined at n={n}")
@@ -122,34 +139,42 @@ class UqModule:
 
     @staticmethod
     def from_json(ctx, data) -> "UqModule":
+        """The module of a descriptor.  An optional ``weights`` list must
+        equal the weights read off the k_i; ValueError otherwise."""
         dim, n = json_int(data["dim"], "dim"), json_int(data["n"], "n")
         if n != ctx.n:
             raise ValueError(f"n={n} does not match the rank {ctx.n}")
         weights = data.get("weights")
         if weights is not None:
             weights = [tuple(json_int(c, "a weight entry") for c in w) for w in weights]
-        return UqModule.from_generators(
-            ctx, n, dim, named_matrices(ctx, dim, data["generators"]), weights=weights,
-        )
+        mod = UqModule.from_generators(ctx, n, dim, named_matrices(ctx, dim, data["generators"]))
+        if weights is not None and weights != mod.weights:
+            raise ValueError("the weights list differs from the weights the k_i act by")
+        return mod
 
 
-def epsilon_weight(ctx_n: int, r: int) -> tuple:
-    """The weight eps_r of v_r as an integer vector of length n (r 1-based)."""
-    out = [0] * ctx_n
-    if r <= ctx_n:
-        out[r - 1] += 1
-    if r >= 2 and r - 1 <= ctx_n:
-        out[r - 2] -= 1
-    return tuple(out)
+def _q_exponent(ctx: ScalarContext, c) -> Optional[int]:
+    """The integer m with c == q^m, or None.
+
+    The exponent of t (symbolic) or a float logarithm (specialized) only
+    guesses m; the exact comparison decides, and |t| != 1 makes m unique.
+    """
+    mono = c.as_t_monomial()
+    if mono is None:
+        return None
+    k, x = mono
+    if ctx.t0 is not None:
+        if x <= 0:
+            return None
+        k = round((log(x.numerator) - log(x.denominator)) / log(abs(ctx.t0)))
+    m = k // ctx.e
+    return m if ctx.q_power(m) == c else None
 
 
 def fundamental_weight(n: int, i: int) -> tuple:
-    """lambda_i = eps_1 + ... + eps_i."""
-    out = [0] * n
-    for j in range(1, i + 1):
-        w = epsilon_weight(n, j)
-        out = [a + b for a, b in zip(out, w)]
-    return tuple(out)
+    """lambda_i = eps_1 + ... + eps_i: the i-th unit vector, since v_r has
+    weight eps_r, +1 at coordinate r and -1 at r-1 (zero for i = n+1)."""
+    return tuple(int(j == i) for j in range(1, n + 1))
 
 
 def partition_weight(n: int, parts) -> tuple:
@@ -201,9 +226,8 @@ def natural_rep(ctx: ScalarContext, n: int) -> UqModule:
     ktheta = Matrix.diagonal(
         ctx, [ctx.q_power(1 if r == 1 else (-1 if r == d else 0)) for r in range(1, d + 1)]
     )
-    weights = [epsilon_weight(n, r) for r in range(1, d + 1)]
     return UqModule(
-        ctx, n, d, xp, xm, k, kinv, weights=weights, t=t,
+        ctx, n, d, xp, xm, k, kinv, t=t,
         xtheta_p=xtheta_p, xtheta_m=xtheta_m, ktheta=ktheta,
     )
 
@@ -220,7 +244,7 @@ def tensor(A: UqModule, B: UqModule) -> UqModule:
 
     x_i^+ -> x_i^+ (x) k_i + 1 (x) x_i^+, x_i^- -> x_i^- (x) 1 + k_i^{-1} (x) x_i^-
     and k_i -> k_i (x) k_i, for i = 0 too when both factors carry loop
-    generators; t_r -> t_r (x) t_r and weights add when both factors have them.
+    generators, and t_r -> t_r (x) t_r when both factors have them.
     """
     if A.n != B.n or A.ctx is not B.ctx:
         raise ValueError("incompatible factors")
@@ -237,9 +261,6 @@ def tensor(A: UqModule, B: UqModule) -> UqModule:
     if A.is_affine() and B.is_affine():
         loop = dict(x0p=plus(A.x0p, B.x0p, B.k0), x0m=minus(A.x0m, B.x0m, A.k0inv),
                     k0=A.k0.kron(B.k0), k0inv=A.k0inv.kron(B.k0inv))
-    weights = None
-    if A.weights is not None and B.weights is not None:
-        weights = [tuple(x + y for x, y in zip(wa, wb)) for wa in A.weights for wb in B.weights]
     t = None
     if A.t is not None and B.t is not None:
         t = [ta.kron(tb) for ta, tb in zip(A.t, B.t)]
@@ -249,7 +270,7 @@ def tensor(A: UqModule, B: UqModule) -> UqModule:
         [minus(xa, xb, kainv) for xa, xb, kainv in zip(A.xm, B.xm, A.kinv)],
         [ka.kron(kb) for ka, kb in zip(A.k, B.k)],
         [ka.kron(kb) for ka, kb in zip(A.kinv, B.kinv)],
-        weights=weights, t=t, **loop,
+        t=t, **loop,
     )
 
 
@@ -356,9 +377,7 @@ def jimbo_J(M: RightModule, n: int) -> JimboImage:
     k = [img.push_tensor_operator(T.k[i]) for i in range(n)]
     kinv = [img.push_tensor_operator(T.kinv[i]) for i in range(n)]
     t = [img.push_tensor_operator(m) for m in T.t] if T.t is not None else None
-    free = rel.free_columns()
-    weights = [T.weights[c % D] for c in free]
-    img.module = UqModule(ctx, n, len(free), xp, xm, k, kinv, weights=weights, t=t)
+    img.module = UqModule(ctx, n, M.dim * D - rel.dim, xp, xm, k, kinv, t=t)
     return img
 
 
@@ -367,29 +386,12 @@ def jimbo_J(M: RightModule, n: int) -> JimboImage:
 # ---------------------------------------------------------------------------
 
 
-def _diag_weight(ctx, W: UqModule, idx: int) -> tuple:
-    out = []
-    for i in range(W.n):
-        c = W.k[i].entry(idx, idx)
-        mono = c.as_t_monomial()
-        if mono is None or mono[1] != 1 or mono[0] % ctx.e:
-            raise ValueError("k action is not a plain q power; not type 1")
-        out.append(mono[0] // ctx.e)
-    return tuple(out)
-
-
 def weight_decomposition(W: UqModule) -> dict:
     """Partition of the basis indices by weight."""
-    ctx = W.ctx
-    if W.weights is not None:
-        labels = W.weights
-    else:
-        if ctx.t0 is not None:
-            raise ValueError("weight extraction needs stored labels on the "
-                             "specialized backend")
-        labels = [_diag_weight(ctx, W, i) for i in range(W.dim)]
+    if W.weights is None:
+        raise ValueError("the k_i are not diagonal with q-power entries")
     out: dict[tuple, list] = {}
-    for i, w in enumerate(labels):
+    for i, w in enumerate(W.weights):
         out.setdefault(w, []).append(i)
     return out
 

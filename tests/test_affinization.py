@@ -93,7 +93,7 @@ def test_perturbed_loop_generator_fails(ctx2):
     M = universal_module(ctx2, (ctx2.one, ctx2.scalar(5)))
     W = functor_F(M, 2, check_source=False)
     W2 = UqModule(
-        ctx2, 2, W.dim, W.xp, W.xm, W.k, W.kinv, weights=W.weights, t=W.t,
+        ctx2, 2, W.dim, W.xp, W.xm, W.k, W.kinv, t=W.t,
         x0p=W.x0p.scale(ctx2.scalar(2)), x0m=W.x0m, k0=W.k0, k0inv=W.k0inv,
     )
     rep = verify_affine_relations(W2)
@@ -145,7 +145,7 @@ def test_jimbo_eval_finite_part_untouched(ctx2):
 
 def test_jimbo_eval_needs_torus(ctx2):
     V = natural_rep(ctx2, 2)
-    stripped = UqModule(ctx2, 2, V.dim, V.xp, V.xm, V.k, V.kinv, weights=V.weights)
+    stripped = UqModule(ctx2, 2, V.dim, V.xp, V.xm, V.k, V.kinv)
     with pytest.raises(ValueError):
         jimbo_eval_pullback(stripped, ctx2.one)
 
@@ -328,7 +328,7 @@ def test_relation_suite_matches_direct_evaluation(n, perturb):
     W = functor_F(universal_module(c, (c.scalar(2), c.scalar(Fraction(-3, 4)))), n,
                   check_source=False)
     if perturb:
-        W = UqModule(c, n, W.dim, W.xp, W.xm, W.k, W.kinv, weights=W.weights, t=W.t,
+        W = UqModule(c, n, W.dim, W.xp, W.xm, W.k, W.kinv, t=W.t,
                      x0p=_perturbed(W.x0p, c, 0, W.dim - 1), x0m=W.x0m, k0=W.k0, k0inv=W.k0inv)
     got = verify_affine_relations(W).results
     want = _direct_suite(
@@ -349,7 +349,7 @@ def test_finite_relation_suite_matches_direct_evaluation():
     c = ScalarContext(2)
     T = tensor_rep(natural_rep(c, 2), 2)
     xp = [_perturbed(T.xp[0], c, 0, 2)] + T.xp[1:]
-    P = UqModule(c, 2, T.dim, xp, T.xm, T.k, T.kinv, weights=T.weights)
+    P = UqModule(c, 2, T.dim, xp, T.xm, T.k, T.kinv)
     got = verify_finite_relations(P).results
     want = _direct_suite(c, ["1", "2"], finite_cartan(2), xp, T.xm, T.k, T.kinv, T.dim,
                          bracket_serre=True)

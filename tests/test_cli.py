@@ -266,14 +266,15 @@ def _drop(name):
     ("F", _drop("t2")),
     ("F", lambda d: d.update(weights=d["weights"][:-1])),
     ("F", lambda d: d.update(weights=[w + [0] for w in d["weights"]])),
+    ("F", lambda d: d.update(weights=d["weights"][1:] + d["weights"][:1])),
     ("F", lambda d: d.update(n=1)),
     ("F", lambda d: d.update(n=0)),
     ("V_a", lambda d: d.update(ell=0)),
     ("V_a", lambda d: d.update(dim=-1, generators={k: [] for k in d["generators"]})),
 ], ids=["bad-scalar", "scalar-not-a-string", "zero-denominator", "index-outside-dim",
      "missing-generator", "uq-missing-generator", "uq-partial-loop-generators",
-     "uq-partial-torus", "uq-short-weights", "uq-weight-length", "uq-rank-mismatch",
-     "uq-rank-zero", "ell-zero", "negative-dim"])
+     "uq-partial-torus", "uq-short-weights", "uq-weight-length", "uq-permuted-weights",
+     "uq-rank-mismatch", "uq-rank-zero", "ell-zero", "negative-dim"])
 @pytest.mark.parametrize("command", ["relations", "isomorphic"])
 def test_malformed_descriptor_exits_2(tmp_path, capsys, part, edit, command):
     path = _descriptor(capsys, tmp_path, edit, part)
@@ -281,6 +282,24 @@ def test_malformed_descriptor_exits_2(tmp_path, capsys, part, edit, command):
     code, _, err = run(capsys, command, "--n", "2", *files)
     assert code == 2
     assert f"bad module descriptor in {path}" in err
+
+
+def test_relabelled_weights_give_no_isomorphism_verdict(tmp_path, capsys):
+    # the same matrices under a rotated weights list (the same multiset):
+    # the labels disagree with the k_i, so the copy is refused, not compared
+    code, out, _ = run(capsys, "build", "--n", "2", "--segments", "1@0:2")
+    assert code == 0
+    data = json.loads(out)["F"]
+    good, rotated = tmp_path / "good.json", tmp_path / "rotated.json"
+    good.write_text(json.dumps(data))
+    data["weights"] = data["weights"][1:] + data["weights"][:1]
+    rotated.write_text(json.dumps(data))
+    code, out, err = run(capsys, "isomorphic", "--n", "2", str(good), str(rotated))
+    assert code == 2
+    assert "isomorphic" not in out
+    assert f"bad module descriptor in {rotated}: " in err
+    code, out, _ = run(capsys, "isomorphic", "--n", "2", str(good), str(good))
+    assert code == 0 and "not isomorphic" not in out
 
 
 def _add_generator(name):

@@ -9,6 +9,7 @@ from qschur.linalg import Matrix, column_kernel, span, vec_add
 from qschur.module_tools import spin_module
 from qschur.scalars import ScalarContext
 from qschur.uq_rep import (
+    UqModule,
     fundamental_weight,
     highest_weight_vectors,
     jimbo_J,
@@ -268,6 +269,25 @@ def test_highest_weight_vectors_tensor_square(ctx1):
 def test_weight_of_top_vector(ctx1):
     T = tensor_rep(natural_rep(ctx1, 1), 2)
     assert T.weights[0] == (2,)  # v1 (x) v1 has weight 2 eps_1
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)])
+def test_weights_are_read_off_the_k_diagonal_exactly(t0):
+    c = ScalarContext(1, t0=t0)
+
+    def line(k):
+        zero = Matrix.zero(c, 1, 1)
+        return UqModule(c, 1, 1, [zero], [zero], [Matrix.diagonal(c, [k])],
+                        [Matrix.diagonal(c, [k.inverse()])])
+
+    assert line(c.q_power(-3)).weights == [(-3,)]
+    # a float logarithm of the first rounds to the exponent 2; only the
+    # exact comparison tells it from q^2
+    for k in (c.q_power(2) + c.scalar(Fraction(1, 10 ** 30)), -c.q_power(2), c.scalar(2)):
+        W = line(k)
+        assert W.weights is None
+        with pytest.raises(ValueError):
+            weight_decomposition(W)
 
 
 def test_weight_level():
