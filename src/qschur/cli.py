@@ -39,8 +39,8 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 # Largest Jimbo ambient dimension ell! * (n+1)^ell a segment list may need.
-# `build` for three generic singletons (2@0:1,3@0:1,5@0:1) takes 1.4 s at
-# 384 (n = 3) and 2.2 s at 750 (n = 4) on a 2-core x86-64 host; V_a and F
+# `build` for three generic singletons (2@0:1,3@0:1,5@0:1) takes 0.4 s at
+# 384 (n = 3) and 1.0 s at 750 (n = 4) on a 2-core x86-64 host; V_a and F
 # for four generic singletons at 1944 (n = 2) take 77 s.  Larger lists are
 # refused, --force or not.
 MAX_JIMBO_AMBIENT = 1000
@@ -63,12 +63,15 @@ def _parse_backend(text: str):
 
 
 def _int_list(text: str):
+    """Comma-separated sizes: every rank n and module size ell is at least 1."""
     try:
         values = [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
         values = []
     if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"sizes must be at least 1, got {text!r}")
     return values
 
 

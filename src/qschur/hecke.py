@@ -101,12 +101,6 @@ class _SigmaBasisElt:
                 out._add_term(moved, c)
         return out
 
-    def times_sigma_inv(self, i: int):
-        """Right multiplication by sigma_i^{-1} = q^{-2} sigma_i - (1 - q^{-2})."""
-        ctx = self.ctx
-        q2inv = ctx.q_power(-2)
-        return self.times_sigma(i).scale(q2inv) - self.scale(ctx.one - q2inv)
-
     def _times_sigma_word(self, w: Perm):
         """Right multiplication by sigma_w, one letter of a reduced word at a time."""
         out = self
@@ -163,9 +157,6 @@ class HeckeElt(_SigmaBasisElt):
     @staticmethod
     def sigma(ctx, ell, i) -> "HeckeElt":
         return HeckeElt.basis(ctx, Perm.transposition(ell, i))
-
-    def support(self) -> set:
-        return set(self.terms)
 
     def __repr__(self):
         if not self.terms:

@@ -300,9 +300,6 @@ class SubspaceBasis:
             add_scaled(out, piv[j], -out[j])
         return out
 
-    def contains(self, v: Vec) -> bool:
-        return not self.reduce(v)
-
     def add(self, v: Vec) -> bool:
         """Insert v; returns True if the dimension grew."""
         v = self.reduce(v)

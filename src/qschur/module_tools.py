@@ -3,12 +3,11 @@
 Submodule spinning, sub- and quotient modules on a stable subspace, a
 Meataxe-style irreducibility decision with checkable certificates,
 isomorphism testing by solving the intertwiner equations, and characters.
-The irreducibility decision tries the weight line first: a basis line that
-no other basis vector shares under the diagonal action matrices (the k_i
-of a U_q-module) is the kernel of an element of the action algebra, so
-Norton's test on it decides without a guess.  Every decision depends only
-on its modules: the few sampled choices come from a random.Random(0) of
-the call's own, and every verdict is backed by a certificate that can be
+Irreducibility samples nothing: Norton's test runs on eigenspaces whose
+eigenvalues are known in advance (``ModuleView.eigenspaces``), then the
+density test.  The isomorphism search draws its few sampled choices from a
+random.Random(0) of the call's own, so every decision depends only on its
+modules, and every verdict is backed by a certificate that can be
 re-checked with plain linear algebra.
 
 Every algorithm reads a module through its ``ModuleView``, the one place
@@ -70,6 +69,93 @@ class ModuleView:
         if not self._left:
             return RightModule.from_generators(self.ctx, algebra, size, dim, gens)
         return UqModule.from_generators(self.ctx, size, dim, gens)
+
+    def eigenspaces(self):
+        """Common eigenspaces of commuting action-algebra elements whose
+        eigenvalues are known in advance, as (vectors, dual) pairs.
+
+        dual() spans the same eigenspace of the transposes.  A line gets
+        Norton's test: a submodule meeting the generalised eigenspace meets
+        the line, and one missing it is annihilated by the dual eigenspace.
+        In order: the -1 and q^2 eigenspaces of each sigma_i of a Hecke
+        module, the weight spaces (_weights), lines first, then the
+        Jucys-Murphy spaces.
+        """
+        ctx, dim = self.ctx, self.dim
+        eye = Matrix.identity(ctx, dim)
+
+        def kernels(thetas):
+            if all(_triangular(t, True) and _triangular(t, False) for t in thetas):
+                # diagonal: the kernels are unit vectors, found without elimination
+                units = [{i: ctx.one} for i in range(dim) if not any(t.rows[i] for t in thetas)]
+                return units, lambda: units
+            return (column_kernel(_stack([t.transpose() for t in thetas])),
+                    lambda: column_kernel(_stack(thetas)))
+
+        sigmas = [] if self._left else [m for k, m in zip(self.names, self.mats) if k[0] == "s"]
+        for s in sigmas:
+            for theta in (s + eye, s - eye.scale(ctx.q_power(2))):
+                yield kernels([theta])
+        family, weights = self._weights()
+        for _, w in sorted(weights, key=lambda g: g[0]):  # lines first
+            yield kernels([m - eye.scale(c) for m, c in zip(family, w)])
+        for thetas, basis in self._jucys_murphy_spaces(sigmas):
+            yield basis.rows, lambda thetas=thetas: column_kernel(_stack(thetas))
+
+    def _weights(self) -> tuple:
+        """(family, weights): commuting matrices whose eigenvalues are their
+        diagonal entries, the y_j^(+-1) of a Hecke module if all are lower or
+        all upper triangular, else the diagonal ones (the k_i and t_r of a
+        U_q-module); each tuple w of diagonal entries as (count, w), count
+        the number of indices carrying w, its generalised eigenspace's dim."""
+        ys = [m for k, m in zip(self.names, self.mats) if k[0] == "y"]
+        family = ys if ys and any(all(_triangular(m, lo) for m in ys) for lo in (True, False)) \
+            else [m for m in self.mats if _triangular(m, True) and _triangular(m, False)]
+        diagonals = [tuple(m.entry(i, i) for m in family)
+                     for i in range(self.dim if family else 0)]
+        weights: list = []
+        for w in diagonals:
+            if w not in weights:
+                weights.append(w)
+        return family, [(diagonals.count(w), w) for w in weights]
+
+    def _jucys_murphy_spaces(self, sigmas) -> list:
+        """The joint eigenspaces of L_2, ..., L_ell as (thetas, basis) pairs,
+        thetas the L_j - q^(2c_j) they are the common kernel of, basis their
+        rows; [] unless ell >= 3 (for ell = 2 they are the sigma_1
+        eigenspaces) and they fill the module, which makes the L_j
+        diagonalisable.  L_1 = 1, L_{j+1} = q^-2 sigma_j L_j sigma_j, and
+        L_{j+1} has eigenvalues q^(2c), c the content of box j+1 of a
+        standard tableau, so |c| <= j (Murphy 1983).
+        """
+        if len(sigmas) < 2:
+            return []
+        ctx, dim = self.ctx, self.dim
+        eye = Matrix.identity(ctx, dim)
+        spaces, L = [([], eye)], eye
+        for j, s in enumerate(sigmas, start=1):
+            L = (s * L * s).scale(ctx.q_power(-2))
+            refined = []
+            for thetas, basis in spaces:
+                for c in range(-j, j + 1):
+                    theta = L - eye.scale(ctx.q_power(2 * c))
+                    ker = left_kernel(basis * theta)
+                    if ker:
+                        coeffs = Matrix(ctx, len(ker), basis.nrows, ker)
+                        refined.append((thetas + [theta], coeffs * basis))
+            if sum(basis.nrows for _, basis in refined) < dim:
+                return []
+            spaces = refined
+        return spaces
+
+
+def _triangular(m: Matrix, lower: bool) -> bool:
+    return all(k <= i if lower else k >= i for i, r in enumerate(m.rows) for k in r)
+
+
+def _stack(mats) -> Matrix:
+    rows = [r for m in mats for r in m.rows]  # the matrices one above the other
+    return Matrix(mats[0].ctx, len(rows), mats[0].ncols, rows)
 
 
 def spin(ctx: ScalarContext, ambient: int, mats, vectors) -> SubspaceBasis:
@@ -136,79 +222,16 @@ def quotient(mod, basis: SubspaceBasis):
 # ---------------------------------------------------------------------------
 
 
-def _word_sample(ctx, mats, rng, max_len=4):
-    """A random short word in the action matrices with small coefficients."""
-    dim = mats[0].nrows
-    z = Matrix.zero(ctx, dim, dim)
-    for _ in range(rng.randint(1, 3)):
-        w = Matrix.identity(ctx, dim)
-        for _ in range(rng.randint(1, max_len)):
-            w = w * rng.choice(mats)
-        z = z + w.scale(ctx.scalar(rng.randint(-2, 2)))
-    return z
-
-
-def _shifts(z, eye):
-    """z, then z minus each distinct diagonal entry: exact eigenvalues for
-    diagonal matrices and good guesses for triangular-ish ones."""
-    yield z
-    seen = []
-    for i in range(z.nrows):
-        c = z.rows[i].get(i)
-        if c is not None and all(not (c == d) for d in seen):
-            seen.append(c)
-            yield z - eye.scale(c)
-
-
-def _theta_candidates(ctx, mats, names, rng):
-    """Singular-candidate stream, the weight line first.
-
-    The weight line is the first basis line whose entries under the
-    diagonal action matrices (the k_i and t_r of a U_q-module) no other
-    basis vector shares.  The projector P onto it is a polynomial in those
-    matrices, so theta = 1 - P lies in the action algebra, its kernel is the
-    line, and Norton's test on it decides irreducibility outright.  Then the
-    Hecke generators shifted by their eigenvalues -1 and q^2 (the quadratic
-    relation), then sampled words and at most four diagonal shifts of each.
-    """
-    eye = Matrix.identity(ctx, mats[0].nrows)
-    diagonal = [m for m in mats if all(r.keys() <= {i} for i, r in enumerate(m.rows))]
-    weights = [tuple(m.entry(i, i) for m in diagonal) for i in range(eye.nrows)]
-    line = next((i for i, w in enumerate(weights) if weights.count(w) == 1), None)
-    if line is not None:
-        theta = eye.copy()
-        theta.set_entry(line, line, ctx.zero)
-        yield theta
-    q2 = ctx.q_power(2)
-    for name, m in zip(names, mats):
-        if name.startswith("s"):
-            yield m + eye
-            yield m - eye.scale(q2)
-    while True:
-        yield from islice(_shifts(_word_sample(ctx, mats, rng), eye), 5)
-
-
-IRR_MAX_CANDIDATES = 60  # singular candidates tried before the density fallback
-
-
 class Undecided(RuntimeError):
-    """A decision ran out of candidates with neither a proof nor a refutation."""
-
-
-def _kernel_split(ctx, dim, mats, theta):
-    """(left kernel of theta, ("reducible", v, spin of v) for the first kernel
-    vector v whose spin is proper, or None)."""
-    ker = left_kernel(theta)
-    if 0 < len(ker) < dim:
-        for v in ker:
-            sub = spin(ctx, dim, mats, [v])
-            if sub.dim < dim:
-                return ker, ("reducible", v, sub)
-    return ker, None
+    """A decision ran out of certificates with neither a proof nor a refutation."""
 
 
 def _decide_irreducibility(view: ModuleView):
-    """("reducible", vector, SubspaceBasis) or ("irreducible", cert dict)."""
+    """("reducible", vector, SubspaceBasis) or ("irreducible", cert dict).
+
+    In each eigenspace the first vector whose spin is proper certifies
+    reducibility; a line that spins to everything gets Norton's dual test.
+    """
     ctx, dim, mats = view.ctx, view.dim, view.mats
     if dim == 0:
         raise ValueError("empty module")
@@ -218,13 +241,13 @@ def _decide_irreducibility(view: ModuleView):
         # no generators: every line is a submodule
         v = {0: ctx.one}
         return ("reducible", v, span(ctx, dim, [v]))
-    thetas = _theta_candidates(ctx, mats, view.names, random.Random(0))
-    for theta in islice(thetas, IRR_MAX_CANDIDATES):
-        ker, split = _kernel_split(ctx, dim, mats, theta)
-        if split:
-            return split
+    for ker, dual in view.eigenspaces():
+        for v in ker:
+            sub = spin(ctx, dim, mats, [v])
+            if sub.dim < dim:
+                return ("reducible", v, sub)
         if len(ker) == 1:
-            dker = left_kernel(theta.transpose())
+            dker = dual()
             if len(dker) == 1:
                 dsub = spin(ctx, dim, [m.transpose() for m in mats], [dker[0]])
                 if dsub.dim < dim:
@@ -232,33 +255,15 @@ def _decide_irreducibility(view: ModuleView):
                     gen = _annihilator(ctx, dim, dsub).rows()[0]
                     return ("reducible", gen, spin(ctx, dim, mats, [gen]))
                 return ("irreducible", {"kind": "norton", "nullity": 1})
-    # density fallback: the unital algebra generated by the action matrices
+    # density: the unital algebra generated by the action matrices.
     # flatten(z m) = flatten(z) (I (x) m), so spinning the flattened identity
     # under the I (x) m spans the algebra inside End as row vectors
     eye = Matrix.identity(ctx, dim)
     alg = spin(ctx, dim * dim, [eye.kron(m) for m in mats], [_flatten(eye)])
     if alg.dim == dim * dim:
         return ("irreducible", {"kind": "density", "algebra_dim": alg.dim})
-    # the algebra is proper: the kernel of a shifted centralizer element is
-    # a submodule outright
-    for z in _centralizer_elements(view):
-        for theta in _shifts(z, eye):
-            _, split = _kernel_split(ctx, dim, mats, theta)
-            if split:
-                return split
-    raise Undecided(
-        f"irreducibility undecided after {IRR_MAX_CANDIDATES} singular candidates, "
-        "the density test and the centralizer"
-    )
-
-
-def _centralizer_elements(view: ModuleView):
-    """A basis of matrices commuting with the whole action, solved when first drawn."""
-    ctx, dim = view.ctx, view.dim
-    idx = {(r, c): r * dim + c for r in range(dim) for c in range(dim)}
-    pairs = [(m, m) for m in view.mats]
-    for kv in _intertwiner_kernel(ctx, pairs, dim, dim, idx):
-        yield _unflatten(ctx, dim, kv)
+    raise Undecided("irreducibility undecided: no eigenspace known in advance decides, "
+                    f"and the action algebra has dimension {alg.dim} < {dim * dim}")
 
 
 def is_irreducible(mod) -> tuple:
@@ -266,10 +271,10 @@ def is_irreducible(mod) -> tuple:
 
     Reducible verdicts carry a generating vector of a proper submodule.
     Irreducible verdicts are certified either by a nullity-one Norton check
-    (kernel vector and dual kernel vector both spin to everything) or by the
-    action algebra spanning the full matrix algebra (density), both of which
-    are re-checkable by direct linear algebra.  Raises Undecided when
-    neither is found.
+    (an eigenline of ``ModuleView.eigenspaces`` and its dual line both spin
+    to everything) or by the action algebra spanning the full matrix algebra
+    (density), both re-checkable by direct linear algebra.  Raises Undecided
+    when neither is found.
     """
     view = ModuleView(mod)
     verdict = _decide_irreducibility(view)
@@ -303,13 +308,6 @@ def _flatten(m: Matrix) -> dict:
         for j, c in r.items():
             out[i * m.ncols + j] = c
     return out
-
-
-def _unflatten(ctx, dim, row) -> Matrix:
-    m = Matrix(ctx, dim, dim)
-    for idx, c in row.items():
-        m.set_entry(idx // dim, idx % dim, c)
-    return m
 
 
 def _vec_json(ctx, v, dim) -> list:

@@ -40,12 +40,6 @@ class Perm:
         im[i - 1], im[i] = im[i], im[i - 1]
         return Perm(im)
 
-    @staticmethod
-    def from_one_line(text: str) -> "Perm":
-        """Parse 1-based one-line notation, e.g. "2 1 3"."""
-        vals = [int(x) for x in text.split()]
-        return Perm(v - 1 for v in vals)
-
     @property
     def ell(self) -> int:
         return len(self.images)

@@ -185,11 +185,6 @@ def partition_weight(n: int, parts) -> tuple:
     return tuple(out)
 
 
-def weight_level(weight) -> int:
-    """sum of i * weight(i); equals ell on level-ell dominant weights."""
-    return sum((i + 1) * w for i, w in enumerate(weight))
-
-
 def natural_rep(ctx: ScalarContext, n: int) -> UqModule:
     """The natural (n+1)-dimensional module with loop-operator metadata."""
     if n != ctx.n:

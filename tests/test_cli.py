@@ -98,6 +98,21 @@ def test_single_rank_command_refuses_a_rank_list(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["drinfeld", "--n", "0", "--segments", "1@0:1"],
+    ["build", "--n", "-2", "--segments", "1@0:1"],
+    ["check", "thm-4.2", "--n", "1", "--ell", "0"],
+    ["check", "prop-4.1", "--ell", "-1"],
+    ["check", "prop-4.1", "--n", "2,0"],
+], ids=["drinfeld-n0", "build-n-negative", "check-ell0", "check-ell-negative", "check-n-list-0"])
+def test_sizes_below_one_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "sizes must be at least 1" in err
+
+
+@pytest.mark.parametrize("argv", [
     ["build", "--ell", "2", "--n", "2", "--segments", "1@0:1"],
     ["relations", "--ell", "2", "--segments", "1@0:1"],
     ["drinfeld", "--seed", "1", "--segments", "1@0:1"],
@@ -344,7 +359,7 @@ def test_descriptor_failing_its_relations_reports(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["--backend", "1"], ["--n", "x"], ["--n", ","],
-                                  ["--only", "nope"]])
+                                  ["--only", "nope"], ["--n", "0"], ["--ell", "2,-1"]])
 def test_run_checks_rejects_bad_input(argv):
     import os
     import subprocess
@@ -376,7 +391,7 @@ def test_run_checks_reports_an_undecided_check_and_goes_on(capsys, monkeypatch):
 
     def run_check(cid, cfg):
         if cid == "prop-7.2":
-            raise Undecided("irreducibility undecided after 60 singular candidates")
+            raise Undecided("irreducibility undecided: no eigenspace known in advance decides")
         return CheckResult(cid, True, [("case", True, "")])
 
     monkeypatch.setattr(run_checks, "run_check", run_check)
@@ -385,7 +400,8 @@ def test_run_checks_reports_an_undecided_check_and_goes_on(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert "Traceback" not in out + err
     lines = out.splitlines()
-    assert "UNDECIDED prop-7.2: irreducibility undecided after 60 singular candidates" in lines
+    assert ("UNDECIDED prop-7.2: irreducibility undecided: no eigenspace known in advance decides"
+            in lines)
     for cid in ("prop-4.6", "thm-7.6"):
         assert any(line.split()[:2] == [cid, "PASS"] for line in lines)
     assert lines[-1].startswith("SOME FAILED")
@@ -423,10 +439,10 @@ def test_undecided_irreducibility_exits_1_without_traceback(capsys, monkeypatch)
     from qschur.module_tools import Undecided
 
     def undecided(*args, **kwargs):
-        raise Undecided("irreducibility undecided after 60 singular candidates")
+        raise Undecided("irreducibility undecided: no eigenspace known in advance decides")
 
     monkeypatch.setattr(cli, "irreducible_V_a", undecided)
     code, out, err = run(capsys, "relations", "--n", "2", "--segments", "1@0:2")
     assert code == 1
-    assert err == "undecided: irreducibility undecided after 60 singular candidates\n"
+    assert err == "undecided: irreducibility undecided: no eigenspace known in advance decides\n"
     assert out == ""

@@ -12,6 +12,10 @@ one pair of right Hecke modules and one pair of left U_q-modules; they were
 recorded before are_isomorphic was moved onto the module view, and any
 change to the Hom solve or to its row and column conventions shows up here.
 
+The head digests pin V_a for segment lists whose head the irreducibility
+decision once reached only through sampled words; they were recorded before
+that decision moved onto eigenspaces known in advance.
+
 If a digest has to change on purpose (a new basis convention, say), record
 the reason next to the new value.
 """
@@ -19,6 +23,8 @@ the reason next to the new value.
 import hashlib
 import json
 import random
+
+import pytest
 
 from qschur.affine_hecke import (
     hecke_regular_module,
@@ -55,6 +61,19 @@ def test_functor_of_linked_ideal_digest():
     assert _digest(W.to_json()) == (
         "74213cfb13aec5af4f7080c40fac9c3870acfaf5b241e23a69be26a17de66592"
     )
+
+
+@pytest.mark.parametrize("n,spec,digest", [
+    (3, "2@0:1,3@0:1,5@0:1", "668894579f84408bbf3ad077fb03d12f55e440e4e6a9f5427acec0a5828a5ec1"),
+    (3, "1@0:1,1@4:1,3@0:1", "2b38a5e7c8f89ae4ac1a5e942e3a85d500b105542902aa4cb51b7b76133bb8da"),
+    (3, "1@0:1,1@0:1,1@0:1", "3566d9da6e55d21e417ba575adf03d5c414a35fdb12dc164cf7a6dfdc2c304b0"),
+    (3, "1@0:1,7@0:1,1@4:1", "d5e1a14e0fc7194296d0a8ace20d2e5057f2503007e49f2c58cf13bdf6c97df1"),
+    (1, "1@0:2,1@8:2", "fc0f6e88b2cae972bb951f27cb09306467b8359b271e396c5d0212fb6eab394a"),
+])
+def test_irreducible_head_digest(n, spec, digest):
+    ctx = ScalarContext(n)
+    vmod, _, _ = irreducible_V_a(parse_segments(ctx, spec), ctx)
+    assert _digest(vmod.to_json()) == digest
 
 
 def test_theorem55_pair_digest():

@@ -9,6 +9,12 @@ from qschur.scalars import ScalarContext
 from qschur.symgroup import Perm, all_perms, parabolic_longest
 
 
+def _times_sigma_inv(h, i: int):
+    """Right multiplication by sigma_i^{-1} = q^{-2} sigma_i - (1 - q^{-2})."""
+    q2inv = h.ctx.q_power(-2)
+    return h.times_sigma(i).scale(q2inv) - h.scale(h.ctx.one - q2inv)
+
+
 @pytest.fixture(scope="module")
 def ctx():
     return ScalarContext(2)
@@ -41,7 +47,7 @@ def test_identity_is_neutral(ctx):
 
 def test_sigma_inverse(ctx):
     s1 = HeckeElt.sigma(ctx, 3, 1)
-    assert s1.times_sigma_inv(1) == HeckeElt.one(ctx, 3)
+    assert _times_sigma_inv(s1, 1) == HeckeElt.one(ctx, 3)
 
 
 def test_kl_single_transposition(ctx):
@@ -58,7 +64,7 @@ def test_kl_identity_partition(ctx):
 
 def test_kl_partition_2_1_support(ctx):
     C = kl_parabolic_element(ctx, (2, 1))
-    assert C.support() == {Perm.identity(3), Perm.transposition(3, 1)}
+    assert set(C.terms) == {Perm.identity(3), Perm.transposition(3, 1)}
     expected = HeckeElt.sigma(ctx, 3, 1).scale(ctx.q_power(-1)) - HeckeElt.one(
         ctx, 3
     ).scale(ctx.q)

@@ -67,7 +67,7 @@ def test_spin_idempotent(ctx, vv):
     basis = spin_module(vv, {0: ctx.one})
     again = spin_module(vv, dict(basis.rows()[0]))
     for row in again.rows():
-        assert basis.contains(row)
+        assert not basis.reduce(row)
 
 
 def test_natural_rep_irreducible(ctx):
@@ -76,21 +76,28 @@ def test_natural_rep_irreducible(ctx):
     assert cert["kind"] in ("norton", "density")
 
 
-def test_density_certificate_without_theta_budget(monkeypatch):
-    # no singular candidates at all, so only the density test remains
-    monkeypatch.setattr(module_tools, "IRR_MAX_CANDIDATES", 0)
+def test_density_certificate_without_theta_budget():
+    # the n = 2 natural rep conjugated by a full unitriangular P: no
+    # generator is diagonal and there is no sigma, so no eigenspace is known
+    # in advance and only the density test remains
     c = ScalarContext(2)
-    ok, cert = is_irreducible(natural_rep(c, 2))
+    P = Matrix.from_triplets(c, 3, 3, [[0, 0, "1"], [0, 1, "1"], [0, 2, "1"],
+                                       [1, 1, "1"], [1, 2, "1"], [2, 2, "1"]])
+    P_inv = Matrix.from_triplets(c, 3, 3, [[0, 0, "1"], [0, 1, "-1"], [1, 1, "1"],
+                                           [1, 2, "-1"], [2, 2, "1"]])
+    V = UqModule.from_generators(
+        c, 2, 3, {k: P * g * P_inv for k, g in natural_rep(c, 2).generators().items()})
+    assert not any(all(r.keys() <= {i} for i, r in enumerate(g.rows))
+                   for g in V.generators().values())
+    ok, cert = is_irreducible(V)
     assert ok
     assert cert == {"kind": "density", "algebra_dim": 9}
 
 
-def test_scalar_action_reaches_centralizer_kernel():
-    # y = diag(a, a): every candidate is a scalar matrix, the action algebra
-    # is one-dimensional, and only a centralizer element splits the module
-    from qschur.affine_hecke import RightModule
-    from qschur.linalg import Matrix
-
+def test_scalar_action_is_split_by_the_all_space_weight_group():
+    # y = diag(a, a): the action algebra is one-dimensional, and the weight
+    # space of the diagonal y is all of the module, so its first vector
+    # spins to a proper submodule
     c = ScalarContext(1)
     a = c.scalar(3)
     M = RightModule(c, "Hhat", 1, 2, [],
@@ -102,20 +109,55 @@ def test_scalar_action_reaches_centralizer_kernel():
     assert verify_submodule_certificate(M, cert)
 
 
-def test_sampled_words_split_a_module_no_diagonal_entry_splits():
-    # y = [[2,1],[1,2]] has eigenvalues 1 and 3 but diagonal entries 2, and
-    # its action algebra and centralizer hold no singular basis element, so
-    # only a sampled word in y and y^-1 finds the eigenlines
+def test_no_eigenspace_known_in_advance_leaves_a_module_undecided():
+    # y = [[2,1],[1,2]] has eigenvalues 1 and 3 but no diagonal entry among
+    # them: no generator is diagonal, there is no sigma, and the action
+    # algebra is two-dimensional, so the decision is the typed Undecided
     c = ScalarContext(1)
     two, one, third = c.scalar(2), c.one, c.scalar(3).inverse()
     y = Matrix(c, 2, 2, [{0: two, 1: one}, {0: one, 1: two}])
     y_inv = Matrix(c, 2, 2, [{0: two * third, 1: -third}, {0: -third, 1: two * third}])
     assert y * y_inv == Matrix.identity(c, 2)
     M = RightModule(c, "Hhat", 1, 2, [], [y], [y_inv])
-    ok, cert = is_irreducible(M)
-    assert not ok
-    assert verify_submodule_certificate(M, cert)
-    assert is_irreducible(M) == (ok, cert)
+    with pytest.raises(module_tools.Undecided, match="dimension 2 < 4"):
+        is_irreducible(M)
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)])
+def test_triangular_y_line_certifies_a_universal_module(t0):
+    # M_(2,3,5) restricted to H_3 is the regular module, so every sigma
+    # eigenspace has dimension 3; the y_j are triangular with the six
+    # permutations of a on their diagonals, so each is a weight line, and the
+    # first gives Norton's test; the Jucys-Murphy spaces, one per standard
+    # tableau, have the dimensions of their shapes
+    c = ScalarContext(3, t0=t0)
+    M = universal_module(c, [c.scalar(x) for x in (2, 3, 5)])
+    spaces = list(module_tools.ModuleView(M).eigenspaces())
+    assert [len(ker) for ker, _ in spaces] == [3] * 4 + [1] * 6 + [1, 2, 2, 1]
+    assert is_irreducible(M) == (True, {"kind": "norton", "nullity": 1})
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)])
+def test_eigenline_of_a_generalised_weight_space_certifies_a_module(t0):
+    # M_(1,1,1): the triangular y_j have the one eigenvalue 1, so the only
+    # weight has a generalised eigenspace of dimension 6, but its common
+    # eigenspace is a line, which Norton's test may use all the same
+    c = ScalarContext(3, t0=t0)
+    M = universal_module(c, [c.one] * 3)
+    spaces = list(module_tools.ModuleView(M).eigenspaces())
+    assert [len(ker) for ker, _ in spaces] == [3] * 4 + [1] + [1, 2, 2, 1]
+    assert is_irreducible(M) == (True, {"kind": "norton", "nullity": 1})
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)])
+def test_jucys_murphy_line_certifies_a_head_without_weights(t0):
+    # the head of 1@0:2,1@8:2 at n = 1: no y_j is triangular or diagonal and
+    # no sigma eigenspace is a line, so a Jucys-Murphy line certifies it
+    c = ScalarContext(1, t0=t0)
+    V, _, _ = irreducible_V_a(parse_segments(c, "1@0:2,1@8:2"), c)
+    spaces = list(module_tools.ModuleView(V).eigenspaces())
+    assert [len(ker) for ker, _ in spaces] == [3, 2] * 3 + [1] * 5
+    assert is_irreducible(V) == (True, {"kind": "norton", "nullity": 1})
 
 
 def test_weight_line_is_read_from_the_matrices():
@@ -191,7 +233,7 @@ def test_proper_submodule_is_stable(ctx, vv):
     tmats = [m.transpose() for m in vv.generators().values()]
     for row in sub.rows():
         for m in tmats:
-            assert sub.contains(m.apply_row(row))
+            assert not sub.reduce(m.apply_row(row))
 
 
 def _sub_and_quotient_maps(basis):

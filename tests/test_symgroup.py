@@ -16,6 +16,11 @@ from qschur.symgroup import (
 )
 
 
+def _from_one_line(text: str) -> Perm:
+    """Parse 1-based one-line notation, e.g. "2 1 3"."""
+    return Perm(int(x) - 1 for x in text.split())
+
+
 def test_identity_length():
     assert Perm.identity(4).length() == 0
 
@@ -31,8 +36,8 @@ def test_descent_of_transposition():
 
 
 def test_composition_is_functional():
-    w = Perm.from_one_line("2 3 1")
-    v = Perm.from_one_line("3 1 2")
+    w = _from_one_line("2 3 1")
+    v = _from_one_line("3 1 2")
     assert (w * v)(1) == w(v(1))
 
 
@@ -118,5 +123,5 @@ def test_block_boundaries():
 
 
 def test_one_line_round_trip():
-    w = Perm.from_one_line("2 1 3")
+    w = _from_one_line("2 1 3")
     assert w.one_line() == "2 1 3"

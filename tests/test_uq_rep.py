@@ -20,8 +20,12 @@ from qschur.uq_rep import (
     tensor,
     tensor_rep,
     weight_decomposition,
-    weight_level,
 )
+
+
+def weight_level(weight) -> int:
+    """sum of i * weight(i); equals ell on level-ell dominant weights."""
+    return sum((i + 1) * w for i, w in enumerate(weight))
 
 
 @pytest.fixture(scope="module")
