@@ -9,9 +9,16 @@ This is the batch driver used for CI-style runs:
 
 Exit status 0 iff every check passes.  A check whose irreducibility
 decision stays undecided prints one UNDECIDED line and the sweep goes on.
+
+The last line, `details sha256: <hex>`, is a SHA-256 over every check's id,
+pass flag and details in the order run, without timings: two sweeps with the
+same arguments print the same line exactly when they reached the same
+results, on any code version.
 """
 
 import argparse
+import hashlib
+import json
 import sys
 import time
 
@@ -58,6 +65,7 @@ def main() -> int:
     print(f"{'check':<12} {'status':<6} {'cases':>5} {'time':>8}")
     print("-" * 36)
     all_ok = True
+    records = []
     total = time.time()
     for cid in ids:
         try:
@@ -65,8 +73,12 @@ def main() -> int:
         except Undecided as e:
             all_ok = False
             print(f"UNDECIDED {cid}: {e}")
+            records.append({"check": cid, "undecided": str(e)})
             continue
         all_ok = all_ok and r.passed
+        record = r.to_json()
+        del record["seconds"]
+        records.append(record)
         print(f"{cid:<12} {'PASS' if r.passed else 'FAIL':<6} "
               f"{len(r.details):>5} {r.seconds:>7.2f}s")
         if not r.passed:
@@ -76,6 +88,8 @@ def main() -> int:
     print("-" * 36)
     print(f"{'all' if all_ok else 'SOME FAILED':<12} "
           f"{'PASS' if all_ok else 'FAIL':<6} {'':>5} {time.time()-total:>7.2f}s")
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    print(f"details sha256: {digest}")
     return 0 if all_ok else 1
 
 

@@ -19,9 +19,10 @@ arithmetic stays inside the exact field.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, log10
 from typing import Optional
 
 from .affine_hecke import RightModule, hecke_regular_module, universal_module
@@ -137,6 +138,11 @@ def make_segments(ctx: ScalarContext, specs) -> SegmentList:
     return SegmentList(segs)
 
 
+def _digits(x: Fraction) -> float:
+    """About the number of decimal digits in x's numerator or denominator."""
+    return log10(max(abs(x.numerator), x.denominator))
+
+
 def parse_segments(ctx: ScalarContext, text: str) -> SegmentList:
     """Parse the grammar `<coeff>@<half_q_exponent>:<length>`, comma separated.
 
@@ -145,6 +151,7 @@ def parse_segments(ctx: ScalarContext, text: str) -> SegmentList:
     """
     segs = []
     pos = 0
+    digits = 0.0
     for chunk in text.split(","):
         chunk_start = pos
         body = chunk.strip()
@@ -179,6 +186,19 @@ def parse_segments(ctx: ScalarContext, text: str) -> SegmentList:
                 f"length must be >= 1, got {length}",
                 chunk_start + len(coeff_s) + len(exp_s) + 2,
             )
+        # Each parameter is coeff * t^k times a small power of q, with
+        # k = (n+1) * half_exp a rational t0^k on the specialized backend, and
+        # products of the parameters reach about their summed size.  Past
+        # Python's limit on int-string digits such a number can be neither
+        # printed nor written to JSON, and a huge t0^k does not finish.
+        digits += length * _digits(coeff)
+        if ctx.t0 is not None:
+            digits += length * abs(ctx.e * half_exp // 2) * _digits(ctx.t0)
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        if digits > limit:
+            raise SegmentSpecError(
+                f"segment parameters too large: their product would have about "
+                f"{digits:.0f} digits, above the limit of {limit}", chunk_start)
         center = ctx.scalar(coeff) * ctx.q_power(Fraction(half_exp, 2))
         segs.append(Segment(center, length))
         pos += len(chunk) + 1

@@ -5,8 +5,16 @@ field Q(t).  A :class:`ScalarContext` fixes the rank ``n`` and the embedding
 ``q = t^(2(n+1))``, so that the fractional powers ``q^(1/2) = t^(n+1)`` and
 ``q^(1/(n+1)) = t^2`` needed by the quantum-group side are honest integer
 powers of the single variable t.  Nothing is ever approximated: numerators
-and denominators are sparse Laurent polynomials with Fraction coefficients,
+and denominators are sparse Laurent polynomials with rational coefficients,
 kept in a canonical reduced form so that equality is literal equality.
+
+A coefficient is an ``int`` when it is integral and a ``Fraction`` with
+denominator > 1 otherwise, never a float.  The q-numbers, q^k and Ř's
+entries all have integer coefficients, so most arithmetic stays on Python
+ints; an int and an equal Fraction compare and hash equal, so the type
+choice does not touch equality.  Every division between two coefficients
+goes through ``_div`` (int / int would give a float), and sums and products
+demote an integral Fraction.
 
 The canonical form of a nonzero value is unique: numerator and denominator
 are coprime, the denominator is a monic polynomial with nonzero constant
@@ -44,8 +52,17 @@ from math import gcd
 from typing import Optional
 
 # Shared canonical denominator for polynomial scalars.  Never mutated.
-_DEN_ONE: dict[int, Fraction] = {0: Fraction(1)}
-_ZERO = Fraction(0)
+_DEN_ONE: dict[int, int] = {0: 1}
+
+
+def _demote(x):
+    """x as an int when it is integral, else x itself (a Fraction)."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
+def _div(a, b):
+    """The exact quotient a / b of two coefficients, demoted."""
+    return _demote(Fraction(a, b))
 
 
 class ScalarContext:
@@ -71,7 +88,7 @@ class ScalarContext:
         self.t0 = t0
         self.cache: dict = {}
         self._zero = Scalar(self, {}, _DEN_ONE)
-        self._one = Scalar(self, {0: Fraction(1)}, _DEN_ONE)
+        self._one = Scalar(self, {0: 1}, _DEN_ONE)
 
     @property
     def zero(self) -> "Scalar":
@@ -83,7 +100,8 @@ class ScalarContext:
 
     def scalar(self, x) -> "Scalar":
         """Embed a rational number."""
-        x = Fraction(x)
+        if type(x) is not int:
+            x = _demote(Fraction(x))
         if x == 0:
             return self._zero
         return Scalar(self, {0: x}, _DEN_ONE)
@@ -92,7 +110,7 @@ class ScalarContext:
         """The monomial t^k (a rational value on the specialized backend)."""
         if self.t0 is not None:
             return self.scalar(self.t0 ** k)
-        return Scalar(self, {k: Fraction(1)}, _DEN_ONE)
+        return Scalar(self, {k: 1}, _DEN_ONE)
 
     def q_power(self, r) -> "Scalar":
         """q^r for rational r with r * 2(n+1) integral."""
@@ -119,7 +137,7 @@ class ScalarContext:
 
 
 def _strip(d: dict) -> dict:
-    return {e: c for e, c in d.items() if c}
+    return {e: _demote(c) for e, c in d.items() if c}
 
 
 def _dict_add(a: dict, b: dict) -> dict:
@@ -131,7 +149,7 @@ def _dict_add(a: dict, b: dict) -> dict:
         else:
             s = s + c
             if s:
-                out[e] = s
+                out[e] = s if type(s) is int or s.denominator != 1 else s.numerator
             else:
                 del out[e]
     return out
@@ -140,23 +158,27 @@ def _dict_add(a: dict, b: dict) -> dict:
 def _dict_mul(a: dict, b: dict) -> dict:
     if len(a) == 1:
         (ea, ca), = a.items()
-        return {ea + eb: ca * cb for eb, cb in b.items()}
-    if len(b) == 1:
+        out = {ea + eb: ca * cb for eb, cb in b.items()}
+    elif len(b) == 1:
         (eb, cb), = b.items()
-        return {ea + eb: ca * cb for ea, ca in a.items()}
-    out: dict[int, Fraction] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            s = out.get(e)
-            if s is None:
-                out[e] = ca * cb
-            else:
-                s = s + ca * cb
-                if s:
-                    out[e] = s
+        out = {ea + eb: ca * cb for ea, ca in a.items()}
+    else:
+        out = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = ea + eb
+                s = out.get(e)
+                if s is None:
+                    out[e] = ca * cb
                 else:
-                    del out[e]
+                    s = s + ca * cb
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
+    for e, c in out.items():
+        if type(c) is not int and c.denominator == 1:
+            out[e] = c.numerator
     return out
 
 
@@ -184,7 +206,7 @@ def _dense_monic(a: list) -> list:
     lead = a[-1]
     if lead == 1:
         return a
-    return [c / lead for c in a]
+    return [_div(c, lead) for c in a]
 
 
 def _dense_div_exact(a: list, b: list, s: int, shift: int) -> dict:
@@ -195,12 +217,12 @@ def _dense_div_exact(a: list, b: list, s: int, shift: int) -> dict:
     """
     a = list(a)
     db = len(b) - 1
-    q: dict[int, Fraction] = {}
+    q: dict = {}
     while len(a) - 1 >= db and a:
         lead = a[-1]
         da = len(a) - 1
         if lead:
-            q[(da - db) * s + shift] = lead
+            q[(da - db) * s + shift] = _demote(lead)
             for i in range(db + 1):
                 a[da - db + i] -= lead * b[i]
         a.pop()
@@ -227,10 +249,10 @@ def _cancel(a: dict, b: dict):
         s = gcd(s, e - amin)
     for e in b:
         s = gcd(s, e - bmin)
-    da = [_ZERO] * ((max(a) - amin) // s + 1)
+    da = [0] * ((max(a) - amin) // s + 1)
     for e, c in a.items():
         da[(e - amin) // s] = c
-    db = [_ZERO] * ((max(b) - bmin) // s + 1)
+    db = [0] * ((max(b) - bmin) // s + 1)
     for e, c in b.items():
         db[(e - bmin) // s] = c
     x, y = _dense_monic(da), _dense_monic(db)
@@ -257,13 +279,13 @@ def _normalize(num: dict, den: dict):
     if len(den) == 1:
         c = den[dmin]
         if c != 1:
-            return {e - dmin: v / c for e, v in num.items()}, _DEN_ONE
+            return {e - dmin: _div(v, c) for e, v in num.items()}, _DEN_ONE
         return _shifted(num, -dmin), _DEN_ONE
     num, den = _shifted(num, -dmin), _shifted(den, -dmin)
     lead = den[max(den)]
     if lead != 1:
-        den = {e: c / lead for e, c in den.items()}
-        num = {e: c / lead for e, c in num.items()}
+        den = {e: _div(c, lead) for e, c in den.items()}
+        num = {e: _div(c, lead) for e, c in num.items()}
     return num, den
 
 
@@ -400,7 +422,7 @@ class Scalar:
         if not self.num:
             raise ZeroDivisionError("inverse of zero scalar")
         # den/num is already coprime, so only the shift and the scale remain
-        num = self.den if self.den is not _DEN_ONE else {0: Fraction(1)}
+        num = self.den if self.den is not _DEN_ONE else {0: 1}
         return Scalar(self.ctx, *_normalize(num, self.num))
 
     def __truediv__(self, other):
@@ -580,7 +602,7 @@ def parse_scalar(ctx: ScalarContext, s: str) -> Scalar:
         den = _parse_poly(ctx, ds)
     else:
         num = _parse_poly(ctx, s)
-        den = {0: Fraction(1)}
+        den = {0: 1}
     num, den = _canon(num, den)
     sc = Scalar(ctx, num, den)
     if ctx.t0 is not None:

@@ -42,6 +42,37 @@ def test_malformed_spec_position(capsys):
     assert "position" in err
 
 
+@pytest.mark.parametrize("command,spec", [
+    ("drinfeld", "1@4000:1"),
+    ("build", "1@4000:1"),
+    ("drinfeld", "1@99999999:1"),  # would hang computing (5/3)^299999997
+    ("drinfeld", "1@2000:1,1@-2000:1"),  # each fits, their quotient does not
+])
+def test_huge_rational_center_exits_2(capsys, command, spec):
+    code, _, err = run(capsys, command, "--n", "2", "--segments", spec,
+                       "--backend", "rational:5/3")
+    assert code == 2
+    assert "digits" in err and "position" in err
+
+
+@pytest.mark.parametrize("backend", ["symbolic", "rational:5/3"])
+def test_huge_center_coefficients_exit_2(capsys, backend):
+    c = "1" + "0" * 3000
+    code, _, err = run(capsys, "drinfeld", "--n", "2", "--segments", f"{c}@0:1,{c}@4:1",
+                       "--backend", backend)
+    assert code == 2
+    assert "digits" in err
+
+
+def test_large_centers_below_the_digit_limit(capsys):
+    code, out, _ = run(capsys, "drinfeld", "--n", "2", "--segments", "1@2000:1",
+                       "--backend", "rational:5/3")
+    assert code == 0 and out.startswith("P_1(u) = u + ")
+    # the symbolic backend keeps the power as an exponent of t
+    code, out, _ = run(capsys, "drinfeld", "--n", "2", "--segments", "1@4000:1")
+    assert code == 0 and "q^-2000" in out
+
+
 def test_relations_pass(capsys):
     code, out, _ = run(capsys, "relations", "--n", "2", "--segments", "1@0:2")
     assert code == 0
@@ -404,7 +435,30 @@ def test_run_checks_reports_an_undecided_check_and_goes_on(capsys, monkeypatch):
             in lines)
     for cid in ("prop-4.6", "thm-7.6"):
         assert any(line.split()[:2] == [cid, "PASS"] for line in lines)
-    assert lines[-1].startswith("SOME FAILED")
+    assert lines[-2].startswith("SOME FAILED")
+    assert lines[-1].startswith("details sha256: ")
+
+
+def test_run_checks_details_digest_is_stable():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    lines = []
+    for _ in range(2):
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "run_checks.py"), "--n", "2",
+             "--ell", "1,2", "--only", "eq-12,prop-3.3,thm-5.5"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines.append(proc.stdout.splitlines()[-1])
+    assert lines[0] == lines[1]
+    label, digest = lines[0].split(": ")
+    assert label == "details sha256" and len(digest) == 64
 
 
 def test_check_runs_every_requested_rank(capsys):

@@ -16,6 +16,10 @@ The head digests pin V_a for segment lists whose head the irreducibility
 decision once reached only through sampled words; they were recorded before
 that decision moved onto eigenspaces known in advance.
 
+The rational universal-module digests pin F(M_a) for an a with non-integral
+entries, on both backends; they were recorded while every coefficient was
+still a Fraction, before integral coefficients became Python ints.
+
 If a digest has to change on purpose (a new basis convention, say), record
 the reason next to the new value.
 """
@@ -23,6 +27,7 @@ the reason next to the new value.
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -50,6 +55,19 @@ def test_functor_of_universal_module_digest():
     assert _digest(W.to_json()) == (
         "bdfa5ea31e709cc8a4cf9900fbb33f77f36e060109624d15416ab663ced9890a"
     )
+
+
+@pytest.mark.parametrize("t0,digest", [
+    (None, "ff4fe6e91e86ad4c27c4eceb304190c8db08852b774c681b9ddc9aa9c7bf77de"),
+    (Fraction(5, 3), "3b631cd4975e1624ca04f86834812d91ad9988101b8e89870c6f4938b4a995a5"),
+], ids=["symbolic", "t=5/3"])
+def test_functor_of_rational_universal_module_digest(t0, digest):
+    # F(M_a) at n = 2 for a genuinely rational a = (3/2, -5/7), so that
+    # coefficients with denominators reach the module; symbolic and at t = 5/3
+    ctx = ScalarContext(2, t0=t0)
+    avec = (ctx.scalar(Fraction(3, 2)), ctx.scalar(Fraction(-5, 7)))
+    W = functor_F(universal_module(ctx, avec), 2, check_source=False)
+    assert _digest(W.to_json()) == digest
 
 
 def test_functor_of_linked_ideal_digest():

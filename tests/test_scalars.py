@@ -217,8 +217,9 @@ def _ref_div(a: list, b: list) -> list:
 
 
 def _ref_canon(num: dict, den: dict):
-    num = {e: c for e, c in num.items() if c}
-    den = {e: c for e, c in den.items() if c}
+    # Fractions throughout, so that c / lead below stays exact on int input
+    num = {e: Fraction(c) for e, c in num.items() if c}
+    den = {e: Fraction(c) for e, c in den.items() if c}
     if not num:
         return {}, {0: Fraction(1)}
     nmin, dmin = min(num), min(den)
@@ -264,16 +265,28 @@ def _ref_pow(x, k: int):
     return _ref_canon(pn, pd)
 
 
+def _canonical_type(c):
+    return c.numerator if c.denominator == 1 else c
+
+
 def _make(ctx, num: dict, den: dict) -> Scalar:
     num, den = _ref_canon(num, den)
+    num = {e: _canonical_type(c) for e, c in num.items()}
+    den = {e: _canonical_type(c) for e, c in den.items()}
     return Scalar(ctx, num, _DEN_ONE if den == {0: 1} else den)
+
+
+def _assert_coefficient_types(s: Scalar) -> None:
+    # an int when integral, else a Fraction with denominator > 1; never a float
+    for c in [*s.num.values(), *s.den.values()]:
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
 
 
 def _assert_is(got: Scalar, ref) -> None:
     num, den = ref
     assert got.num == num and got.den == den
     assert (got.den is _DEN_ONE) == (den == {0: 1})
-    assert all(type(c) is Fraction for c in [*got.num.values(), *got.den.values()])
+    _assert_coefficient_types(got)
 
 
 _nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool)
@@ -361,3 +374,21 @@ def test_rational_backend_matches_reference(x, y):
     a, b = _RATIONAL.scalar(x), _RATIONAL.scalar(y)
     _check_field_operations(a, b)
     assert (a * b).num == ({0: x * y} if x * y else {})
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)], ids=["symbolic", "t=5/3"])
+def test_integral_coefficients_are_ints(t0):
+    c = ScalarContext(2, t0=t0)
+    t = c.t_power(1)
+    half = c.scalar(3) / c.scalar(2)
+    values = [half, c.scalar(2).inverse(), c.scalar(Fraction(4, 2)), c.one,
+              parse_scalar(c, "(2*t^2 + 4)/(6*t^3 + 3*t)"), q_int(c, 3), q_binom(c, 4, 2),
+              t * t - 1, (2 * t + 2) / (2 * t)]
+    for v in values:
+        _assert_coefficient_types(v)
+    assert half.num == {0: Fraction(3, 2)}
+    assert c.scalar(Fraction(4, 2)).num == {0: 2}
+    if t0 is None:
+        # a monic denominator leaves the numerator 2/3 t^-1 + 1/3 t
+        assert values[4].num == {-1: Fraction(2, 3), 1: Fraction(1, 3)}
+        assert values[-1].num == {0: 1, -1: 1}
