@@ -491,15 +491,6 @@ def zelevinsky_induce(M1: RightModule, M2: RightModule) -> RightModule:
     return RightModule(ctx, "Hhat", ell, M1.dim * M2.dim * len(reps), sigma, y, y_inv)
 
 
-def zelevinsky_induce_finite(M1: RightModule, M2: RightModule) -> RightModule:
-    """The finite Zelevinsky tensor product of H-modules: the sigma part of the affine one."""
-    ell = M1.ell + M2.ell
-    reps = min_coset_reps(M1.ell, M2.ell)
-    rep_index = {d: k for k, d in enumerate(reps)}
-    sigma = [_induced_generator(M1, M2, reps, rep_index, ("s", i)) for i in range(1, ell)]
-    return RightModule(M1.ctx, "H", ell, M1.dim * M2.dim * len(reps), sigma)
-
-
 def cherednik_pullback(M: RightModule, a) -> RightModule:
     """Pull a finite Hecke module back to the affine algebra at parameter a.
 

@@ -1,19 +1,21 @@
 """Extending Jimbo's functor to the quantum affine algebra.
 
 Given a finite-dimensional right module M over the affine Hecke algebra, the
-underlying space of the extension is J(M|_H); the loop generators act on the
-ambient space M (x) V^(x ell) by
+underlying space of the extension is J(M|_H); the loop generators act on
+M (x) V^(x ell) by
 
     x_0^+ . (m (x) v) = sum_j  m.y_j     (x) Y_j^+ . v
     x_0^- . (m (x) v) = sum_j  m.y_j^{-1} (x) Y_j^- . v
     k_0   . (m (x) v) = m (x) (k_theta^{-1})^(x ell) . v
 
 with Y_j^+ = 1^(j-1) (x) x_theta^- (x) (k_theta^{-1})^(ell-j) and
-Y_j^- = k_theta^(j-1) (x) x_theta^+ (x) 1^(ell-j).  Rather than trusting
-that these descend to the quotient, the construction asserts outright that
-they preserve the defining subspace, and the full list of quantum affine
-defining relations is re-checked as exact matrix identities on every module
-built here.
+Y_j^- = k_theta^(j-1) (x) x_theta^+ (x) 1^(ell-j).  Only their values on
+m (x) e_mu, e_mu a sorted tensor, are formed; ``JimboImage.lift`` sorts each
+resulting m' (x) u back onto a block of the quotient (+)_mu M / M(sigma_i -
+q^2).  Rather than trusting that these operators descend, the construction
+asserts outright that they carry the relations of each block into the
+relations, and the full list of quantum affine defining relations is
+re-checked as exact matrix identities on every module built here.
 
 The affine Cartan matrix is the cycle on {0, ..., n} for n >= 2; for n = 1
 the two nodes are joined by a double bond (a_01 = a_10 = -2), which makes
@@ -213,26 +215,18 @@ def functor_F(M: RightModule, n: int, check_source: bool = True) -> UqModule:
         rep = verify_module_relations(M)
         if not rep.passed:
             raise ValueError(f"source module fails relations: {rep.failures()}")
-    ctx = M.ctx
     img = jimbo_J(M.restrict_to_finite(), n)
     yplus, yminus, k0t, k0invt = _loop_operators(img)
-    dimM = M.dim
-    x0p_amb = None
-    x0m_amb = None
-    for j in range(1, M.ell + 1):
-        tp = M.y[j - 1].transpose().kron(yplus[j - 1])
-        tm = M.y_inv[j - 1].transpose().kron(yminus[j - 1])
-        x0p_amb = tp if x0p_amb is None else x0p_amb + tp
-        x0m_amb = tm if x0m_amb is None else x0m_amb + tm
-    eyeM = Matrix.identity(ctx, dimM)
-    k0_amb = eyeM.kron(k0t)
-    k0inv_amb = eyeM.kron(k0invt)
+
+    def push(terms):
+        return img.push_ambient_operator(img.ambient_operator(terms), check=True)
+
     return replace(
         img.module,
-        x0p=img.push_ambient_operator(x0p_amb, check=True),
-        x0m=img.push_ambient_operator(x0m_amb, check=True),
-        k0=img.push_ambient_operator(k0_amb, check=True),
-        k0inv=img.push_ambient_operator(k0inv_amb, check=True),
+        x0p=push(list(zip(M.y, yplus))),
+        x0m=push(list(zip(M.y_inv, yminus))),
+        k0=push([(None, k0t)]),
+        k0inv=push([(None, k0invt)]),
         jimbo=img,
     )
 
@@ -247,7 +241,7 @@ def functor_F_map(f: Matrix, src: UqModule, dst: UqModule) -> Matrix:
     a, b = src.jimbo, dst.jimbo
     if a is None or b is None:
         raise ValueError("both modules must come from functor_F")
-    amb = f.transpose().kron(Matrix.identity(f.ctx, a.tensor.dim))
+    amb = Matrix.identity(f.ctx, len(a.blocks)).kron(f.transpose())
     try:
         return a.relations.descend(amb, b.relations, check=True)
     except ValueError:

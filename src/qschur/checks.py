@@ -341,16 +341,16 @@ def check_prop_4_7(cfg: RunConfig) -> CheckResult:
         for ell in [e for e in cfg.ell_values if 2 <= e <= 3]:
             avec = _random_parameters(ctx, ell, rng)
             M = universal_module(ctx, avec)
-            img = jimbo_J(M.restrict_to_finite(), n)
-            dims_ok = img.module.dim == (n + 1) ** ell
             W = functor_F(M, n, check_source=False)
+            dim_J = W.jimbo.module.dim
+            dims_ok = dim_J == (n + 1) ** ell
             prod = tensor_affine_chain(
                 [evaluation_natural(ctx, n, a) for a in avec]
             )
             T = are_isomorphic(W, prod)
             details.append(
                 (f"n={n} ell={ell}", dims_ok and T is not None,
-                 f"dim J={img.module.dim}")
+                 f"dim J={dim_J}")
             )
     return _package("prop-4.7", details)
 

@@ -38,11 +38,12 @@ from .uq_rep import UqModule
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 
-# Largest Jimbo ambient dimension ell! * (n+1)^ell a segment list may need.
-# `build` for three generic singletons (2@0:1,3@0:1,5@0:1) takes 0.4 s at
-# 384 (n = 3) and 1.0 s at 750 (n = 4) on a 2-core x86-64 host; V_a and F
-# for four generic singletons at 1944 (n = 2) take 77 s.  Larger lists are
-# refused, --force or not.
+# Largest size ell! * (n+1)^ell (dim M_a times the dimension of V^(x ell)) a
+# segment list may have.  `build` for three generic singletons
+# (2@0:1,3@0:1,5@0:1) takes 0.3 s at 384 (n = 3) and 0.4 s at 750 (n = 4) on
+# a 2-core x86-64 host; for four generic singletons at 1944 (n = 2) F takes
+# 0.2 s but V_a 66 s, nearly all of it the irreducibility decision.  Larger
+# lists are refused, --force or not.
 MAX_JIMBO_AMBIENT = 1000
 
 
@@ -142,8 +143,8 @@ def _context(args, n: int) -> ScalarContext:
 def _segments_or_die(ctx, spec, n, force):
     """Parse a segment spec; refuse a total length above n unless forced.
 
-    A list whose Jimbo ambient dimension ell! * (n+1)^ell exceeds
-    MAX_JIMBO_AMBIENT is refused even when forced.
+    A list whose size ell! * (n+1)^ell exceeds MAX_JIMBO_AMBIENT is refused
+    even when forced.
 
     force=None marks a command without --force, whose refusal has no hint.
     """

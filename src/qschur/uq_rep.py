@@ -15,12 +15,15 @@ Tensor products use the coproduct (``tensor``), and tensor powers fold it:
 V^(x ell) = (V^(x (ell-1))) (x) V, so x_i^+ goes to
 sum_j 1^(j-1) (x) x_i^+ (x) k_i^(ell-j).
 
-Jimbo's functor J sends a right Hecke module M to the quotient of
-M (x) V^(x ell) by the span of m.sigma_i (x) v - m (x) Rcheck_i v.  The
-construction keeps that span as a reduced basis (``JimboImage.relations``),
-which is the quotient: quotient coordinates and induced operators come from
-``SubspaceBasis.coset``/``descend``, so the affine extension pushes the
-loop operators through the same quotient.
+Jimbo's functor J sends a right Hecke module M to M (x)_H V^(x ell).  The
+weight-mu part of V^(x ell) is generated over H by the sorted tensor
+e_mu = v_1^(x mu_1) (x) v_2^(x mu_2) (x) ..., and Rcheck_i e_mu = q^2 e_mu for
+i inside a block of mu (Dipper-James: V^(x ell) = (+)_mu x_mu H), so
+J(M) = (+)_mu M / sum_{i in mu} M(sigma_i - q^2).  ``JimboImage.relations``
+keeps those rows, block by block, as a reduced basis: the quotient.
+``JimboImage.lift`` sorts any m (x) u onto its block; every operator
+sum A (x) X (A on M, X on V^(x ell)) is built through it and descended, so
+the affine extension pushes the loop operators through the same quotient.
 
 A module's weights are read off its k_i (``UqModule.weights``), never
 stored beside them, so no label can contradict the matrices.
@@ -30,10 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations_with_replacement
 from math import log
 from typing import Optional
 
-from .linalg import Matrix, SubspaceBasis, column_kernel, json_int, named_matrices
+from .linalg import Matrix, SubspaceBasis, add_scaled, column_kernel, json_int, named_matrices
 from .scalars import ScalarContext
 from .affine_hecke import RightModule
 
@@ -322,30 +326,78 @@ def rcheck_i(ctx: ScalarContext, n: int, ell: int, i: int) -> Matrix:
     return kron_chain(factors)
 
 
+def _tensor_index(word, d: int) -> int:
+    """Index in V^(x ell) of v_{word[0]+1} (x) v_{word[1]+1} (x) ..."""
+    return sum(r * d ** k for k, r in enumerate(reversed(word)))
+
+
 @dataclass
 class JimboImage:
-    """J(M) together with the quotient data needed to extend the action."""
+    """J(M) as a quotient of the block ambient (+)_mu M.
+
+    Block b holds m (x) e_mu for the b-th sorted tensor e_mu, at ambient index
+    b * dim M + m.  Rcheck_i e_mu = q^2 e_mu for i inside a block of mu, so the
+    relations are the rows of sigma_i - q^2 in block b for every such i.
+    """
 
     module: UqModule
     source: RightModule
     tensor: UqModule           # V^(x ell) with its action
     base: UqModule             # the natural module V
-    relations: SubspaceBasis   # span of m.sigma_i (x) v - m (x) Rcheck_i v
+    blocks: dict               # index of e_mu in V^(x ell) -> its block, in index order
+    relations: SubspaceBasis   # in each block mu, the rows of sigma_i - q^2
 
-    @property
-    def m_dim(self) -> int:
-        return self.source.dim
+    def lift(self, m: dict, u: int, c=None) -> dict:
+        """The ambient vector of c.(m (x) u) for a basis tensor u (c = 1 if None).
+
+        A decreasing pair of u in slots p, p+1 is q^-1 Rcheck_p of the
+        increasing pair, and m (x) Rcheck_p w = m.sigma_p (x) w, so each swap
+        of a bubble sort of u moves q^-1 sigma_p onto m.  The result lies in
+        the block of u's sorted tensor.
+        """
+        d, ell = self.base.dim, self.source.ell
+        word = [u // d ** (ell - 1 - s) % d for s in range(ell)]
+        swaps = 0
+        for top in range(ell - 1, 0, -1):
+            for p in range(top):
+                if word[p] > word[p + 1]:
+                    word[p], word[p + 1] = word[p + 1], word[p]
+                    m = self.source.sigma[p].apply_row(m)
+                    swaps += 1
+        if swaps:
+            qk = self.source.ctx.q_power(-swaps)
+            c = qk if c is None else c * qk
+        if c is not None and not c.is_one():
+            m = {j: c * x for j, x in m.items()}
+        offset = self.blocks[_tensor_index(word, d)] * self.source.dim
+        return {offset + j: x for j, x in m.items()}
 
     def embed(self, m_index: int, tensor_vec: dict) -> dict:
         """Quotient coordinates of e_{m_index} (x) (tensor vector)."""
-        D = self.tensor.dim
-        return self.relations.coset({m_index * D + c: v for c, v in tensor_vec.items()})
+        acc: dict = {}
+        for u, c in tensor_vec.items():
+            add_scaled(acc, self.lift({m_index: self.source.ctx.one}, u, c))
+        return self.relations.coset(acc)
 
-    def push_tensor_operator(self, op: Matrix) -> Matrix:
-        """Induced action on the quotient of 1_M (x) op."""
-        return self.push_ambient_operator(
-            Matrix.identity(self.relations.ctx, self.m_dim).kron(op)
-        )
+    def ambient_operator(self, terms) -> Matrix:
+        """The ambient matrix of sum (A (x) X) over the pairs (A, X) in terms.
+
+        A is a right-action matrix on M, or None for 1; X is an operator on
+        V^(x ell) in column convention, of which only the columns X e_mu are
+        read.
+        """
+        ctx, dim = self.source.ctx, self.source.dim
+        cols = []
+        for e in self.blocks:
+            reads = [(A, [(u, r[e]) for u, r in enumerate(X.rows) if e in r]) for A, X in terms]
+            for m in range(dim):
+                acc: dict = {}
+                for A, col in reads:
+                    row = {m: ctx.one} if A is None else A.rows[m]
+                    for u, x in col:
+                        add_scaled(acc, self.lift(row, u, x))
+                cols.append(acc)
+        return Matrix(ctx, len(cols), len(cols), cols).transpose()
 
     def push_ambient_operator(self, op: Matrix, check: bool = False) -> Matrix:
         """Induced action of an ambient operator that preserves the relations."""
@@ -355,24 +407,24 @@ class JimboImage:
 def jimbo_J(M: RightModule, n: int) -> JimboImage:
     """Jimbo's functor: M (x)_{H_ell} V^(x ell) with the induced U_q action."""
     ctx = M.ctx
-    ell = M.ell
     V = natural_rep(ctx, n)
-    T = tensor_rep(V, ell)
-    D = T.dim
-    rel = SubspaceBasis(ctx, M.dim * D)
-    eyeM = Matrix.identity(ctx, M.dim)
-    eyeT = Matrix.identity(ctx, D)
-    for i in range(1, ell):
-        # row (m, v) is e_m.sigma_i (x) v - e_m (x) Rcheck_i v
-        gens = M.sigma[i - 1].kron(eyeT) - eyeM.kron(rcheck_i(ctx, n, ell, i).transpose())
-        rel.add_all(gens.rows)
-    img = JimboImage(module=None, source=M, tensor=T, base=V, relations=rel)
-    xp = [img.push_tensor_operator(T.xp[i]) for i in range(n)]
-    xm = [img.push_tensor_operator(T.xm[i]) for i in range(n)]
-    k = [img.push_tensor_operator(T.k[i]) for i in range(n)]
-    kinv = [img.push_tensor_operator(T.kinv[i]) for i in range(n)]
-    t = [img.push_tensor_operator(m) for m in T.t] if T.t is not None else None
-    img.module = UqModule(ctx, n, M.dim * D - rel.dim, xp, xm, k, kinv, t=t)
+    T = tensor_rep(V, M.ell)
+    words = list(combinations_with_replacement(range(V.dim), M.ell))
+    rel = SubspaceBasis(ctx, len(words) * M.dim)
+    q2 = Matrix.identity(ctx, M.dim).scale(ctx.q_power(2))
+    kernels = [(s - q2).rows for s in M.sigma]
+    for b, word in enumerate(words):
+        for p in range(M.ell - 1):
+            if word[p] == word[p + 1]:
+                rel.add_all({b * M.dim + j: x for j, x in row.items()} for row in kernels[p])
+    blocks = {_tensor_index(word, V.dim): b for b, word in enumerate(words)}
+    img = JimboImage(module=None, source=M, tensor=T, base=V, blocks=blocks, relations=rel)
+
+    def push(ops):
+        return [img.push_ambient_operator(img.ambient_operator([(None, X)])) for X in ops]
+
+    img.module = UqModule(ctx, n, rel.ambient - rel.dim, push(T.xp), push(T.xm), push(T.k),
+                          push(T.kinv), t=push(T.t) if T.t is not None else None)
     return img
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qschur.affine_hecke import (
     AffHeckeElt,
     RightModule,
+    _induced_generator,
     cherednik_pullback,
     hecke_regular_module,
     one_dimensional_affine_module,
@@ -14,20 +15,28 @@ from qschur.affine_hecke import (
     universal_module,
     verify_module_relations,
     zelevinsky_induce,
-    zelevinsky_induce_finite,
 )
 from qschur.checks import _induced_by_quotient
 from qschur.hecke import HeckeElt
 from qschur.linalg import Matrix
 from qschur.module_tools import are_isomorphic, is_irreducible
 from qschur.scalars import ScalarContext
-from qschur.symgroup import all_perms
+from qschur.symgroup import all_perms, min_coset_reps
 
 
 def _times_sigma_inv(h, i: int):
     """Right multiplication by sigma_i^{-1} = q^{-2} sigma_i - (1 - q^{-2})."""
     q2inv = h.ctx.q_power(-2)
     return h.times_sigma(i).scale(q2inv) - h.scale(h.ctx.one - q2inv)
+
+
+def zelevinsky_induce_finite(M1: RightModule, M2: RightModule) -> RightModule:
+    """The finite Zelevinsky tensor product of H-modules: the sigma part of the affine one."""
+    ell = M1.ell + M2.ell
+    reps = min_coset_reps(M1.ell, M2.ell)
+    rep_index = {d: k for k, d in enumerate(reps)}
+    sigma = [_induced_generator(M1, M2, reps, rep_index, ("s", i)) for i in range(1, ell)]
+    return RightModule(M1.ctx, "H", ell, M1.dim * M2.dim * len(reps), sigma)
 
 
 @pytest.fixture(scope="module")

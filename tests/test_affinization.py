@@ -89,6 +89,18 @@ def test_functor_relation_suite(n, ell):
     assert verify_central_element(W)
 
 
+def test_functor_relation_suite_at_ell_4():
+    # F(M_(2,3,5,7)) at n = 2: dim 81, where the generic quotient of
+    # M (x) V^(x 4) has an ambient of dimension 24 * 81 = 1944
+    c = ScalarContext(2)
+    W = functor_F(universal_module(c, [c.scalar(a) for a in (2, 3, 5, 7)]), 2,
+                  check_source=False)
+    assert W.dim == 81
+    rep = verify_affine_relations(W)
+    assert rep.passed, rep.failures()
+    assert verify_central_element(W)
+
+
 def test_perturbed_loop_generator_fails(ctx2):
     M = universal_module(ctx2, (ctx2.one, ctx2.scalar(5)))
     W = functor_F(M, 2, check_source=False)

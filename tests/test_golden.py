@@ -22,6 +22,13 @@ still a Fraction, before integral coefficients became Python ints.
 
 If a digest has to change on purpose (a new basis convention, say), record
 the reason next to the new value.
+
+The F-basis digests (F(M_a), the linked ideal, the Thm 5.5 pair and the
+left-module intertwiner) changed when Jimbo's functor moved onto the block
+ambient, one copy of M per sorted tensor: the quotient basis is now the
+free columns of each block in turn, not the free columns of M (x) V^(x ell).
+Each old value is still asserted, on the reference construction in
+``jimbo_reference``, and the two constructions are asserted isomorphic.
 """
 
 import hashlib
@@ -31,13 +38,21 @@ from fractions import Fraction
 
 import pytest
 
+from jimbo_reference import reference_functor_F, reference_jimbo_J
 from qschur.affine_hecke import (
+    cherednik_pullback,
     hecke_regular_module,
     one_dimensional_affine_module,
     universal_module,
     zelevinsky_induce,
 )
-from qschur.affinization import evaluation_natural, functor_F, tensor_affine_chain, theorem55_check
+from qschur.affinization import (
+    evaluation_natural,
+    functor_F,
+    jimbo_eval_pullback,
+    tensor_affine_chain,
+    theorem55_check,
+)
 from qschur.classification import irreducible_V_a, parse_segments
 from qschur.module_tools import are_isomorphic
 from qschur.scalars import ScalarContext
@@ -47,27 +62,42 @@ def _digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
+def _functor_digests(M, n) -> tuple:
+    """Digests of F(M) and of the reference F(M), asserted isomorphic."""
+    W, ref = functor_F(M, n, check_source=False), reference_functor_F(M, n)
+    assert are_isomorphic(W, ref) is not None
+    return _digest(W.to_json()), _digest(ref.to_json())
+
+
 def test_functor_of_universal_module_digest():
     # F(M_a) at n = 2, ell = 3
     ctx = ScalarContext(2)
     avec = (ctx.one, ctx.scalar(2) * ctx.q, ctx.scalar(-3) * ctx.q_power(-2))
-    W = functor_F(universal_module(ctx, avec), 2, check_source=False)
-    assert _digest(W.to_json()) == (
-        "bdfa5ea31e709cc8a4cf9900fbb33f77f36e060109624d15416ab663ced9890a"
+    assert _functor_digests(universal_module(ctx, avec), 2) == (
+        # the block-ambient basis
+        "f9bf9cafa9c6ac31f1772ad5f9722d27e6357bcf315a44a9035981b76b6dfe6b",
+        "bdfa5ea31e709cc8a4cf9900fbb33f77f36e060109624d15416ab663ced9890a",
     )
 
 
-@pytest.mark.parametrize("t0,digest", [
-    (None, "ff4fe6e91e86ad4c27c4eceb304190c8db08852b774c681b9ddc9aa9c7bf77de"),
-    (Fraction(5, 3), "3b631cd4975e1624ca04f86834812d91ad9988101b8e89870c6f4938b4a995a5"),
+@pytest.mark.parametrize("t0,digests", [
+    (None, (
+        # the block-ambient basis
+        "e602253d762a4f2fcddee05161df1332586a93e751f1c409603287bc27c68ab6",
+        "ff4fe6e91e86ad4c27c4eceb304190c8db08852b774c681b9ddc9aa9c7bf77de",
+    )),
+    (Fraction(5, 3), (
+        # the block-ambient basis
+        "a18454ea3b36b34cdbe018abdf3fce2f333bd621f9b3030177e67f04ca423614",
+        "3b631cd4975e1624ca04f86834812d91ad9988101b8e89870c6f4938b4a995a5",
+    )),
 ], ids=["symbolic", "t=5/3"])
-def test_functor_of_rational_universal_module_digest(t0, digest):
+def test_functor_of_rational_universal_module_digest(t0, digests):
     # F(M_a) at n = 2 for a genuinely rational a = (3/2, -5/7), so that
     # coefficients with denominators reach the module; symbolic and at t = 5/3
     ctx = ScalarContext(2, t0=t0)
     avec = (ctx.scalar(Fraction(3, 2)), ctx.scalar(Fraction(-5, 7)))
-    W = functor_F(universal_module(ctx, avec), 2, check_source=False)
-    assert _digest(W.to_json()) == digest
+    assert _functor_digests(universal_module(ctx, avec), 2) == digests
 
 
 def test_functor_of_linked_ideal_digest():
@@ -75,9 +105,10 @@ def test_functor_of_linked_ideal_digest():
     # center, n = 3
     ctx = ScalarContext(3)
     _, _, ideal = irreducible_V_a(parse_segments(ctx, "1@0:2,1@6:1"), ctx)
-    W = functor_F(ideal.module, 3, check_source=False)
-    assert _digest(W.to_json()) == (
-        "74213cfb13aec5af4f7080c40fac9c3870acfaf5b241e23a69be26a17de66592"
+    assert _functor_digests(ideal.module, 3) == (
+        # the block-ambient basis
+        "769201e2040dce4ac8bd220ce3275aa5750454c7cb4c8cc114fae4a6839e6158",
+        "74213cfb13aec5af4f7080c40fac9c3870acfaf5b241e23a69be26a17de66592",
     )
 
 
@@ -97,11 +128,20 @@ def test_irreducible_head_digest(n, spec, digest):
 def test_theorem55_pair_digest():
     # both evaluation routes of the regular H_2-module at a = q, n = 2
     ctx = ScalarContext(2)
-    T, lhs, rhs = theorem55_check(hecke_regular_module(ctx, 2), ctx.q, 2)
+    M = hecke_regular_module(ctx, 2)
+    T, lhs, rhs = theorem55_check(M, ctx.q, 2)
     assert T is not None
     assert [_digest(lhs.to_json()), _digest(rhs.to_json())] == [
+        # the block-ambient basis
+        "b4c2e82f34c7be80c40bf8ade29ff6b1cea5120fe0f266964323e8b366d2b500"
+    ] * 2
+    # the same two routes through the reference construction
+    ref_lhs = reference_functor_F(cherednik_pullback(M, ctx.q_power(Fraction(-4, 3)) * ctx.q), 2)
+    ref_rhs = jimbo_eval_pullback(reference_jimbo_J(M, 2).module, ctx.q)
+    assert [_digest(ref_lhs.to_json()), _digest(ref_rhs.to_json())] == [
         "24b6505ee2c9da43cbd75fda3ba939c3c8dedfa87cca91bc847e70f79abd16ed"
     ] * 2
+    assert are_isomorphic(lhs, ref_lhs) is not None
 
 
 def test_right_module_intertwiner_digest():
@@ -119,11 +159,15 @@ def test_left_module_intertwiner_digest():
     # F(M_(1,5)) against V(1) (x) V(5), n = 2
     ctx = ScalarContext(2)
     a = (ctx.one, ctx.scalar(5))
-    W = functor_F(universal_module(ctx, a), 2, check_source=False)
-    T = are_isomorphic(W, tensor_affine_chain([evaluation_natural(ctx, 2, x) for x in a]))
-    assert _digest(T.to_triplets()) == (
-        "a535b5f64c7eb4722b876508d7a83c40aeae1b9f622f070c05100cc0f4b2fbe4"
-    )
+    M = universal_module(ctx, a)
+    W, ref = functor_F(M, 2, check_source=False), reference_functor_F(M, 2)
+    V = tensor_affine_chain([evaluation_natural(ctx, 2, x) for x in a])
+    assert [_digest(are_isomorphic(X, V).to_triplets()) for X in (W, ref)] == [
+        # the block-ambient basis
+        "59c6ddbd8f05571f0a77e1355472ba3a7ea0bc6c2e64756d724e47e0868a9164",
+        "a535b5f64c7eb4722b876508d7a83c40aeae1b9f622f070c05100cc0f4b2fbe4",
+    ]
+    assert are_isomorphic(W, ref) is not None
 
 
 def test_rational_function_chain_digest():

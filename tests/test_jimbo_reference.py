@@ -1,0 +1,54 @@
+"""Jimbo's functor and its loop extension against the generic quotient.
+
+The library builds J(M) as (+)_mu M / M(sigma_i - q^2); ``jimbo_reference``
+eliminates the Rcheck-relations over M (x) V^(x ell).  Both must give the
+same module up to an intertwiner, which is re-checked on every generator.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from jimbo_reference import reference_functor_F, reference_jimbo_J
+from qschur.affine_hecke import hecke_regular_module, one_dimensional_module, universal_module
+from qschur.affinization import functor_F
+from qschur.classification import rogawski_quotient
+from qschur.module_tools import are_isomorphic, character
+from qschur.scalars import ScalarContext
+from qschur.uq_rep import dominant_highest_weights, jimbo_J
+
+BACKENDS = pytest.mark.parametrize("t0", [None, Fraction(5, 3)], ids=["symbolic", "t=5/3"])
+
+
+def assert_same_module(W, ref):
+    T = are_isomorphic(W, ref)
+    assert T is not None
+    ours, theirs = W.generators(), ref.generators()
+    assert ours.keys() == theirs.keys()
+    for name, g in ours.items():
+        assert T * g == theirs[name] * T, name
+    assert character(W) == character(ref)
+    assert dominant_highest_weights(W) == dominant_highest_weights(ref)
+
+
+@BACKENDS
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_functor_F_matches_the_reference(t0, n, ell):
+    # the strata of the benchmark's relations workload, at generic parameters
+    ctx = ScalarContext(n, t0=t0)
+    M = universal_module(ctx, [ctx.scalar(a) for a in (2, -3, 7)[:ell]])
+    assert_same_module(functor_F(M, n, check_source=False), reference_functor_F(M, n))
+
+
+@BACKENDS
+@pytest.mark.parametrize("source", ["regular", "sign", "trivial", "rogawski"])
+def test_jimbo_J_matches_the_reference(t0, source):
+    ctx = ScalarContext(3, t0=t0)
+    M = {
+        "regular": lambda: hecke_regular_module(ctx, 3),
+        "sign": lambda: one_dimensional_module(ctx, 3, -1),
+        "trivial": lambda: one_dimensional_module(ctx, 3, ctx.q_power(2)),
+        "rogawski": lambda: rogawski_quotient(ctx, (2, 1)),
+    }[source]()
+    assert_same_module(jimbo_J(M, 3).module, reference_jimbo_J(M, 3).module)

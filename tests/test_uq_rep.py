@@ -1,13 +1,16 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from qschur.affine_hecke import hecke_regular_module, one_dimensional_module
 from qschur.affinization import verify_finite_relations
-from qschur.linalg import Matrix, column_kernel, span, vec_add
+from qschur.classification import rogawski_quotient
+from qschur.hecke import HeckeElt
+from qschur.linalg import Matrix, column_kernel, rank, span, vec_add
 from qschur.module_tools import spin_module
 from qschur.scalars import ScalarContext
+from qschur.symgroup import elements_of_parabolic
 from qschur.uq_rep import (
     UqModule,
     fundamental_weight,
@@ -228,27 +231,65 @@ def test_jimbo_output_satisfies_relations(ctx2):
 
 @pytest.mark.parametrize("ell", [2, 3])
 def test_jimbo_relations_match_their_definition(ctx2, ell):
-    # span of m.sigma_i (x) v - m (x) Rcheck_i v over basis vectors m, v
+    # in the block of each sorted tensor e_mu, the rows of sigma_i - q^2 for
+    # every i inside a block of mu
     M = hecke_regular_module(ctx2, ell)
     img = jimbo_J(M, 2)
-    D = img.tensor.dim
-    one = ctx2.one
+    words = [w for w in product(range(3), repeat=ell) if list(w) == sorted(w)]
+    assert list(img.blocks) == [sum(r * 3 ** (ell - 1 - s) for s, r in enumerate(w))
+                                for w in words]
     vectors = []
+    for b, w in enumerate(words):
+        for i in range(1, ell):
+            if w[i - 1] == w[i]:
+                K = M.sigma[i - 1] - Matrix.identity(ctx2, M.dim).scale(ctx2.q_power(2))
+                vectors += [{b * M.dim + j: x for j, x in row.items()} for row in K.rows]
+    assert img.relations == span(ctx2, len(words) * M.dim, vectors)
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_jimbo_quotient_is_the_tensor_product_over_the_hecke_algebra(ctx2, ell):
+    # m.sigma_i (x) v = m (x) Rcheck_i v in J(M) for every basis m, v
+    M = hecke_regular_module(ctx2, ell)
+    img = jimbo_J(M, 2)
+    one = ctx2.one
     for i in range(1, ell):
         R = rcheck_i(ctx2, 2, ell, i)
         for m in range(M.dim):
-            msig = M.sigma[i - 1].apply_row({m: one})
-            for v in range(D):
-                lhs = {k * D + v: c for k, c in msig.items()}
-                rhs = {m * D + k: -c for k, c in R.apply_col({v: one}).items()}
-                vectors.append(vec_add(lhs, rhs))
-    assert img.relations == span(ctx2, M.dim * D, vectors)
+            for v in range(img.tensor.dim):
+                lhs = {}
+                for k, c in M.sigma[i - 1].rows[m].items():
+                    lhs = vec_add(lhs, {j: c * x for j, x in img.embed(k, {v: one}).items()})
+                assert lhs == img.embed(m, R.apply_col({v: one}))
+
+
+def _block_dims(img) -> list:
+    dims = [0] * len(img.blocks)
+    for c in img.relations.free_columns():
+        dims[c // img.source.dim] += 1
+    return dims
+
+
+@pytest.mark.parametrize("source", ["regular", "rogawski"])
+def test_block_dimension_is_the_rank_of_the_symmetrizer(source):
+    # J(M)_mu = M / sum M(sigma_i - q^2) has dimension rank rho_M(x_mu),
+    # x_mu the sum of sigma_w over S_mu
+    ctx3 = ScalarContext(3)
+    M = hecke_regular_module(ctx3, 3) if source == "regular" else rogawski_quotient(ctx3, (2, 1))
+    img = jimbo_J(M, 3)
+    ranks = []
+    for w in combinations_with_replacement(range(4), 3):
+        mu = [w.count(r) for r in range(4) if r in w]
+        x = HeckeElt(ctx3, 3, {p: ctx3.one for p in elements_of_parabolic(mu)})
+        ranks.append(rank(M.act_elt(x)))
+    assert _block_dims(img) == ranks
+    assert sum(ranks) == img.module.dim
 
 
 def test_push_ambient_operator_checks_invariance(ctx2):
     img = jimbo_J(hecke_regular_module(ctx2, 2), 2)
     rel = img.relations
-    ambient = Matrix.identity(ctx2, img.m_dim).kron(img.tensor.xp[0])
+    ambient = img.ambient_operator([(None, img.tensor.xp[0])])
     assert img.push_ambient_operator(ambient, check=True) == img.module.xp[0]
     # send a pivot column to a free one: that relation row leaves the span
     pivot, free = rel.pivot_columns()[0], rel.free_columns()[0]
