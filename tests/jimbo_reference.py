@@ -20,14 +20,8 @@ from qschur.affinization import _loop_operators
 class ReferenceImage:
     module: UqModule
     source: RightModule
-    tensor: UqModule           # V^(x ell) with its action
     base: UqModule             # the natural module V
     relations: SubspaceBasis   # span of m.sigma_i (x) v - m (x) Rcheck_i v
-
-    def embed(self, m_index: int, tensor_vec: dict) -> dict:
-        """Quotient coordinates of e_{m_index} (x) (tensor vector)."""
-        D = self.tensor.dim
-        return self.relations.coset({m_index * D + c: v for c, v in tensor_vec.items()})
 
     def push_tensor_operator(self, op: Matrix) -> Matrix:
         """Induced action on the quotient of 1_M (x) op."""
@@ -48,7 +42,7 @@ def reference_jimbo_J(M: RightModule, n: int) -> ReferenceImage:
         # row (m, v) is e_m.sigma_i (x) v - e_m (x) Rcheck_i v
         gens = M.sigma[i - 1].kron(eyeT) - eyeM.kron(rcheck_i(ctx, n, ell, i).transpose())
         rel.add_all(gens.rows)
-    img = ReferenceImage(module=None, source=M, tensor=T, base=V, relations=rel)
+    img = ReferenceImage(module=None, source=M, base=V, relations=rel)
     push = img.push_tensor_operator
     t = [push(m) for m in T.t] if T.t is not None else None
     img.module = UqModule(ctx, n, M.dim * D - rel.dim, [push(m) for m in T.xp],
