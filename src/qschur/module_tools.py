@@ -2,20 +2,23 @@
 
 Submodule spinning, sub- and quotient modules on a stable subspace, a
 Meataxe-style irreducibility decision with checkable certificates,
-isomorphism testing by solving the intertwiner equations, and characters.
-Irreducibility samples nothing: Norton's test runs on eigenspaces whose
-eigenvalues are known in advance (``ModuleView.eigenspaces``), then the
-density test.  The isomorphism search draws its few sampled choices from a
-random.Random(0) of the call's own, so every decision depends only on its
-modules, and every verdict is backed by a certificate that can be
-re-checked with plain linear algebra.
+isomorphism testing, and characters.  Irreducibility samples nothing:
+Norton's test runs on eigenspaces whose eigenvalues are known in advance
+(``ModuleView.eigenspaces``), then the density test.  Isomorphism of
+U_q-modules whose weights are known is decided by Parker's standard basis:
+a weight line that generates A leaves one candidate intertwiner, which is
+checked exactly.  Other pairs solve the Hom space, whose few sampled
+combinations come from a random.Random(0) of the call's own.  So every
+decision depends only on its modules, and every verdict is backed by a
+certificate that can be re-checked with plain linear algebra.
 
 Every algorithm reads a module through its ``ModuleView``, the one place
 that tells right Hecke modules from left U_q-modules.  The view transposes
 the latter's matrices (invariant subspaces are unchanged), so one
 right-action code path serves both species.  A U_q-module's weights, which
-restrict the unknowns of an isomorphism search, are read off its k_i, so no
-wrong label can change an isomorphism verdict either.
+choose the standard basis's lines and restrict the unknowns of a Hom solve,
+are read off its k_i, so no wrong label can change an isomorphism verdict
+either.
 """
 
 from __future__ import annotations
@@ -161,20 +164,31 @@ def _stack(mats) -> Matrix:
 def spin(ctx: ScalarContext, ambient: int, mats, vectors) -> SubspaceBasis:
     """Smallest subspace containing the vectors and stable under all mats.
 
-    Right-action convention: a basis row v grows the space by v * M.  The
-    result is a fixed point of a full generator sweep.
+    Right-action convention: a vector v grows the space by v * M.  Each
+    vector that grew the space is multiplied by every matrix once.
     """
+    return _spin_words(ctx, ambient, mats, vectors)[0]
+
+
+def _spin_words(ctx, ambient: int, mats, vectors) -> tuple:
+    """The spin as (basis, grown, words): grown lists the vectors that grew
+    the basis, in order, and words[k] is None for one of the given vectors,
+    else (p, g) with grown[k] = grown[p] * mats[g]."""
     basis = SubspaceBasis(ctx, ambient)
+    grown, words = [], []
     for v in vectors:
-        basis.add(v)
-    changed = True
-    while changed:
-        changed = False
-        for row in list(basis.rows()):
-            for m in mats:
-                if basis.add(m.apply_row(row)):
-                    changed = True
-    return basis
+        if basis.add(v):
+            grown.append(v)
+            words.append(None)
+    p = 0
+    while p < len(grown):
+        for g, m in enumerate(mats):
+            w = m.apply_row(grown[p])
+            if basis.add(w):
+                grown.append(w)
+                words.append((p, g))
+        p += 1
+    return basis, grown, words
 
 
 def spin_module(mod, vector) -> SubspaceBasis:
@@ -343,29 +357,80 @@ def are_isomorphic(A, B) -> Optional[Matrix]:
     For right modules the result T satisfies rho_A(g) T = T rho_B(g) (row
     convention); for left modules T rho_A(g) = rho_B(g) T (column
     convention), i.e. T carries A-coordinates to B-coordinates either way.
-    Up to ISO_MAX_TRIES candidates are tried: the Hom-space basis, then, if
-    it has two or more elements, small combinations drawn from
-    random.Random(0).  Invertibility is certified by full rank, checked
-    cheaply at a specialization point first and symbolically as a fallback.
-    None is proven: the dimensions or weights differ, the Hom space is zero,
-    or it is the line of one singular map.  A search that runs out of
-    candidates raises Undecided.
+    When a weight line of A generates A, Parker's standard basis gives the
+    one candidate (_standard_basis): it is accepted after the exact check on
+    every algebra generator and an invertibility certificate, and if either
+    fails there is no isomorphism.  Otherwise the Hom space is solved
+    (_hom_solve).  None is proven: the dimensions or weights differ, the
+    Hom space is zero, or it is the line of one singular map.  Only the Hom
+    solve can run out of candidates; it then raises Undecided.
     """
     va, vb = ModuleView(A), ModuleView(B)
     if va.signature != vb.signature:
         raise ValueError("modules over different algebras")
-    da, db = va.dim, vb.dim
-    if da != db:
+    if va.dim != vb.dim:
         return None
-    ctx = va.ctx
+    wa, wb = va.weights, vb.weights
+    if wa is not None and wb is not None:
+        if sorted(wa) != sorted(wb):
+            return None
+        T = _standard_basis(va, vb)
+        if T is not None:
+            ga, gb = (dict(zip(v.names, v.mats)) for v in (va, vb))
+            if all(ga[k] * T == T * gb[k] for k in va.algebra_names) and _is_invertible(T):
+                return va.native(T)
+            return None
+    return _hom_solve(va, vb)
+
+
+def _standard_basis(va: ModuleView, vb: ModuleView) -> Optional[Matrix]:
+    """The only right-action map T: A -> B that can intertwine, or None if
+    no weight line of A generates A.
+
+    A weight that occurs once labels a unit vector v of A and w of B, and an
+    intertwiner sends v into the line of w.  If v generates A, an
+    intertwiner is fixed by that multiple: spin v in A, replay the same
+    words from w in B, and T solves S_A T = S_B for the stacked words.  The
+    k_i scale every weight vector, so only the x's can grow the spin.
+    """
+    ctx, dim, wa, wb = va.ctx, va.dim, va.weights, vb.weights
+    ga, gb = (dict(zip(v.names, v.mats)) for v in (va, vb))
+    xs = [k for k in va.algebra_names if k[0] == "x"]
+    proper: list = []  # spins of weight lines that do not generate A
+    for i, w in enumerate(wa):
+        v = {i: ctx.one}
+        if wa.count(w) > 1 or any(not sub.reduce(v) for sub in proper):
+            continue
+        sub, grown, words = _spin_words(ctx, dim, [ga[k] for k in xs], [v])
+        if sub.dim < dim:
+            proper.append(sub)
+            continue
+        images = [{wb.index(w): ctx.one}]
+        for p, g in words[1:]:
+            images.append(gb[xs[g]].apply_row(images[p]))
+        # row reduction takes [S_A | S_B] to [I | T]
+        stacked = span(ctx, 2 * dim, ({**u, **{dim + c: x for c, x in im.items()}}
+                                      for u, im in zip(grown, images)))
+        rows = [stacked.pivots[r].items() for r in range(dim)]
+        return Matrix(ctx, dim, dim, [{c - dim: x for c, x in r if c >= dim} for r in rows])
+    return None
+
+
+def _hom_solve(va: ModuleView, vb: ModuleView) -> Optional[Matrix]:
+    """are_isomorphic by a basis of the weight-respecting Hom space.
+
+    Up to ISO_MAX_TRIES candidates are tried: the Hom-space basis, then, if
+    it has two or more elements, small combinations drawn from
+    random.Random(0).  Invertibility is certified by full rank, checked
+    cheaply at a specialization point first and symbolically as a fallback.
+    """
+    ctx, da, db = va.ctx, va.dim, vb.dim
     wa, wb = va.weights, vb.weights
     # the solve finds X with X ga^T = gb^T X for the right-action ga, gb;
     # X^T is then the right-action intertwiner ga X^T = X^T gb
     ga, gb = (dict(zip(v.names, v.mats)) for v in (va, vb))
     pairs = [(ga[k].transpose(), gb[k].transpose()) for k in va.algebra_names]
     if wa is not None and wb is not None:
-        if sorted(wa) != sorted(wb):
-            return None
         allowed = [(r, c) for r in range(db) for c in range(da) if wb[r] == wa[c]]
     else:
         allowed = [(r, c) for r in range(db) for c in range(da)]

@@ -11,6 +11,10 @@ The intertwiner digests pin the matrix T that are_isomorphic returns, for
 one pair of right Hecke modules and one pair of left U_q-modules; they were
 recorded before are_isomorphic was moved onto the module view, and any
 change to the Hom solve or to its row and column conventions shows up here.
+Since U_q-modules with known weights are decided by a standard basis spun
+off a weight line, the left-module digests are asserted twice: for the Hom
+solve, called directly, and for are_isomorphic.  The values are the same,
+because the two maps are equal there.
 
 The head digests pin V_a for segment lists whose head the irreducibility
 decision once reached only through sampled words; they were recorded before
@@ -54,7 +58,7 @@ from qschur.affinization import (
     theorem55_check,
 )
 from qschur.classification import irreducible_V_a, parse_segments
-from qschur.module_tools import are_isomorphic
+from qschur.module_tools import ModuleView, _hom_solve, are_isomorphic
 from qschur.scalars import ScalarContext
 
 
@@ -162,11 +166,23 @@ def test_left_module_intertwiner_digest():
     M = universal_module(ctx, a)
     W, ref = functor_F(M, 2, check_source=False), reference_functor_F(M, 2)
     V = tensor_affine_chain([evaluation_natural(ctx, 2, x) for x in a])
-    assert [_digest(are_isomorphic(X, V).to_triplets()) for X in (W, ref)] == [
+    digests = [
         # the block-ambient basis
         "59c6ddbd8f05571f0a77e1355472ba3a7ea0bc6c2e64756d724e47e0868a9164",
         "a535b5f64c7eb4722b876508d7a83c40aeae1b9f622f070c05100cc0f4b2fbe4",
     ]
+    vb = ModuleView(V)
+    olds = [_hom_solve(ModuleView(X), vb) for X in (W, ref)]
+    assert [_digest(T.to_triplets()) for T in olds] == digests
+    news = [are_isomorphic(X, V) for X in (W, ref)]
+    # the standard basis: F(M_(1,5)) is irreducible, so Hom is a line and T
+    # is a multiple of the Hom solve's; here the multiple is 1, so the
+    # digests did not change
+    assert [_digest(T.to_triplets()) for T in news] == digests
+    for new, old in zip(news, olds):
+        i, j = old.first_nonzero()
+        scale = new.entry(i, j) * old.entry(i, j).inverse()
+        assert not scale.is_zero() and new == old.scale(scale)
     assert are_isomorphic(W, ref) is not None
 
 

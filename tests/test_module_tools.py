@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qschur import module_tools
 from qschur.affine_hecke import (
@@ -68,6 +69,36 @@ def test_spin_idempotent(ctx, vv):
     again = spin_module(vv, dict(basis.rows()[0]))
     for row in again.rows():
         assert not basis.reduce(row)
+
+
+def sweep_spin(ctx, ambient, mats, vectors):
+    """The spin by full sweeps: every basis row times every matrix, again
+    until a sweep adds nothing (the reference for the worklist spin)."""
+    basis = span(ctx, ambient, vectors)
+    changed = True
+    while changed:
+        changed = False
+        for row in list(basis.rows()):
+            for m in mats:
+                if basis.add(m.apply_row(row)):
+                    changed = True
+    return basis
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_worklist_spin_matches_the_sweep_on_the_grid(t0, n):
+    # the grid of the segments workload: M_(1,c) and F(M_(1,c)), c = q^2,
+    # q^-2 and a generic c; the spin of every unit vector, proper or not
+    c = ScalarContext(n, t0=t0)
+    for x in (c.q_power(2), c.q_power(-2), c.scalar(Fraction(7, 3))):
+        M = universal_module(c, (c.one, x))
+        for mod in (M, functor_F(M, n, check_source=False)):
+            view = module_tools.ModuleView(mod)
+            for i in range(view.dim):
+                v = {i: c.one}
+                assert (module_tools.spin(c, view.dim, view.mats, [v])
+                        == sweep_spin(c, view.dim, view.mats, [v]))
 
 
 def test_natural_rep_irreducible(ctx):
@@ -434,6 +465,123 @@ def test_are_isomorphic_transitive_triple():
     assert are_isomorphic(A, B) is not None
     assert are_isomorphic(B, C) is not None
     assert are_isomorphic(A, C) is not None
+
+
+def _routes(A, B):
+    """(T, intertwines, invertible, Hom-solve verdict): T is the standard
+    basis candidate (None when no weight line of A generates A), checked on
+    every algebra generator in the right-action convention."""
+    va, vb = module_tools.ModuleView(A), module_tools.ModuleView(B)
+    hom = module_tools._hom_solve(va, vb) is not None
+    T = module_tools._standard_basis(va, vb)
+    if T is None:
+        return None, None, None, hom
+    ga, gb = (dict(zip(v.names, v.mats)) for v in (va, vb))
+    holds = all(ga[k] * T == T * gb[k] for k in va.algebra_names)
+    return T, holds, module_tools._is_invertible(T), hom
+
+
+def _F(c, n, a):
+    return functor_F(universal_module(c, a), n, check_source=False)
+
+
+def _chain(c, n, a):
+    return tensor_affine_chain([evaluation_natural(c, n, x) for x in a])
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)])
+def test_standard_basis_accepts_the_dictionary_pairs(t0):
+    # Prop 4.7 and Prop 4.6 at n = 2: the first weight line generates and
+    # the one candidate is the intertwiner are_isomorphic returns
+    c = ScalarContext(2, t0=t0)
+    M1, M2 = (one_dimensional_affine_module(c, [c.scalar(x)]) for x in (2, 7))
+    pairs = [(_F(c, 2, (c.one, c.scalar(5))), _chain(c, 2, (c.one, c.scalar(5)))),
+             (functor_F(zelevinsky_induce(M1, M2), 2, check_source=False),
+              tensor_affine_chain([functor_F(m, 2, check_source=False) for m in (M1, M2)]))]
+    for A, B in pairs:
+        T, holds, invertible, hom = _routes(A, B)
+        assert T is not None and holds and invertible and hom
+        assert are_isomorphic(A, B) == T.transpose()
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)])
+def test_standard_basis_check_failure_proves_no_isomorphism(t0):
+    # F(M_(3,5)) against V(3) (x) V(7): equal weights, a generating weight
+    # line, and a candidate that is not an intertwiner, so Hom is zero
+    c = ScalarContext(2, t0=t0)
+    A, B = _F(c, 2, (c.scalar(3), c.scalar(5))), _chain(c, 2, (c.scalar(3), c.scalar(7)))
+    T, holds, _, hom = _routes(A, B)
+    assert T is not None and not holds and not hom
+    assert are_isomorphic(A, B) is None
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)])
+def test_singular_standard_basis_candidate_proves_no_isomorphism(t0):
+    # F(M_(1,q^2)) -> F(M_(q^2,1)): the candidate intertwines but is
+    # singular, and Hom is its line; the reverse direction has no
+    # generating weight line, so the Hom solve decides it
+    c = ScalarContext(2, t0=t0)
+    A, B = _F(c, 2, (c.one, c.q_power(2))), _F(c, 2, (c.q_power(2), c.one))
+    T, holds, invertible, hom = _routes(A, B)
+    assert T is not None and holds and not invertible and not hom
+    assert are_isomorphic(A, B) is None
+    T, _, _, hom = _routes(B, A)
+    assert T is None and not hom
+    assert are_isomorphic(B, A) is None
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)])
+def test_modules_without_weights_fall_back_to_the_hom_solve(t0):
+    # the left-conj pair: V's k_i conjugated by a non-monomial P are not
+    # diagonal, so no weights are known and only the Hom solve can decide
+    c = ScalarContext(2, t0=t0)
+    V = evaluation_natural(c, 2, c.scalar(2))
+    P = Matrix.from_triplets(c, 3, 3, [[0, 0, "1"], [0, 2, "2"], [1, 1, "1"], [2, 2, "1"]])
+    P_inv = Matrix.from_triplets(c, 3, 3, [[0, 0, "1"], [0, 2, "-2"], [1, 1, "1"], [2, 2, "1"]])
+    V_conj = UqModule.from_generators(
+        c, 2, 3, {k: P * g * P_inv for k, g in V.generators().items()})
+    assert module_tools.ModuleView(V_conj).weights is None
+    va, vb = module_tools.ModuleView(V), module_tools.ModuleView(V_conj)
+    assert are_isomorphic(V, V_conj) == module_tools._hom_solve(va, vb) is not None
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)])
+def test_scaled_torus_does_not_change_the_verdict(t0):
+    # the t_r act by the gl torus, not by U_q generators: scaling them on
+    # one side leaves the two modules isomorphic
+    c = ScalarContext(2, t0=t0)
+    A = _F(c, 2, (c.one, c.scalar(5)))
+    B = UqModule.from_generators(c, 2, A.dim, {
+        k: g.scale(c.scalar(3)) if k[0] == "t" else g for k, g in A.generators().items()})
+    T, holds, invertible, hom = _routes(A, B)
+    assert T is not None and holds and invertible and hom
+    assert are_isomorphic(A, B) == T.transpose()
+
+
+_params = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)])
+@settings(max_examples=12, deadline=None)
+@given(n=st.sampled_from([1, 2]), a=st.lists(_params, min_size=1, max_size=2),
+       other=st.lists(_params, min_size=2, max_size=2), how=st.sampled_from(
+           ["equal", "reversed", "chain", "linked", "other"]))
+def test_standard_basis_verdict_matches_the_hom_solve(t0, n, a, other, how):
+    c = ScalarContext(n, t0=t0)
+    a = [c.scalar(x) for x in a]
+    if how == "linked":  # a second parameter q^2 times the first
+        a = [a[0], a[0] * c.q_power(2)]
+    b = {"equal": a, "reversed": a[::-1], "chain": a, "linked": a[::-1],
+         "other": [c.scalar(x) for x in other[:len(a)]]}[how]
+    A = _F(c, n, a)
+    B = _chain(c, n, b) if how == "chain" else _F(c, n, b)
+    T = are_isomorphic(A, B)
+    va, vb = module_tools.ModuleView(A), module_tools.ModuleView(B)
+    assert (T is None) == (module_tools._hom_solve(va, vb) is None)
+    if T is not None:
+        ga, gb = A.generators(), B.generators()
+        assert all(T * ga[k] == gb[k] * T for k in va.algebra_names)
+        assert rank(T) == A.dim
 
 
 def test_character_table(ctx, vv):
