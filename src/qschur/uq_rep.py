@@ -24,6 +24,9 @@ keeps those rows, block by block, as a reduced basis: the quotient.
 ``JimboImage.lift`` sorts any m (x) u onto its block; every operator
 sum A (x) X (A on M, X on V^(x ell)) is built through it and descended, so
 the affine extension pushes the loop operators through the same quotient.
+Each basis tensor u is sorted once per image (``JimboImage.sort``), and V
+and V^(x ell) are built once per context, n and ell and shared through
+``ctx.cache``, so they are read-only.
 
 A module's weights are read off its k_i (``UqModule.weights``), never
 stored beside them, so no label can contradict the matrices.
@@ -338,38 +341,55 @@ class JimboImage:
     Block b holds m (x) e_mu for the b-th sorted tensor e_mu, at ambient index
     b * dim M + m.  Rcheck_i e_mu = q^2 e_mu for i inside a block of mu, so the
     relations are the rows of sigma_i - q^2 in block b for every such i.
+    ``tensor`` and ``base`` are shared by every image of one context, n and
+    ell, so they are read-only.
     """
 
     module: UqModule
     source: RightModule
-    tensor: UqModule           # V^(x ell) with its action
-    base: UqModule             # the natural module V
+    tensor: UqModule           # V^(x ell) with its action; shared, read-only
+    base: UqModule             # the natural module V; shared, read-only
     blocks: dict               # index of e_mu in V^(x ell) -> its block, in index order
     relations: SubspaceBasis   # in each block mu, the rows of sigma_i - q^2
+    # basis tensor u -> sort(u), filled on first use: each u is sorted once
+    sorts: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def lift(self, m: dict, u: int, c=None) -> dict:
-        """The ambient vector of c.(m (x) u) for a basis tensor u (c = 1 if None).
+    def sort(self, u: int) -> tuple:
+        """(offset, q^-k or None, P_u or None) for a basis tensor u, memoized.
 
         A decreasing pair of u in slots p, p+1 is q^-1 Rcheck_p of the
-        increasing pair, and m (x) Rcheck_p w = m.sigma_p (x) w, so each swap
-        of a bubble sort of u moves q^-1 sigma_p onto m.  The result lies in
-        the block of u's sorted tensor.
+        increasing pair, and m (x) Rcheck_p w = m.sigma_p (x) w, so a bubble
+        sort of u with k swaps in slots p_1, ..., p_k gives
+        m (x) u = q^-k m.P_u (x) e_mu with P_u = sigma_{p_1} ... sigma_{p_k}.
+        offset is the ambient index of e_mu's block; None stands for k = 0.
         """
-        d, ell = self.base.dim, self.source.ell
-        word = [u // d ** (ell - 1 - s) % d for s in range(ell)]
-        swaps = 0
-        for top in range(ell - 1, 0, -1):
-            for p in range(top):
-                if word[p] > word[p + 1]:
-                    word[p], word[p + 1] = word[p + 1], word[p]
-                    m = self.source.sigma[p].apply_row(m)
-                    swaps += 1
-        if swaps:
-            qk = self.source.ctx.q_power(-swaps)
+        hit = self.sorts.get(u)
+        if hit is None:
+            d, ell = self.base.dim, self.source.ell
+            word = [u // d ** (ell - 1 - s) % d for s in range(ell)]
+            P, swaps = None, 0
+            for top in range(ell - 1, 0, -1):
+                for p in range(top):
+                    if word[p] > word[p + 1]:
+                        word[p], word[p + 1] = word[p + 1], word[p]
+                        sigma = self.source.sigma[p]
+                        P = sigma if P is None else P * sigma
+                        swaps += 1
+            qk = self.source.ctx.q_power(-swaps) if swaps else None
+            offset = self.blocks[_tensor_index(word, d)] * self.source.dim
+            hit = self.sorts[u] = (offset, qk, P)
+        return hit
+
+    def lift(self, m: dict, u: int, c=None) -> dict:
+        """The ambient vector of c.(m (x) u) for a basis tensor u (c = 1 if None),
+        in the block of u's sorted tensor."""
+        offset, qk, P = self.sort(u)
+        if P is not None:
+            m = P.apply_row(m)
+        if qk is not None:
             c = qk if c is None else c * qk
         if c is not None and not c.is_one():
             m = {j: c * x for j, x in m.items()}
-        offset = self.blocks[_tensor_index(word, d)] * self.source.dim
         return {offset + j: x for j, x in m.items()}
 
     def embed(self, m_index: int, tensor_vec: dict) -> dict:
@@ -384,19 +404,22 @@ class JimboImage:
 
         A is a right-action matrix on M, or None for 1; X is an operator on
         V^(x ell) in column convention, of which only the columns X e_mu are
-        read.
+        read, each once.  Column m of block e_mu collects, for every term
+        and every u with X[u, e_mu] != 0, row m of A.P_u scaled by
+        X[u, e_mu].q^-k in the block of u's sorted tensor.
         """
         ctx, dim = self.source.ctx, self.source.dim
-        cols = []
-        for e in self.blocks:
-            reads = [(A, [(u, r[e]) for u, r in enumerate(X.rows) if e in r]) for A, X in terms]
-            for m in range(dim):
-                acc: dict = {}
-                for A, col in reads:
-                    row = {m: ctx.one} if A is None else A.rows[m]
-                    for u, x in col:
-                        add_scaled(acc, self.lift(row, u, x))
-                cols.append(acc)
+        cols = [{} for _ in range(len(self.blocks) * dim)]
+        for A, X in terms:
+            Xt = X.transpose()
+            for e, b in self.blocks.items():
+                for u, x in Xt.rows[e].items():
+                    offset, qk, P = self.sort(u)
+                    B = P if A is None else (A if P is None else A * P)
+                    c = x if qk is None else x * qk
+                    for m in range(dim):
+                        row = {m: ctx.one} if B is None else B.rows[m]
+                        add_scaled(cols[b * dim + m], {offset + j: y for j, y in row.items()}, c)
         return Matrix(ctx, len(cols), len(cols), cols).transpose()
 
     def push_ambient_operator(self, op: Matrix, check: bool = False) -> Matrix:
@@ -404,11 +427,26 @@ class JimboImage:
         return self.relations.descend(op, check=check)
 
 
+def _tensor_power(ctx: ScalarContext, n: int, ell: int) -> tuple:
+    """(V, V^(x ell)), built once per context, n and ell and shared: read-only.
+
+    The rank is checked before the cache is read, so a mismatched n never
+    reaches it.
+    """
+    if n != ctx.n:
+        raise ValueError("rank must match the scalar context")
+    key = ("tensor_power", n, ell)
+    hit = ctx.cache.get(key)
+    if hit is None:
+        V = natural_rep(ctx, n)
+        hit = ctx.cache[key] = (V, tensor_rep(V, ell))
+    return hit
+
+
 def jimbo_J(M: RightModule, n: int) -> JimboImage:
     """Jimbo's functor: M (x)_{H_ell} V^(x ell) with the induced U_q action."""
     ctx = M.ctx
-    V = natural_rep(ctx, n)
-    T = tensor_rep(V, M.ell)
+    V, T = _tensor_power(ctx, n, M.ell)
     words = list(combinations_with_replacement(range(V.dim), M.ell))
     rel = SubspaceBasis(ctx, len(words) * M.dim)
     q2 = Matrix.identity(ctx, M.dim).scale(ctx.q_power(2))

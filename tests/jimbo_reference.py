@@ -6,13 +6,17 @@ every generator is lifted into that space as a Kronecker product.  The
 library builds the same functor on one copy of M per sorted tensor; the
 tests compare the two by isomorphism, and the golden digests recorded on
 this construction's basis are asserted against it.
+
+``reference_lift`` and ``reference_ambient_operator`` are the block
+construction with a bubble sort on every call, one sigma_p at a time; the
+library's memoized sort must agree with them entry for entry.
 """
 
 from dataclasses import dataclass, replace
 
 from qschur.affine_hecke import RightModule
-from qschur.linalg import Matrix, SubspaceBasis
-from qschur.uq_rep import UqModule, natural_rep, rcheck_i, tensor_rep
+from qschur.linalg import Matrix, SubspaceBasis, add_scaled
+from qschur.uq_rep import JimboImage, UqModule, _tensor_index, natural_rep, rcheck_i, tensor_rep
 from qschur.affinization import _loop_operators
 
 
@@ -69,3 +73,44 @@ def reference_functor_F(M: RightModule, n: int) -> UqModule:
 
     return replace(img.module, x0p=push(x0p), x0m=push(x0m),
                    k0=push(eyeM.kron(k0t)), k0inv=push(eyeM.kron(k0invt)))
+
+
+def reference_lift(img: JimboImage, m: dict, u: int, c=None) -> dict:
+    """The ambient vector of c.(m (x) u), bubble-sorting u on this call.
+
+    A decreasing pair of u in slots p, p+1 is q^-1 Rcheck_p of the
+    increasing pair, and m (x) Rcheck_p w = m.sigma_p (x) w, so each swap
+    moves q^-1 sigma_p onto m.
+    """
+    d, ell = img.base.dim, img.source.ell
+    word = [u // d ** (ell - 1 - s) % d for s in range(ell)]
+    swaps = 0
+    for top in range(ell - 1, 0, -1):
+        for p in range(top):
+            if word[p] > word[p + 1]:
+                word[p], word[p + 1] = word[p + 1], word[p]
+                m = img.source.sigma[p].apply_row(m)
+                swaps += 1
+    if swaps:
+        qk = img.source.ctx.q_power(-swaps)
+        c = qk if c is None else c * qk
+    if c is not None and not c.is_one():
+        m = {j: c * x for j, x in m.items()}
+    offset = img.blocks[_tensor_index(word, d)] * img.source.dim
+    return {offset + j: x for j, x in m.items()}
+
+
+def reference_ambient_operator(img: JimboImage, terms) -> Matrix:
+    """sum (A (x) X) over terms on the block ambient, lifting row by row."""
+    ctx, dim = img.source.ctx, img.source.dim
+    cols = []
+    for e in img.blocks:
+        reads = [(A, [(u, r[e]) for u, r in enumerate(X.rows) if e in r]) for A, X in terms]
+        for m in range(dim):
+            acc: dict = {}
+            for A, col in reads:
+                row = {m: ctx.one} if A is None else A.rows[m]
+                for u, x in col:
+                    add_scaled(acc, reference_lift(img, row, u, x))
+            cols.append(acc)
+    return Matrix(ctx, len(cols), len(cols), cols).transpose()

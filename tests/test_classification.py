@@ -4,6 +4,7 @@ import pytest
 
 from qschur import classification
 from qschur.affinization import functor_F, functor_F_map
+from qschur.checks import _identity_embedding
 from qschur.classification import (
     Segment,
     SegmentSpecError,
@@ -135,18 +136,8 @@ def test_functor_of_intertwiner_is_braiding_shift(ctx):
     Fsrc = functor_F(src, 2, check_source=False)
     Ftgt = functor_F(tgt, 2, check_source=False)
     FA = functor_F_map(T, Fsrc, Ftgt)
-
-    def identity_embedding(W):
-        img = W.jimbo
-        out = Matrix(ctx, W.dim, img.tensor.dim)
-        for c in range(img.tensor.dim):
-            col = img.embed(0, {c: ctx.one})
-            for r, v in col.items():
-                out.set_entry(r, c, v)
-        return out
-
-    phi_src = identity_embedding(Fsrc)
-    phi_tgt = identity_embedding(Ftgt)
+    phi_src = _identity_embedding(Fsrc)
+    phi_tgt = _identity_embedding(Ftgt)
     R1 = rcheck_i(ctx, 2, 2, 1)
     expected = R1.scale(ctx.q_power(-1)) - Matrix.identity(ctx, 9).scale(ctx.q)
     assert FA * phi_src == phi_tgt * expected

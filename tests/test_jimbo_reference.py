@@ -9,9 +9,14 @@ from fractions import Fraction
 
 import pytest
 
-from jimbo_reference import reference_functor_F, reference_jimbo_J
+from jimbo_reference import (
+    reference_ambient_operator,
+    reference_functor_F,
+    reference_jimbo_J,
+    reference_lift,
+)
 from qschur.affine_hecke import hecke_regular_module, one_dimensional_module, universal_module
-from qschur.affinization import functor_F
+from qschur.affinization import _loop_operators, functor_F
 from qschur.classification import rogawski_quotient
 from qschur.module_tools import are_isomorphic, character
 from qschur.scalars import ScalarContext
@@ -52,3 +57,39 @@ def test_jimbo_J_matches_the_reference(t0, source):
         "rogawski": lambda: rogawski_quotient(ctx, (2, 1)),
     }[source]()
     assert_same_module(jimbo_J(M, 3).module, reference_jimbo_J(M, 3).module)
+
+
+LIFT_SOURCES = {
+    "regular-H2": lambda ctx: hecke_regular_module(ctx, 2),
+    "regular-H3": lambda ctx: hecke_regular_module(ctx, 3),
+    "rogawski-21": lambda ctx: rogawski_quotient(ctx, (2, 1)),
+}
+
+
+@BACKENDS
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("source", sorted(LIFT_SOURCES))
+def test_memoized_lift_matches_the_bubble_sort(t0, n, source):
+    ctx = ScalarContext(n, t0=t0)
+    M = LIFT_SOURCES[source](ctx)
+    img = jimbo_J(M, n)
+    for c in (None, ctx.scalar(Fraction(-2, 7)) * ctx.q):
+        for m in range(M.dim):
+            for u in range(img.tensor.dim):
+                assert img.lift({m: ctx.one}, u, c) == reference_lift(img, {m: ctx.one}, u, c)
+    for name, X in img.tensor.generators().items():
+        terms = [(None, X)]
+        assert img.ambient_operator(terms) == reference_ambient_operator(img, terms), name
+
+
+@BACKENDS
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("ell", [2, 3])
+def test_loop_operators_match_the_bubble_sort(t0, n, ell):
+    ctx = ScalarContext(n, t0=t0)
+    M = universal_module(ctx, [ctx.scalar(a) for a in (2, -3, 7)[:ell]])
+    img = jimbo_J(M.restrict_to_finite(), n)
+    yplus, yminus, k0t, k0invt = _loop_operators(img)
+    for terms in (list(zip(M.y, yplus)), list(zip(M.y_inv, yminus)),
+                  [(None, k0t)], [(None, k0invt)]):
+        assert img.ambient_operator(terms) == reference_ambient_operator(img, terms)

@@ -286,6 +286,23 @@ def test_block_dimension_is_the_rank_of_the_symmetrizer(source):
     assert sum(ranks) == img.module.dim
 
 
+def test_jimbo_J_shares_the_tensor_power_per_context_and_ell():
+    ctx = ScalarContext(2)
+    M = hecke_regular_module(ctx, 2)
+    for wrong in (1, 3):  # a mismatched rank raises before the cache is read
+        with pytest.raises(ValueError):
+            jimbo_J(M, wrong)
+    img = jimbo_J(M, 2)
+    again = jimbo_J(one_dimensional_module(ctx, 2, -1), 2)
+    assert again.tensor is img.tensor and again.base is img.base
+    assert jimbo_J(hecke_regular_module(ctx, 3), 2).tensor is not img.tensor
+    other = ScalarContext(2)
+    assert jimbo_J(hecke_regular_module(other, 2), 2).tensor is not img.tensor
+    for wrong in (1, 3):  # and still after a cached call on that context
+        with pytest.raises(ValueError):
+            jimbo_J(M, wrong)
+
+
 def test_push_ambient_operator_checks_invariance(ctx2):
     img = jimbo_J(hecke_regular_module(ctx2, 2), 2)
     rel = img.relations
