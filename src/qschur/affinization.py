@@ -12,9 +12,12 @@ with Y_j^+ = 1^(j-1) (x) x_theta^- (x) (k_theta^{-1})^(ell-j) and
 Y_j^- = k_theta^(j-1) (x) x_theta^+ (x) 1^(ell-j).  Only their values on
 m (x) e_mu, e_mu a sorted tensor, are formed; ``JimboImage.lift`` sorts each
 resulting m' (x) u back onto a block of the quotient (+)_mu M / M(sigma_i -
-q^2).  Rather than trusting that these operators descend, the construction
-asserts outright that they carry the relations of each block into the
-relations, and the full list of quantum affine defining relations is
+q^2).  k_0 scales block e_mu by the diagonal entry of (k_theta^{-1})^(x ell)
+at e_mu, so ``JimboImage.push_diagonal`` reads its matrix off the block
+scalars; x_0^+- are built and descended.  Rather than trusting that these
+operators descend, the construction asserts outright that they carry the
+relations into the relations (for k_0: that every relation row lies in one
+block), and the full list of quantum affine defining relations is
 re-checked as exact matrix identities on every module built here.
 
 The affine Cartan matrix is the cycle on {0, ..., n} for n >= 2; for n = 1
@@ -207,7 +210,10 @@ def functor_F(M: RightModule, n: int, check_source: bool = True) -> UqModule:
 
     Raises if M fails its own defining relations, or if the loop operators
     fail to preserve the subspace defining the Jimbo quotient (they cannot,
-    but the invariance is asserted rather than assumed).
+    but the invariance is asserted rather than assumed).  x_0^+- are built
+    on the block ambient and descended with that check; k_0^+-1 are
+    diagonal, read off the block scalars by ``push_diagonal``, whose check
+    is that every relation row lies inside one block.
     """
     if M.kind != "Hhat":
         raise ValueError("functor_F consumes affine Hecke modules")
@@ -225,8 +231,8 @@ def functor_F(M: RightModule, n: int, check_source: bool = True) -> UqModule:
         img.module,
         x0p=push(list(zip(M.y, yplus))),
         x0m=push(list(zip(M.y_inv, yminus))),
-        k0=push([(None, k0t)]),
-        k0inv=push([(None, k0invt)]),
+        k0=img.push_diagonal(k0t, check=True),
+        k0inv=img.push_diagonal(k0invt, check=True),
         jimbo=img,
     )
 

@@ -533,6 +533,9 @@ def check_thm_7_6(cfg: RunConfig) -> CheckResult:
                 seg_sets.append(
                     make_segments(ctx, [(ctx.scalar(3), 2), (ctx.one, 1)])
                 )
+                # a length-1 segment linked to a length-2 one, above and below
+                for e in (3, -3):
+                    seg_sets.append(make_segments(ctx, [(ctx.one, 2), (ctx.q_power(e), 1)]))
         for s in seg_sets:
             if s.ell > n:
                 continue

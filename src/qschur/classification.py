@@ -2,10 +2,11 @@
 
 A segment of length k and center a is the geometric progression
 (a q^{-k+1}, a q^{-k+3}, ..., a q^{k-1}).  An unordered multiset of segments
-is juxtaposed in a canonical order (length descending, then center rendering)
-into a parameter vector; the attached partition pi feeds the parabolic
-Kazhdan-Lusztig element C_{w_pi}, whose image generates the distinguished
-submodule I_pi of the universal module.  The irreducible subquotient with
+is juxtaposed in a canonical order (length descending, then center, then each
+segment after every segment linked to it from below) into a parameter
+vector; the attached partition pi feeds the parabolic Kazhdan-Lusztig
+element C_{w_pi}, whose image generates the distinguished submodule I_pi
+of the universal module.  The irreducible subquotient with
 nonzero marked vector is carved out constructively by repeated Meataxe
 splitting, and the n-tuple of Drinfeld polynomials of its affinization is
 the product formula P_i(u) = prod over segments of length i of (u - a_j^{-1}).
@@ -82,12 +83,24 @@ def _compare_centers(a: Scalar, b: Scalar, max_shift: int) -> int:
     return -1 if sa < sb else 1
 
 
+def _precedes(s: Segment, r: Segment) -> bool:
+    """Whether s and r are linked with s lower: their union is a segment that
+    neither contains, and s starts first.  Then r starts q^(2m) above s with
+    len(s) - len(r) < m <= len(s)."""
+    ratio = r.expansion()[0] / s.expansion()[0]
+    q = s.center.ctx.q_power
+    return any(ratio == q(2 * m) for m in range(max(1, s.length - r.length + 1), s.length + 1))
+
+
 @dataclass
 class SegmentList:
     """A multiset of segments in canonical juxtaposition order.
 
-    Longer segments come first; equal-length segments are arranged along
-    their q^2-linkage chains (lower center first).
+    Longer segments come first, and equal-length segments are arranged along
+    their q^2-chains (lower center first).  Then each segment waits for every
+    segment linked to it from below, whatever the lengths: of the segments
+    not yet placed, the first in that order with none linked below it goes
+    next.  An order that already puts each linked pair lower first is kept.
     """
 
     segments: list
@@ -104,7 +117,15 @@ class SegmentList:
                 return -1 if s1.length > s2.length else 1
             return _compare_centers(s1.center, s2.center, max_shift)
 
-        self.segments = sorted(self.segments, key=cmp_to_key(cmp))
+        # cmp need not be transitive where _compare_centers falls back to the
+        # rendering along one q^2-chain, so start from a fixed input order
+        rest = sorted(sorted(self.segments, key=lambda s: (s.length, str(s.center))),
+                      key=cmp_to_key(cmp))
+        self.segments = []
+        while rest:
+            s = next(s for s in rest if not any(_precedes(r, s) for r in rest))
+            rest.remove(s)
+            self.segments.append(s)
 
     @property
     def ell(self) -> int:

@@ -21,9 +21,12 @@ e_mu = v_1^(x mu_1) (x) v_2^(x mu_2) (x) ..., and Rcheck_i e_mu = q^2 e_mu for
 i inside a block of mu (Dipper-James: V^(x ell) = (+)_mu x_mu H), so
 J(M) = (+)_mu M / sum_{i in mu} M(sigma_i - q^2).  ``JimboImage.relations``
 keeps those rows, block by block, as a reduced basis: the quotient.
-``JimboImage.lift`` sorts any m (x) u onto its block; every operator
-sum A (x) X (A on M, X on V^(x ell)) is built through it and descended, so
-the affine extension pushes the loop operators through the same quotient.
+``JimboImage.lift`` sorts any m (x) u onto its block; the x_i^+- and every
+other operator sum A (x) X (A on M, X on V^(x ell)) are built through it
+and descended, so the affine extension pushes the loop operators through
+the same quotient.  A diagonal X (the k_i^+-1, t_r and k_0^+-1) scales each
+block e_mu by X[e_mu, e_mu], so ``JimboImage.push_diagonal`` reads its
+quotient matrix off those scalars without forming the ambient operator.
 Each basis tensor u is sorted once per image (``JimboImage.sort``), and V
 and V^(x ell) are built once per context, n and ell and shared through
 ``ctx.cache``, so they are read-only.
@@ -426,6 +429,24 @@ class JimboImage:
         """Induced action of an ambient operator that preserves the relations."""
         return self.relations.descend(op, check=check)
 
+    def push_diagonal(self, X: Matrix, check: bool = False) -> Matrix:
+        """Induced action of 1 (x) X for a diagonal X on V^(x ell).
+
+        m (x) e_mu is sorted, so 1 (x) X scales block e_mu by X[e_mu, e_mu],
+        and a free column is its own class: the result is diagonal, equal to
+        ``push_ambient_operator(ambient_operator([(None, X)]))``.  Raises
+        ValueError unless X is diagonal.  With ``check``, also unless every
+        relation row lies inside one block, which makes any block scalar
+        preserve the relations.
+        """
+        if any(row.keys() - {i} for i, row in enumerate(X.rows)):
+            raise ValueError("X is not diagonal")
+        rel, dim = self.relations, self.source.dim
+        if check and any(min(row) // dim != max(row) // dim for row in rel.pivots.values()):
+            raise ValueError("operator does not carry the subspace into its target")
+        scalars = [X.entry(e, e) for e in self.blocks]
+        return Matrix.diagonal(self.source.ctx, [scalars[c // dim] for c in rel.free_columns()])
+
 
 def _tensor_power(ctx: ScalarContext, n: int, ell: int) -> tuple:
     """(V, V^(x ell)), built once per context, n and ell and shared: read-only.
@@ -461,8 +482,11 @@ def jimbo_J(M: RightModule, n: int) -> JimboImage:
     def push(ops):
         return [img.push_ambient_operator(img.ambient_operator([(None, X)])) for X in ops]
 
-    img.module = UqModule(ctx, n, rel.ambient - rel.dim, push(T.xp), push(T.xm), push(T.k),
-                          push(T.kinv), t=push(T.t) if T.t is not None else None)
+    def diagonal(ops):
+        return [img.push_diagonal(X) for X in ops]
+
+    img.module = UqModule(ctx, n, rel.ambient - rel.dim, push(T.xp), push(T.xm), diagonal(T.k),
+                          diagonal(T.kinv), t=diagonal(T.t) if T.t is not None else None)
     return img
 
 

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
 from qschur import classification
 from qschur.affinization import functor_F, functor_F_map
-from qschur.checks import _identity_embedding
+from qschur.checks import RunConfig, _identity_embedding, run_check
 from qschur.classification import (
     Segment,
     SegmentSpecError,
@@ -198,6 +199,46 @@ def test_linked_singletons_order_is_backend_independent(ctx):
         assert [seg.center for seg in chain.segments] == [
             c.one, c.q_power(2), c.q_power(4)
         ]
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)], ids=["symbolic", "t=5/3"])
+@pytest.mark.parametrize("spec, linked", [
+    # 3q^-3 lies below (3, 2) and 3q^3 above it; the two singletons are unlinked
+    ("3@0:2,3@-6:1,3@6:1", [(1, 0), (0, 2)]),
+    # 5 lies on another chain than the linked pair q^-3 < (1, 2)
+    ("1@0:2,1@-6:1,5@0:1", [(1, 0)]),
+])
+def test_linkage_order_does_not_depend_on_the_input_order(t0, spec, linked):
+    ctx = ScalarContext(4, t0=t0)
+    chunks = spec.split(",")
+    segs = [parse_segments(ctx, c).segments[0] for c in chunks]
+    order = parse_segments(ctx, spec).segments
+    for perm in permutations(chunks):
+        assert parse_segments(ctx, ",".join(perm)).segments == order
+    for lower, upper in linked:
+        assert order.index(segs[lower]) < order.index(segs[upper])
+    for i, j in combinations(range(len(segs)), 2):
+        assert classification._precedes(segs[i], segs[j]) == ((i, j) in linked)
+        assert classification._precedes(segs[j], segs[i]) == ((j, i) in linked)
+
+
+@pytest.mark.parametrize("spec, n", [("3@0:2,3@-6:1", 3), ("1@0:1,1@6:2", 3), ("1@0:1,1@8:3", 4)])
+def test_a_shorter_segment_linked_below_goes_first(spec, n):
+    s = parse_segments(ScalarContext(n), spec)
+    assert s.partition()[0] == 1
+    result = run_check("thm-7.6", RunConfig(n_values=[n], segments_spec=spec))
+    assert result.passed, result.details
+
+
+def test_default_thm_7_6_sets_link_unequal_lengths_both_ways():
+    result = run_check("thm-7.6", RunConfig(n_values=[3]))
+    assert result.passed, result.details
+    names = [name for name, _, _ in result.details]
+    ctx = ScalarContext(3)
+    below = make_segments(ctx, [(ctx.one, 2), (ctx.q_power(-3), 1)])
+    above = make_segments(ctx, [(ctx.one, 2), (ctx.q_power(3), 1)])
+    assert below.partition() == (1, 2) and above.partition() == (2, 1)
+    assert f"n=3 {below!r}" in names and f"n=3 {above!r}" in names
 
 
 # -- Drinfeld polynomials -----------------------------------------------------

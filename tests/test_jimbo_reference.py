@@ -5,6 +5,7 @@ eliminates the Rcheck-relations over M (x) V^(x ell).  Both must give the
 same module up to an intertwiner, which is re-checked on every generator.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from jimbo_reference import (
 from qschur.affine_hecke import hecke_regular_module, one_dimensional_module, universal_module
 from qschur.affinization import _loop_operators, functor_F
 from qschur.classification import rogawski_quotient
+from qschur.linalg import SubspaceBasis
 from qschur.module_tools import are_isomorphic, character
 from qschur.scalars import ScalarContext
 from qschur.uq_rep import dominant_highest_weights, jimbo_J
@@ -93,3 +95,38 @@ def test_loop_operators_match_the_bubble_sort(t0, n, ell):
     for terms in (list(zip(M.y, yplus)), list(zip(M.y_inv, yminus)),
                   [(None, k0t)], [(None, k0invt)]):
         assert img.ambient_operator(terms) == reference_ambient_operator(img, terms)
+
+
+@BACKENDS
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("source", sorted(LIFT_SOURCES))
+def test_push_diagonal_matches_the_descended_ambient_operator(t0, n, source):
+    ctx = ScalarContext(n, t0=t0)
+    img = jimbo_J(LIFT_SOURCES[source](ctx), n)
+    T = img.tensor
+    _, _, k0t, k0invt = _loop_operators(img)
+    for X in T.k + T.kinv + T.t + [k0t, k0invt]:
+        ours = img.push_diagonal(X, check=True)
+        ref = img.push_ambient_operator(img.ambient_operator([(None, X)]), check=True)
+        assert ours == ref
+        assert ours.to_triplets() == ref.to_triplets()
+    with pytest.raises(ValueError, match="not diagonal"):
+        img.push_diagonal(T.xp[0])
+
+
+def test_push_diagonal_check_refuses_a_row_across_two_blocks():
+    ctx = ScalarContext(2)
+    img = jimbo_J(hecke_regular_module(ctx, 2), 2)
+    dim = img.source.dim
+    # a relation row joining block 0 to block 1: a k_i with distinct scalars
+    # on the two blocks moves it off the span
+    rel = SubspaceBasis(ctx, img.relations.ambient)
+    rel.add({0: ctx.one, dim: ctx.one})
+    broken = replace(img, relations=rel)
+    k = next(X for X in img.tensor.k if X.entry(0, 0) != X.entry(1, 1))
+    assert list(broken.blocks)[:2] == [0, 1]
+    with pytest.raises(ValueError, match="does not carry the subspace"):
+        broken.push_diagonal(k, check=True)
+    with pytest.raises(ValueError, match="does not carry the subspace"):
+        broken.push_ambient_operator(broken.ambient_operator([(None, k)]), check=True)
+    broken.push_diagonal(k)  # without the check, the promise is the caller's

@@ -3,8 +3,8 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from qschur.affine_hecke import hecke_regular_module, one_dimensional_module
-from qschur.affinization import verify_finite_relations
+from qschur.affine_hecke import hecke_regular_module, one_dimensional_module, universal_module
+from qschur.affinization import functor_F, verify_finite_relations
 from qschur.classification import rogawski_quotient
 from qschur.hecke import HeckeElt
 from qschur.linalg import Matrix, column_kernel, rank, span, vec_add
@@ -12,6 +12,7 @@ from qschur.module_tools import spin_module
 from qschur.scalars import ScalarContext
 from qschur.symgroup import elements_of_parabolic
 from qschur.uq_rep import (
+    JimboImage,
     UqModule,
     fundamental_weight,
     highest_weight_vectors,
@@ -314,6 +315,25 @@ def test_push_ambient_operator_checks_invariance(ctx2):
     breaker.set_entry(free, pivot, ctx2.one)
     with pytest.raises(ValueError):
         img.push_ambient_operator(breaker, check=True)
+
+
+def test_diagonal_generators_never_build_an_ambient_operator(monkeypatch):
+    # the k_i^+-1, t_r and k_0^+-1 are read off the block scalars; only the
+    # x_i^+- and the loop operators x_0^+- are built on the block ambient
+    seen = []
+    build = JimboImage.ambient_operator
+
+    def recording(self, terms):
+        seen.extend(X for _, X in terms)
+        return build(self, terms)
+
+    monkeypatch.setattr(JimboImage, "ambient_operator", recording)
+    ctx = ScalarContext(2)
+    jimbo_J(hecke_regular_module(ctx, 3), 2)
+    W = functor_F(universal_module(ctx, [ctx.scalar(2), ctx.scalar(-3)]), 2)
+    # x_i^+- of both images, and one term per slot for each of x_0^+-
+    assert W.k0 is not None and len(seen) == 4 + 4 + 2 + 2
+    assert not any(all(row.keys() <= {i} for i, row in enumerate(X.rows)) for X in seen)
 
 
 # -- weight tools ------------------------------------------------------------
