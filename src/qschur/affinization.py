@@ -14,10 +14,11 @@ m (x) e_mu, e_mu a sorted tensor, are formed; ``JimboImage.lift`` sorts each
 resulting m' (x) u back onto a block of the quotient (+)_mu M / M(sigma_i -
 q^2).  k_0 scales block e_mu by the diagonal entry of (k_theta^{-1})^(x ell)
 at e_mu, so ``JimboImage.push_diagonal`` reads its matrix off the block
-scalars; x_0^+- are built and descended.  Rather than trusting that these
-operators descend, the construction asserts outright that they carry the
-relations into the relations (for k_0: that every relation row lies in one
-block), and the full list of quantum affine defining relations is
+scalars, which preserve the relations because every relation row lies in
+one block (``JimboImage`` asserts that once, on construction); x_0^+- are
+built and descended.  Rather than trusting that these operators descend,
+the construction asserts outright that they carry the relations into the
+relations, and the full list of quantum affine defining relations is
 re-checked as exact matrix identities on every module built here.
 
 The affine Cartan matrix is the cycle on {0, ..., n} for n >= 2; for n = 1
@@ -82,13 +83,13 @@ def _serre_words(pows: list, xj: Matrix, p: int) -> list:
     return words
 
 
-def _relation_suite(ctx, labels, cartan, xp, xm, k, kinv, dim,
-                    bracket_serre: bool) -> RelationReport:
+def _relation_suite(ctx, labels, cartan, xp, xm, k, kinv, dim) -> RelationReport:
     """Every defining relation for the given Cartan datum, as matrix checks.
 
     The Serre and bracket-Serre checks of a pair (i, j) share one set of
     words x_i^r x_j x_i^(p-r), built from powers of x_i kept per sign only
-    while i is the outer index.
+    while i is the outer index.  A bracket-Serre check is made exactly for
+    a_ij = -1, which the affine n = 1 datum (a double bond) never has.
     """
     eye = Matrix.identity(ctx, dim)
     qdenom_inv = (ctx.q - ctx.q_power(-1)).inverse()
@@ -137,7 +138,7 @@ def _relation_suite(ctx, labels, cartan, xp, xm, k, kinv, dim,
                     coeff = q_binom(ctx, p, r)
                     total = total + words[r].scale(-coeff if r % 2 else coeff)
                 _residual(f"serre(x{sign}{labels[i]},x{sign}{labels[j]})", total, res)
-                if bracket_serre and cartan[i][j] == -1:
+                if cartan[i][j] == -1:
                     # [x_i,[x_j,x_i]_{q^1/2}]_{q^1/2} = [2]_q x_i x_j x_i - x_i^2 x_j - x_j x_i^2
                     brackets.append((
                         f"bracket-serre [x{sign}{labels[i]},[x{sign}{labels[j]},"
@@ -153,9 +154,7 @@ def verify_finite_relations(W: UqModule) -> RelationReport:
     """Defining relations of U_q(sl_{n+1}) as exact matrix identities."""
     labels = [str(i) for i in range(1, W.n + 1)]
     return _relation_suite(
-        W.ctx, labels, finite_cartan(W.n), W.xp, W.xm, W.k, W.kinv, W.dim,
-        bracket_serre=True,
-    )
+        W.ctx, labels, finite_cartan(W.n), W.xp, W.xm, W.k, W.kinv, W.dim)
 
 
 def verify_affine_relations(W: UqModule) -> RelationReport:
@@ -167,10 +166,7 @@ def verify_affine_relations(W: UqModule) -> RelationReport:
     xm = [W.x0m] + list(W.xm)
     k = [W.k0] + list(W.k)
     kinv = [W.k0inv] + list(W.kinv)
-    return _relation_suite(
-        W.ctx, labels, affine_cartan(W.n), xp, xm, k, kinv, W.dim,
-        bracket_serre=W.n >= 2,
-    )
+    return _relation_suite(W.ctx, labels, affine_cartan(W.n), xp, xm, k, kinv, W.dim)
 
 
 def verify_central_element(W: UqModule) -> bool:
@@ -212,8 +208,8 @@ def functor_F(M: RightModule, n: int, check_source: bool = True) -> UqModule:
     fail to preserve the subspace defining the Jimbo quotient (they cannot,
     but the invariance is asserted rather than assumed).  x_0^+- are built
     on the block ambient and descended with that check; k_0^+-1 are
-    diagonal, read off the block scalars by ``push_diagonal``, whose check
-    is that every relation row lies inside one block.
+    diagonal, read off the block scalars by ``push_diagonal``, which needs
+    none: every relation row of a ``JimboImage`` lies inside one block.
     """
     if M.kind != "Hhat":
         raise ValueError("functor_F consumes affine Hecke modules")
@@ -231,8 +227,8 @@ def functor_F(M: RightModule, n: int, check_source: bool = True) -> UqModule:
         img.module,
         x0p=push(list(zip(M.y, yplus))),
         x0m=push(list(zip(M.y_inv, yminus))),
-        k0=img.push_diagonal(k0t, check=True),
-        k0inv=img.push_diagonal(k0invt, check=True),
+        k0=img.push_diagonal(k0t),
+        k0inv=img.push_diagonal(k0invt),
         jimbo=img,
     )
 

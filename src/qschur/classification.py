@@ -329,20 +329,14 @@ def head_with_marked_vector(mod: RightModule, marked: dict):
 
     Repeatedly splits off proper submodules (which can never contain the
     image of the generating vector) until the quotient is irreducible;
-    returns (quotient module, image of the marked vector).
+    returns (quotient module, image of the marked vector), which are the
+    inputs themselves when mod is already irreducible.  A vector that dies
+    stays dead, so one assert on the last image covers every step.
     """
-    U = SubspaceBasis(mod.ctx, mod.dim)
-    while True:
-        qmod = quotient(mod, U)
-        qmarked = U.coset(marked)
-        assert qmarked, "marked vector died in the quotient"
-        found = proper_submodule(qmod)
-        if found is None:
-            return qmod, qmarked
-        # the preimage of a submodule of the quotient is again stable
-        free = U.free_columns()
-        for row in found.rows():
-            U.add({free[c]: v for c, v in row.items()})
+    while (found := proper_submodule(mod)) is not None:
+        mod, marked = quotient(mod, found), found.coset(marked)
+    assert marked, "marked vector died in the quotient"
+    return mod, marked
 
 
 def irreducible_V_a(s: SegmentList, ctx: ScalarContext):

@@ -38,8 +38,11 @@ from .uq_rep import UqModule
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 
-# Largest size ell! * (n+1)^ell (dim M_a times the dimension of V^(x ell)) a
-# segment list may have.  `build` for three generic singletons
+# Largest size ell! * (n+1)^ell a segment list may have.  That is dim M_a
+# times dim V^(x ell), the dimension of the generic ambient M (x) V^(x ell),
+# which J(M) no longer builds (it works on one copy of M per sorted tensor);
+# it stays as a proxy for the cost of a list until the bound is restated in
+# dim M.  `build` for three generic singletons
 # (2@0:1,3@0:1,5@0:1) takes 0.3 s at 384 (n = 3) and 0.4 s at 750 (n = 4) on
 # a 2-core x86-64 host; for four generic singletons at 1944 (n = 2) F takes
 # 0.2 s but V_a 66 s, nearly all of it the irreducibility decision.  Larger

@@ -10,11 +10,11 @@ on the right (v . M); left-module actions multiply column vectors (M . v).
 form, which makes subspace equality literal equality of the pivot rows.
 The same basis is the quotient V/U: the class of v has coordinates
 ``U.coset(v)``, the reduction of v read off on the free (non-pivot)
-columns, and ``U.descend(op)`` is the map an operator induces on V/U.  The
-quotient map itself is the matrix P = ``U.projection()`` (P v = coset(v)),
-so an operator carries U into U' exactly when PO u = 0 for every basis row
-u of U, with P the projection of U' and PO = P . op formed once.  A vector
-of U has coordinates ``U.coords(v)`` in the pivot rows.
+columns, and ``U.descend(op)`` is the map D an operator induces on V/U,
+read off the free columns.  The same square certifies it on the pivot
+columns: op carries U into U' exactly when U'.coset(op e_p) =
+D U.coset(e_p) for every pivot column p.  A vector of U has coordinates
+``U.coords(v)`` in the pivot rows.
 """
 
 from __future__ import annotations
@@ -275,14 +275,13 @@ class SubspaceBasis:
     columns' unit vectors as its basis, in increasing column order.
     """
 
-    __slots__ = ("ctx", "ambient", "pivots", "_free_pos", "_projection")
+    __slots__ = ("ctx", "ambient", "pivots", "_free_pos")
 
     def __init__(self, ctx: ScalarContext, ambient: int):
         self.ctx = ctx
         self.ambient = ambient
         self.pivots: dict[int, Vec] = {}
         self._free_pos: Optional[dict] = None  # free column -> quotient index
-        self._projection: Optional[Matrix] = None
 
     @property
     def dim(self) -> int:
@@ -315,7 +314,6 @@ class SubspaceBasis:
                 self.pivots[p] = add_scaled(dict(row), v, -c)
         self.pivots[j] = v
         self._free_pos = None
-        self._projection = None
         return True
 
     def add_all(self, vectors: Iterable[Vec]) -> None:
@@ -343,27 +341,6 @@ class SubspaceBasis:
         pos = self._positions()
         return {pos[c]: x for c, x in self.reduce(v).items()}
 
-    def projection(self) -> Matrix:
-        """The quotient map P as a matrix: column c is coset(e_c), so P v = coset(v).
-
-        Read off the echelon form with negations only: the unit vector of a
-        free column is its own class, and for a pivot column c, e_c is
-        congruent to e_c - (pivot row c), which is minus that row's free
-        entries.
-        Cached until the next add; callers must not modify the result.
-        """
-        if self._projection is None:
-            pos = self._positions()
-            out = Matrix(self.ctx, len(pos), self.ambient)
-            for c, k in pos.items():
-                out.rows[k][c] = self.ctx.one
-            for c, row in self.pivots.items():
-                for j, x in row.items():
-                    if j != c:
-                        out.rows[pos[j]][c] = -x
-            self._projection = out
-        return self._projection
-
     def coords(self, v: Vec) -> Optional[Vec]:
         """Coordinates of v in the rows (sorted by pivot), or None off the span.
 
@@ -376,26 +353,29 @@ class SubspaceBasis:
 
     def descend(self, op: Matrix, target: Optional["SubspaceBasis"] = None,
                 check: bool = False) -> Matrix:
-        """The map ambient/self -> ambient'/target induced by op.
+        """The map D: ambient/self -> ambient'/target induced by op.
 
         Column convention: op maps this ambient space to the target's, and
-        the result maps quotient coordinates to quotient coordinates.  The
-        target defaults to self.  With ``check``, raises ValueError unless op
-        carries this subspace into the target subspace, that is unless
-        PO u = 0 for every basis row u, where PO = P . op and P is the
-        target's ``projection()`` (PO u = target.coset(op u)); without it,
-        that is the caller's promise.
+        D maps quotient coordinates to quotient coordinates.  The target
+        defaults to self.  A free column is its own class, so D is read off
+        the free columns, where target.coset(op e_c) = D coset(e_c) holds by
+        construction.  With ``check``, raises ValueError unless that square
+        also commutes on every pivot column p.  coset(e_p) is the class of
+        e_p - u_p, u_p the pivot row, so the square on p says exactly that
+        op u_p lies in the target subspace.  Without it, that is the
+        caller's promise.
         """
         target = self if target is None else target
-        if check:
-            moved = target.projection() * op
-            if any(moved.apply_col(row) for row in self.pivots.values()):
-                raise ValueError("operator does not carry the subspace into its target")
         cols = op.transpose().rows
         out = Matrix(self.ctx, target.ambient - target.dim, self.ambient - self.dim)
         for k, c in enumerate(self.free_columns()):
             for r, x in target.coset(cols[c]).items():
                 out.rows[r][k] = x
+        if check:
+            one = self.ctx.one
+            if any(target.coset(cols[p]) != out.apply_col(self.coset({p: one}))
+                   for p in self.pivots):
+                raise ValueError("operator does not carry the subspace into its target")
         return out
 
     def to_matrix(self) -> Matrix:

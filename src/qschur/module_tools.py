@@ -217,11 +217,11 @@ def submodule(mod, basis: SubspaceBasis):
 def quotient(mod, basis: SubspaceBasis):
     """The quotient module ambient/subspace on the classes of the free unit vectors.
 
-    With P the matrix whose row c is basis.coset(e_c) (the transpose of
-    basis.projection()), rho(g) P = P rho_quot(g) for a right module
-    (transpose both sides for a UqModule).  Each rho_quot(g) is
-    basis.descend of the column-convention rho(g).  Raises ValueError if
-    the subspace is not stable.
+    With P the matrix whose row c is basis.coset(e_c), rho(g) P =
+    P rho_quot(g) for a right module (transpose both sides for a UqModule).
+    Each rho_quot(g) is basis.descend of the column-convention rho(g), whose
+    check is that square on the pivot columns.  Raises ValueError if the
+    subspace is not stable.
     """
     view = ModuleView(mod)
     try:

@@ -344,6 +344,9 @@ class JimboImage:
     Block b holds m (x) e_mu for the b-th sorted tensor e_mu, at ambient index
     b * dim M + m.  Rcheck_i e_mu = q^2 e_mu for i inside a block of mu, so the
     relations are the rows of sigma_i - q^2 in block b for every such i.
+    Every relation row lies inside one block, which is asserted on
+    construction (and so by ``dataclasses.replace``): it makes any block
+    scalar preserve the relations, so ``push_diagonal`` needs no check.
     ``tensor`` and ``base`` are shared by every image of one context, n and
     ell, so they are read-only.
     """
@@ -356,6 +359,11 @@ class JimboImage:
     relations: SubspaceBasis   # in each block mu, the rows of sigma_i - q^2
     # basis tensor u -> sort(u), filled on first use: each u is sorted once
     sorts: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self):
+        dim = self.source.dim
+        if any(min(row) // dim != max(row) // dim for row in self.relations.pivots.values()):
+            raise ValueError("a relation row leaves its block")
 
     def sort(self, u: int) -> tuple:
         """(offset, q^-k or None, P_u or None) for a basis tensor u, memoized.
@@ -429,21 +437,18 @@ class JimboImage:
         """Induced action of an ambient operator that preserves the relations."""
         return self.relations.descend(op, check=check)
 
-    def push_diagonal(self, X: Matrix, check: bool = False) -> Matrix:
+    def push_diagonal(self, X: Matrix) -> Matrix:
         """Induced action of 1 (x) X for a diagonal X on V^(x ell).
 
         m (x) e_mu is sorted, so 1 (x) X scales block e_mu by X[e_mu, e_mu],
         and a free column is its own class: the result is diagonal, equal to
-        ``push_ambient_operator(ambient_operator([(None, X)]))``.  Raises
-        ValueError unless X is diagonal.  With ``check``, also unless every
-        relation row lies inside one block, which makes any block scalar
-        preserve the relations.
+        ``push_ambient_operator(ambient_operator([(None, X)]))``.  The
+        relations stay inside their blocks, so a block scalar preserves
+        them.  Raises ValueError unless X is diagonal.
         """
         if any(row.keys() - {i} for i, row in enumerate(X.rows)):
             raise ValueError("X is not diagonal")
         rel, dim = self.relations, self.source.dim
-        if check and any(min(row) // dim != max(row) // dim for row in rel.pivots.values()):
-            raise ValueError("operator does not carry the subspace into its target")
         scalars = [X.entry(e, e) for e in self.blocks]
         return Matrix.diagonal(self.source.ctx, [scalars[c // dim] for c in rel.free_columns()])
 

@@ -244,36 +244,6 @@ def test_apply_col_matches_apply_row_of_the_transpose(case):
         assert op.apply_col(u) == op.transpose().apply_row(u)
 
 
-@settings(max_examples=60, deadline=None)
-@given(_quotient_case())
-def test_projection_is_the_quotient_map(case):
-    ctx, _, gens, v, w, _ = case
-    U = span(ctx, _AMB, gens)
-    P = U.projection()
-    assert (P.nrows, P.ncols) == (_AMB - U.dim, _AMB)
-    for row in U.rows() + gens:
-        assert P.apply_col(row) == {}
-    for k, f in enumerate(U.free_columns()):
-        assert P.apply_col({f: ctx.one}) == {k: ctx.one}
-    for u in (v, w):
-        assert P.apply_col(u) == U.coset(u)
-
-
-@settings(max_examples=60, deadline=None)
-@given(_quotient_case())
-def test_projection_cache_resets_after_add(case):
-    ctx, _, gens, v, w, _ = case
-    U = span(ctx, _AMB, gens[:1])
-    P = U.projection()
-    assert U.projection() is P
-    for u in gens[1:] + [v]:
-        if U.add(u):
-            assert U.projection() is not P
-        P = U.projection()
-        assert (P.nrows, P.ncols) == (_AMB - U.dim, _AMB)
-        assert P.apply_col(u) == {} and P.apply_col(w) == U.coset(w)
-
-
 def _leaves_target(U, op, target):
     """The row-by-row reference rule: some op u of a basis row u is not in target."""
     return any(target.reduce(op.apply_col(u)) for u in U.rows())
