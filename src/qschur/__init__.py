@@ -8,7 +8,7 @@ identity as an exact matrix equation over Q(t).
 
 from .scalars import Scalar, ScalarContext
 from .symgroup import Perm
-from .hecke import HeckeElt, iota_embed, kl_parabolic_element
+from .hecke import HeckeElt, kl_parabolic_element
 from .affine_hecke import (
     AffHeckeElt,
     RightModule,
@@ -51,7 +51,6 @@ __all__ = [
     "drinfeld_polys",
     "evaluation_natural",
     "functor_F",
-    "iota_embed",
     "irreducible_V_a",
     "is_irreducible",
     "jimbo_J",

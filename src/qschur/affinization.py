@@ -12,14 +12,16 @@ with Y_j^+ = 1^(j-1) (x) x_theta^- (x) (k_theta^{-1})^(ell-j) and
 Y_j^- = k_theta^(j-1) (x) x_theta^+ (x) 1^(ell-j).  Only their values on
 m (x) e_mu, e_mu a sorted tensor, are formed; ``JimboImage.lift`` sorts each
 resulting m' (x) u back onto a block of the quotient (+)_mu M / M(sigma_i -
-q^2).  k_0 scales block e_mu by the diagonal entry of (k_theta^{-1})^(x ell)
-at e_mu, so ``JimboImage.push_diagonal`` reads its matrix off the block
-scalars, which preserve the relations because every relation row lies in
-one block (``JimboImage`` asserts that once, on construction); x_0^+- are
-built and descended.  Rather than trusting that these operators descend,
-the construction asserts outright that they carry the relations into the
-relations, and the full list of quantum affine defining relations is
-re-checked as exact matrix identities on every module built here.
+q^2).  x_0^+-, k_0 and k_0^-1 all go through
+``JimboImage.push_ambient_operator``, the push J itself uses.  k_0 scales
+block e_mu by the diagonal entry of (k_theta^{-1})^(x ell) at e_mu, so the
+push reads its matrix off the block scalars, which preserve the relations
+because every relation row lies in one block (``JimboImage`` asserts that
+once, on construction); x_0^+- also act on M, so the push builds and
+descends them, and rather than trusting that they descend it asserts
+outright that they carry the relations into the relations.  The full list
+of quantum affine defining relations is re-checked as exact matrix
+identities on every module built here.
 
 The affine Cartan matrix is the cycle on {0, ..., n} for n >= 2; for n = 1
 the two nodes are joined by a double bond (a_01 = a_10 = -2), which makes
@@ -206,10 +208,10 @@ def functor_F(M: RightModule, n: int, check_source: bool = True) -> UqModule:
 
     Raises if M fails its own defining relations, or if the loop operators
     fail to preserve the subspace defining the Jimbo quotient (they cannot,
-    but the invariance is asserted rather than assumed).  x_0^+- are built
-    on the block ambient and descended with that check; k_0^+-1 are
-    diagonal, read off the block scalars by ``push_diagonal``, which needs
-    none: every relation row of a ``JimboImage`` lies inside one block.
+    but the invariance is asserted rather than assumed).  The four loop
+    operators are handed to ``JimboImage.push_ambient_operator``, which
+    builds x_0^+- on the block ambient and descends them with that check,
+    and reads the diagonal k_0^+-1 off the block scalars, which need none.
     """
     if M.kind != "Hhat":
         raise ValueError("functor_F consumes affine Hecke modules")
@@ -219,16 +221,13 @@ def functor_F(M: RightModule, n: int, check_source: bool = True) -> UqModule:
             raise ValueError(f"source module fails relations: {rep.failures()}")
     img = jimbo_J(M.restrict_to_finite(), n)
     yplus, yminus, k0t, k0invt = _loop_operators(img)
-
-    def push(terms):
-        return img.push_ambient_operator(img.ambient_operator(terms), check=True)
-
+    push = img.push_ambient_operator
     return replace(
         img.module,
         x0p=push(list(zip(M.y, yplus))),
         x0m=push(list(zip(M.y_inv, yminus))),
-        k0=img.push_diagonal(k0t),
-        k0inv=img.push_diagonal(k0invt),
+        k0=push([(None, k0t)]),
+        k0inv=push([(None, k0invt)]),
         jimbo=img,
     )
 

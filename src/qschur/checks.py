@@ -510,11 +510,11 @@ def check_thm_7_6(cfg: RunConfig) -> CheckResult:
     """Drinfeld polynomial dictionary for segment modules.
 
     Checks the degree law (the finite highest weight of F(V_a) matches the
-    polynomial degrees, with a one-dimensional top weight space), the single
-    segment parameter extraction, and the tensor factorization of F(I_pi).
+    polynomial degrees, with a one-dimensional top weight space) and the
+    tensor factorization of F(I_pi); ``lemma-6.4`` extracts the single
+    segment parameter.
     """
     details = []
-    rng = random.Random(cfg.seed)
     for n in [v for v in cfg.n_values if v >= 2]:
         ctx = cfg.context(n)
         seg_sets = []
@@ -525,10 +525,7 @@ def check_thm_7_6(cfg: RunConfig) -> CheckResult:
         else:
             seg_sets.append(make_segments(ctx, [(ctx.one, min(2, n))]))
             seg_sets.append(make_segments(ctx, [(ctx.q, 1)]))
-            if n >= 2:
-                seg_sets.append(
-                    make_segments(ctx, [(ctx.one, 1), (ctx.q_power(2), 1)])
-                )
+            seg_sets.append(make_segments(ctx, [(ctx.one, 1), (ctx.q_power(2), 1)]))
             if n >= 3:
                 seg_sets.append(
                     make_segments(ctx, [(ctx.scalar(3), 2), (ctx.one, 1)])

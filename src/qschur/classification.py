@@ -140,9 +140,6 @@ class SegmentList:
             out.extend(s.expansion())
         return out
 
-    def centers(self) -> list:
-        return [s.center for s in self.segments]
-
     def __repr__(self):
         return "SegmentList(" + ", ".join(
             f"({s.center}:{s.length})" for s in self.segments

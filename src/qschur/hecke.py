@@ -16,7 +16,6 @@ from .linalg import add_scaled
 from .scalars import Scalar, ScalarContext
 from .symgroup import (
     Perm,
-    block_join,
     check_partition,
     elements_of_parabolic,
     parabolic_longest,
@@ -194,20 +193,4 @@ def kl_parabolic_element(ctx: ScalarContext, parts, ell=None) -> HeckeElt:
         if (L - lw) % 2:
             c = -c
         out._add_term(w, c)
-    return out
-
-
-def iota_embed(a: HeckeElt, b: HeckeElt) -> HeckeElt:
-    """The multiplicative embedding H_l1 (x) H_l2 -> H_{l1+l2}.
-
-    sigma_i in the first factor stays sigma_i; sigma_i in the second becomes
-    sigma_{i+l1}.  On basis elements this is sigma_u (x) sigma_v ->
-    sigma_{u x v}, which is multiplicative because lengths add.
-    """
-    if a.ctx is not b.ctx:
-        raise ValueError("Hecke elements from different contexts")
-    out = HeckeElt.zero(a.ctx, a.ell + b.ell)
-    for u, c in a.terms.items():
-        for v, d in b.terms.items():
-            out._add_term(block_join(u, v), c * d)
     return out

@@ -228,9 +228,3 @@ def split_parabolic(p: Perm, l1: int, l2: int) -> tuple:
     if sorted(left) != list(range(l1)) or sorted(right) != list(range(l2)):
         raise ValueError(f"{p!r} does not preserve the blocks ({l1},{l2})")
     return Perm(left), Perm(right)
-
-
-def block_join(u: Perm, v: Perm) -> Perm:
-    """The element u x v of S_{|u|+|v|} acting blockwise."""
-    l1 = u.ell
-    return Perm(list(u.images) + [x + l1 for x in v.images])

@@ -21,12 +21,13 @@ e_mu = v_1^(x mu_1) (x) v_2^(x mu_2) (x) ..., and Rcheck_i e_mu = q^2 e_mu for
 i inside a block of mu (Dipper-James: V^(x ell) = (+)_mu x_mu H), so
 J(M) = (+)_mu M / sum_{i in mu} M(sigma_i - q^2).  ``JimboImage.relations``
 keeps those rows, block by block, as a reduced basis: the quotient.
-``JimboImage.lift`` sorts any m (x) u onto its block; the x_i^+- and every
-other operator sum A (x) X (A on M, X on V^(x ell)) are built through it
-and descended, so the affine extension pushes the loop operators through
-the same quotient.  A diagonal X (the k_i^+-1, t_r and k_0^+-1) scales each
-block e_mu by X[e_mu, e_mu], so ``JimboImage.push_diagonal`` reads its
-quotient matrix off those scalars without forming the ambient operator.
+``JimboImage.lift`` sorts any m (x) u onto its block.  One push,
+``JimboImage.push_ambient_operator``, takes every operator sum A (x) X
+(A on M, X on V^(x ell)), so J and its affine extension push all their
+generators through the same quotient.  A single diagonal 1 (x) X (the
+k_i^+-1, t_r and k_0^+-1) scales each block e_mu by X[e_mu, e_mu], and the
+push reads its quotient matrix off those scalars without forming the
+ambient operator; any other sum is built through the lift and descended.
 Each basis tensor u is sorted once per image (``JimboImage.sort``), and V
 and V^(x ell) are built once per context, n and ell and shared through
 ``ctx.cache``, so they are read-only.
@@ -71,10 +72,11 @@ class UqModule:
     x0m: Optional[Matrix] = None
     k0: Optional[Matrix] = None
     k0inv: Optional[Matrix] = None
-    # loop operators of the natural module: natural_rep and evaluation_natural
-    xtheta_p: Optional[Matrix] = None
-    xtheta_m: Optional[Matrix] = None
-    ktheta: Optional[Matrix] = None
+    # loop operators of the natural module, set by natural_rep only: metadata
+    # that to_json does not write, so it takes no part in ==
+    xtheta_p: Optional[Matrix] = field(default=None, compare=False, repr=False)
+    xtheta_m: Optional[Matrix] = field(default=None, compare=False, repr=False)
+    ktheta: Optional[Matrix] = field(default=None, compare=False, repr=False)
     # the Jimbo quotient a module built by affinization.functor_F lives on
     jimbo: Optional["JimboImage"] = field(default=None, compare=False, repr=False)
 
@@ -346,7 +348,7 @@ class JimboImage:
     relations are the rows of sigma_i - q^2 in block b for every such i.
     Every relation row lies inside one block, which is asserted on
     construction (and so by ``dataclasses.replace``): it makes any block
-    scalar preserve the relations, so ``push_diagonal`` needs no check.
+    scalar preserve the relations, so a diagonal push needs no check.
     ``tensor`` and ``base`` are shared by every image of one context, n and
     ell, so they are read-only.
     """
@@ -433,24 +435,29 @@ class JimboImage:
                         add_scaled(cols[b * dim + m], {offset + j: y for j, y in row.items()}, c)
         return Matrix(ctx, len(cols), len(cols), cols).transpose()
 
-    def push_ambient_operator(self, op: Matrix, check: bool = False) -> Matrix:
-        """Induced action of an ambient operator that preserves the relations."""
-        return self.relations.descend(op, check=check)
+    def push_ambient_operator(self, terms) -> Matrix:
+        """The quotient matrix of sum (A (x) X) over the pairs (A, X) in terms.
 
-    def push_diagonal(self, X: Matrix) -> Matrix:
-        """Induced action of 1 (x) X for a diagonal X on V^(x ell).
-
-        m (x) e_mu is sorted, so 1 (x) X scales block e_mu by X[e_mu, e_mu],
-        and a free column is its own class: the result is diagonal, equal to
-        ``push_ambient_operator(ambient_operator([(None, X)]))``.  The
-        relations stay inside their blocks, so a block scalar preserves
-        them.  Raises ValueError unless X is diagonal.
+        A lone term (None, X) with X diagonal scales block e_mu by
+        X[e_mu, e_mu] (m (x) e_mu is sorted), and a free column is its own
+        class, so its diagonal matrix is read off those scalars with no
+        ambient operator: the relations stay inside their blocks, so a block
+        scalar preserves them.  Any other sum is built by
+        ``ambient_operator`` and descended.  A sum of terms 1 (x) X, X a
+        U_q-operator, commutes with every Rcheck_i and so preserves the
+        relations; a sum with a term acting on M is certified on every call
+        and raises ValueError if it does not carry the relations into
+        themselves.
         """
-        if any(row.keys() - {i} for i, row in enumerate(X.rows)):
-            raise ValueError("X is not diagonal")
-        rel, dim = self.relations, self.source.dim
-        scalars = [X.entry(e, e) for e in self.blocks]
-        return Matrix.diagonal(self.source.ctx, [scalars[c // dim] for c in rel.free_columns()])
+        if len(terms) == 1:
+            (A, X), = terms
+            if A is None and not any(row.keys() - {i} for i, row in enumerate(X.rows)):
+                dim = self.source.dim
+                scalars = [X.entry(e, e) for e in self.blocks]
+                return Matrix.diagonal(
+                    self.source.ctx, [scalars[c // dim] for c in self.relations.free_columns()])
+        return self.relations.descend(self.ambient_operator(terms),
+                                      check=any(A is not None for A, _ in terms))
 
 
 def _tensor_power(ctx: ScalarContext, n: int, ell: int) -> tuple:
@@ -483,15 +490,9 @@ def jimbo_J(M: RightModule, n: int) -> JimboImage:
                 rel.add_all({b * M.dim + j: x for j, x in row.items()} for row in kernels[p])
     blocks = {_tensor_index(word, V.dim): b for b, word in enumerate(words)}
     img = JimboImage(module=None, source=M, tensor=T, base=V, blocks=blocks, relations=rel)
-
-    def push(ops):
-        return [img.push_ambient_operator(img.ambient_operator([(None, X)])) for X in ops]
-
-    def diagonal(ops):
-        return [img.push_diagonal(X) for X in ops]
-
-    img.module = UqModule(ctx, n, rel.ambient - rel.dim, push(T.xp), push(T.xm), diagonal(T.k),
-                          diagonal(T.kinv), t=diagonal(T.t) if T.t is not None else None)
+    xp, xm, k, kinv, t = ([img.push_ambient_operator([(None, X)]) for X in ops]
+                          for ops in (T.xp, T.xm, T.k, T.kinv, T.t))
+    img.module = UqModule(ctx, n, rel.ambient - rel.dim, xp, xm, k, kinv, t=t)
     return img
 
 

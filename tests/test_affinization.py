@@ -222,6 +222,17 @@ def test_uq_module_json_round_trip(ctx2):
     assert are_isomorphic(W, back) is not None
 
 
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)], ids=["symbolic", "t=5/3"])
+def test_uq_module_equals_its_json_round_trip(t0):
+    # the x_theta^+-, k_theta metadata of natural_rep is not written by
+    # to_json, so it must not take part in ==
+    ctx = ScalarContext(2, t0=t0)
+    V = natural_rep(ctx, 2)
+    for W in (V, evaluation_natural(ctx, 2, ctx.scalar(3)), tensor_rep(V, 2),
+              functor_F(universal_module(ctx, (ctx.one, ctx.scalar(3))), 2)):
+        assert UqModule.from_json(ctx, W.to_json()) == W
+
+
 def test_functor_of_induction_is_tensor(ctx2):
     a1, a2 = ctx2.one, ctx2.scalar(7)
     M1 = one_dimensional_affine_module(ctx2, [a1])

@@ -3,7 +3,7 @@ from math import factorial
 import pytest
 
 from qschur.affine_hecke import hecke_regular_module, verify_module_relations
-from qschur.hecke import HeckeElt, iota_embed, kl_parabolic_element
+from qschur.hecke import HeckeElt, kl_parabolic_element
 from qschur.module_tools import spin
 from qschur.scalars import ScalarContext
 from qschur.symgroup import Perm, all_perms, parabolic_longest
@@ -111,21 +111,6 @@ def test_ideal_dimension(ctx, parts):
     for p in parts:
         expected //= factorial(p)
     assert sub.dim == expected
-
-
-def test_iota_embed_generators(ctx):
-    a = iota_embed(HeckeElt.sigma(ctx, 2, 1), HeckeElt.one(ctx, 1))
-    assert a == HeckeElt.sigma(ctx, 3, 1)
-    b = iota_embed(HeckeElt.one(ctx, 1), HeckeElt.sigma(ctx, 2, 1))
-    assert b == HeckeElt.sigma(ctx, 3, 2)
-    assert iota_embed(HeckeElt.one(ctx, 1), HeckeElt.one(ctx, 2)) == HeckeElt.one(ctx, 3)
-
-
-def test_iota_embed_multiplicative(ctx):
-    x = HeckeElt.sigma(ctx, 2, 1) + HeckeElt.one(ctx, 2).scale(ctx.q)
-    y = HeckeElt.sigma(ctx, 2, 1).scale(ctx.scalar(3))
-    left = iota_embed(x, HeckeElt.one(ctx, 2)) * iota_embed(HeckeElt.one(ctx, 2), y)
-    assert left == iota_embed(x, y)
 
 
 @pytest.mark.parametrize("ell", [2, 3])

@@ -7,7 +7,6 @@ from qschur.symgroup import (
     Perm,
     all_perms,
     block_boundaries,
-    block_join,
     coset_factorize,
     elements_of_parabolic,
     min_coset_reps,
@@ -113,7 +112,7 @@ def test_factorization_unique_and_length_additive(l1, l2):
         assert p * d == w
         assert p.length() + d.length() == w.length()
         p1, p2 = split_parabolic(p, l1, l2)
-        assert block_join(p1, p2) == p
+        assert Perm(list(p1.images) + [x + l1 for x in p2.images]) == p
 
 
 def test_block_boundaries():

@@ -305,16 +305,18 @@ def test_jimbo_J_shares_the_tensor_power_per_context_and_ell():
 
 
 def test_push_ambient_operator_checks_invariance(ctx2):
-    img = jimbo_J(hecke_regular_module(ctx2, 2), 2)
-    rel = img.relations
-    ambient = img.ambient_operator([(None, img.tensor.xp[0])])
-    assert img.push_ambient_operator(ambient, check=True) == img.module.xp[0]
-    # send a pivot column to a free one: that relation row leaves the span
-    pivot, free = rel.pivot_columns()[0], rel.free_columns()[0]
-    breaker = Matrix(ctx2, rel.ambient, rel.ambient)
-    breaker.set_entry(free, pivot, ctx2.one)
-    with pytest.raises(ValueError):
-        img.push_ambient_operator(breaker, check=True)
+    # a term acting on M is certified: sigma_1 (x) 1 keeps M(sigma_1 - q^2),
+    # a matrix unit that does not commute with sigma_1 does not
+    M = hecke_regular_module(ctx2, 2)
+    img = jimbo_J(M, 2)
+    one = Matrix.identity(ctx2, img.tensor.dim)
+    sigma = M.sigma[0]
+    img.push_ambient_operator([(sigma, one)])
+    unit = Matrix(ctx2, M.dim, M.dim)
+    unit.set_entry(0, 0, ctx2.one)
+    assert unit * sigma != sigma * unit
+    with pytest.raises(ValueError, match="does not carry the subspace"):
+        img.push_ambient_operator([(unit, one)])
 
 
 def test_diagonal_generators_never_build_an_ambient_operator(monkeypatch):
