@@ -299,9 +299,26 @@ class RightModule:
 
 @dataclass
 class RelationReport:
-    """Outcome of checking defining relations as exact matrix identities."""
+    """Outcome of checking defining relations as exact matrix identities.
+
+    Each relation is checked as the literal equality of its two sides; a
+    failure is witnessed by the first row where they differ and the least
+    column in that row, the first nonzero entry of lhs - rhs.
+    """
 
     results: list  # (name, passed: bool, witness position or None)
+
+    @classmethod
+    def of(cls, identities) -> "RelationReport":
+        """The report on (name, lhs, rhs) triples, in their order."""
+        results = []
+        for name, lhs, rhs in identities:
+            pos = next((
+                (i, min(j for j in a.keys() | b.keys() if a.get(j) != b.get(j)))
+                for i, (a, b) in enumerate(zip(lhs.rows, rhs.rows)) if a != b
+            ), None)
+            results.append((name, pos is None, pos))
+        return cls(results)
 
     @property
     def passed(self) -> bool:
@@ -321,53 +338,43 @@ class RelationReport:
         )
 
 
-def _residual(name, m: Matrix, results: list):
-    pos = m.first_nonzero()
-    results.append((name, pos is None, pos))
-
-
-def verify_module_relations(mod: RightModule) -> RelationReport:
-    """Check every defining relation of the (affine) Hecke algebra on mod."""
-    ctx = mod.ctx
+def _module_relations(mod: RightModule):
+    """Every defining relation of the (affine) Hecke algebra on mod, as
+    (name, lhs, rhs) triples."""
     ell = mod.ell
-    eye = Matrix.identity(ctx, mod.dim)
-    q2 = ctx.q_power(2)
-    res: list = []
+    eye = Matrix.identity(mod.ctx, mod.dim)
+    q2 = mod.ctx.q_power(2)
     sig = mod.sigma
     for i in range(1, ell):
         s = sig[i - 1]
-        _residual(f"(s{i}+1)(s{i}-q^2)=0", (s + eye) * (s - eye.scale(q2)), res)
-        _residual(f"s{i}*s{i}^-1=1", s * mod.sigma_inv(i) - eye, res)
+        yield f"(s{i}+1)(s{i}-q^2)=0", s * s, s.scale(q2 - mod.ctx.one) + eye.scale(q2)
+        yield f"s{i}*s{i}^-1=1", s * mod.sigma_inv(i), eye
     for i in range(1, ell - 1):
         a, b = sig[i - 1], sig[i]
-        _residual(f"braid(s{i},s{i+1})", a * b * a - b * a * b, res)
+        yield f"braid(s{i},s{i+1})", a * b * a, b * a * b
     for i in range(1, ell):
         for j in range(i + 2, ell):
-            _residual(f"s{i}*s{j}=s{j}*s{i}", sig[i - 1] * sig[j - 1] - sig[j - 1] * sig[i - 1], res)
+            yield f"s{i}*s{j}=s{j}*s{i}", sig[i - 1] * sig[j - 1], sig[j - 1] * sig[i - 1]
     if mod.kind == "Hhat":
         ys, yinvs = mod.y, mod.y_inv
         for j in range(1, ell + 1):
-            _residual(f"y{j}*y{j}^-1=1", ys[j - 1] * yinvs[j - 1] - eye, res)
+            yield f"y{j}*y{j}^-1=1", ys[j - 1] * yinvs[j - 1], eye
         for j in range(1, ell + 1):
             for k in range(j + 1, ell + 1):
-                _residual(
-                    f"y{j}*y{k}=y{k}*y{j}",
-                    ys[j - 1] * ys[k - 1] - ys[k - 1] * ys[j - 1],
-                    res,
-                )
+                yield f"y{j}*y{k}=y{k}*y{j}", ys[j - 1] * ys[k - 1], ys[k - 1] * ys[j - 1]
         for i in range(1, ell):
             for j in range(1, ell + 1):
                 if j in (i, i + 1):
                     continue
-                _residual(
-                    f"y{j}*s{i}=s{i}*y{j}",
-                    ys[j - 1] * sig[i - 1] - sig[i - 1] * ys[j - 1],
-                    res,
-                )
+                yield f"y{j}*s{i}=s{i}*y{j}", ys[j - 1] * sig[i - 1], sig[i - 1] * ys[j - 1]
         for i in range(1, ell):
-            lhs = sig[i - 1] * ys[i - 1] * sig[i - 1]
-            _residual(f"s{i}*y{i}*s{i}=q^2*y{i+1}", lhs - ys[i].scale(q2), res)
-    return RelationReport(res)
+            yield (f"s{i}*y{i}*s{i}=q^2*y{i+1}", sig[i - 1] * ys[i - 1] * sig[i - 1],
+                   ys[i].scale(q2))
+
+
+def verify_module_relations(mod: RightModule) -> RelationReport:
+    """Check every defining relation of the (affine) Hecke algebra on mod."""
+    return RelationReport.of(_module_relations(mod))
 
 
 # ---------------------------------------------------------------------------

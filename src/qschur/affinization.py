@@ -36,7 +36,6 @@ from fractions import Fraction
 from .affine_hecke import (
     RelationReport,
     RightModule,
-    _residual,
     cherednik_pullback,
     verify_module_relations,
 )
@@ -85,8 +84,8 @@ def _serre_words(pows: list, xj: Matrix, p: int) -> list:
     return words
 
 
-def _relation_suite(ctx, labels, cartan, xp, xm, k, kinv, dim) -> RelationReport:
-    """Every defining relation for the given Cartan datum, as matrix checks.
+def _relation_suite(ctx, labels, cartan, xp, xm, k, kinv, dim):
+    """Every defining relation for the given Cartan datum, as (name, lhs, rhs).
 
     The Serre and bracket-Serre checks of a pair (i, j) share one set of
     words x_i^r x_j x_i^(p-r), built from powers of x_i kept per sign only
@@ -95,34 +94,27 @@ def _relation_suite(ctx, labels, cartan, xp, xm, k, kinv, dim) -> RelationReport
     """
     eye = Matrix.identity(ctx, dim)
     qdenom_inv = (ctx.q - ctx.q_power(-1)).inverse()
-    res: list = []
     idx = range(len(labels))
     for i in idx:
-        _residual(f"k{labels[i]}*k{labels[i]}inv=1", k[i] * kinv[i] - eye, res)
+        yield f"k{labels[i]}*k{labels[i]}inv=1", k[i] * kinv[i], eye
     for i in idx:
         for j in idx:
             if i < j:
-                _residual(f"k{labels[i]}*k{labels[j]} commute",
-                          k[i] * k[j] - k[j] * k[i], res)
+                yield f"k{labels[i]}*k{labels[j]} commute", k[i] * k[j], k[j] * k[i]
     for i in idx:
         for j in idx:
             a = cartan[i][j]
-            _residual(
-                f"k{labels[i]} x+{labels[j]} k{labels[i]}inv = q^{a} x+{labels[j]}",
-                k[i] * xp[j] * kinv[i] - xp[j].scale(ctx.q_power(a)), res,
-            )
-            _residual(
-                f"k{labels[i]} x-{labels[j]} k{labels[i]}inv = q^{-a} x-{labels[j]}",
-                k[i] * xm[j] * kinv[i] - xm[j].scale(ctx.q_power(-a)), res,
-            )
+            yield (f"k{labels[i]} x+{labels[j]} k{labels[i]}inv = q^{a} x+{labels[j]}",
+                   k[i] * xp[j] * kinv[i], xp[j].scale(ctx.q_power(a)))
+            yield (f"k{labels[i]} x-{labels[j]} k{labels[i]}inv = q^{-a} x-{labels[j]}",
+                   k[i] * xm[j] * kinv[i], xm[j].scale(ctx.q_power(-a)))
     for i in idx:
         for j in idx:
-            comm = xp[i] * xm[j] - xm[j] * xp[i]
             if i == j:
-                rhs = (k[i] - kinv[i]).scale(qdenom_inv)
-                _residual(f"[x+{labels[i]},x-{labels[i]}]=(k-kinv)/(q-qinv)", comm - rhs, res)
+                yield (f"[x+{labels[i]},x-{labels[i]}]=(k-kinv)/(q-qinv)", xp[i] * xm[i],
+                       xm[i] * xp[i] + (k[i] - kinv[i]).scale(qdenom_inv))
             else:
-                _residual(f"[x+{labels[i]},x-{labels[j]}]=0", comm, res)
+                yield f"[x+{labels[i]},x-{labels[j]}]=0", xp[i] * xm[j], xm[j] * xp[i]
     for i in idx:
         pows = {"+": [eye, xp[i]], "-": [eye, xm[i]]}  # pows[sign][s] = x_i^s
         for j in idx:
@@ -135,28 +127,26 @@ def _relation_suite(ctx, labels, cartan, xp, xm, k, kinv, dim) -> RelationReport
                 while len(xi_pows) <= p:
                     xi_pows.append(xi_pows[-1] * xs[i])
                 words = _serre_words(xi_pows, xs[j], p)
-                total = words[0]
-                for r in range(1, p + 1):
-                    coeff = q_binom(ctx, p, r)
-                    total = total + words[r].scale(-coeff if r % 2 else coeff)
-                _residual(f"serre(x{sign}{labels[i]},x{sign}{labels[j]})", total, res)
+                # sum_r (-1)^r [p r]_q words[r] = 0: the even words against the odd
+                sides = [words[0], words[1].scale(q_binom(ctx, p, 1))]
+                for r in range(2, p + 1):
+                    sides[r % 2] = sides[r % 2] + words[r].scale(q_binom(ctx, p, r))
+                yield (f"serre(x{sign}{labels[i]},x{sign}{labels[j]})", *sides)
                 if cartan[i][j] == -1:
                     # [x_i,[x_j,x_i]_{q^1/2}]_{q^1/2} = [2]_q x_i x_j x_i - x_i^2 x_j - x_j x_i^2
                     brackets.append((
                         f"bracket-serre [x{sign}{labels[i]},[x{sign}{labels[j]},"
                         f"x{sign}{labels[i]}]]",
-                        words[1].scale(q_int(ctx, 2)) - words[2] - words[0],
+                        words[1].scale(q_int(ctx, 2)), words[2] + words[0],
                     ))
-            for name, m in brackets:
-                _residual(name, m, res)
-    return RelationReport(res)
+            yield from brackets
 
 
 def verify_finite_relations(W: UqModule) -> RelationReport:
     """Defining relations of U_q(sl_{n+1}) as exact matrix identities."""
     labels = [str(i) for i in range(1, W.n + 1)]
-    return _relation_suite(
-        W.ctx, labels, finite_cartan(W.n), W.xp, W.xm, W.k, W.kinv, W.dim)
+    return RelationReport.of(_relation_suite(
+        W.ctx, labels, finite_cartan(W.n), W.xp, W.xm, W.k, W.kinv, W.dim))
 
 
 def verify_affine_relations(W: UqModule) -> RelationReport:
@@ -168,7 +158,8 @@ def verify_affine_relations(W: UqModule) -> RelationReport:
     xm = [W.x0m] + list(W.xm)
     k = [W.k0] + list(W.k)
     kinv = [W.k0inv] + list(W.kinv)
-    return _relation_suite(W.ctx, labels, affine_cartan(W.n), xp, xm, k, kinv, W.dim)
+    return RelationReport.of(
+        _relation_suite(W.ctx, labels, affine_cartan(W.n), xp, xm, k, kinv, W.dim))
 
 
 def verify_central_element(W: UqModule) -> bool:

@@ -213,9 +213,6 @@ class Matrix:
 
     # -- predicates -----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return all(not r for r in self.rows)
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -226,13 +223,6 @@ class Matrix:
         )
 
     __hash__ = None  # type: ignore[assignment]
-
-    def first_nonzero(self) -> Optional[tuple]:
-        for i, r in enumerate(self.rows):
-            if r:
-                j = min(r)
-                return i, j
-        return None
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"

@@ -418,8 +418,8 @@ class JimboImage:
         A is a right-action matrix on M, or None for 1; X is an operator on
         V^(x ell) in column convention, of which only the columns X e_mu are
         read, each once.  Column m of block e_mu collects, for every term
-        and every u with X[u, e_mu] != 0, row m of A.P_u scaled by
-        X[u, e_mu].q^-k in the block of u's sorted tensor.
+        and every u with X[u, e_mu] != 0, the lift of X[u, e_mu] times
+        (row m of A) (x) u.
         """
         ctx, dim = self.source.ctx, self.source.dim
         cols = [{} for _ in range(len(self.blocks) * dim)]
@@ -427,12 +427,9 @@ class JimboImage:
             Xt = X.transpose()
             for e, b in self.blocks.items():
                 for u, x in Xt.rows[e].items():
-                    offset, qk, P = self.sort(u)
-                    B = P if A is None else (A if P is None else A * P)
-                    c = x if qk is None else x * qk
                     for m in range(dim):
-                        row = {m: ctx.one} if B is None else B.rows[m]
-                        add_scaled(cols[b * dim + m], {offset + j: y for j, y in row.items()}, c)
+                        row = {m: ctx.one} if A is None else A.rows[m]
+                        add_scaled(cols[b * dim + m], self.lift(row, u, x))
         return Matrix(ctx, len(cols), len(cols), cols).transpose()
 
     def push_ambient_operator(self, terms) -> Matrix:

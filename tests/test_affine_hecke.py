@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -187,6 +188,63 @@ def test_universal_module_relations(ctx, ell):
     avec = tuple(ctx.scalar(rng.randint(1, 9)) for _ in range(ell))
     rep = verify_module_relations(universal_module(ctx, avec))
     assert rep.passed, rep.failures()
+
+
+def _direct_module_relations(mod):
+    """Each Hecke relation as a difference matrix, with its first nonzero entry."""
+    ell, sig, ys, yinvs = mod.ell, mod.sigma, mod.y, mod.y_inv
+    eye = Matrix.identity(mod.ctx, mod.dim)
+    q2 = mod.ctx.q_power(2)
+    res = []
+
+    def check(name, m):
+        pos = next(((i, min(r)) for i, r in enumerate(m.rows) if r), None)
+        res.append((name, pos is None, pos))
+
+    for i in range(1, ell):
+        s = sig[i - 1]
+        check(f"(s{i}+1)(s{i}-q^2)=0", (s + eye) * (s - eye.scale(q2)))
+        check(f"s{i}*s{i}^-1=1", s * mod.sigma_inv(i) - eye)
+    for i in range(1, ell - 1):
+        a, b = sig[i - 1], sig[i]
+        check(f"braid(s{i},s{i+1})", a * b * a - b * a * b)
+    for i in range(1, ell):
+        for j in range(i + 2, ell):
+            check(f"s{i}*s{j}=s{j}*s{i}", sig[i - 1] * sig[j - 1] - sig[j - 1] * sig[i - 1])
+    for j in range(1, ell + 1):
+        check(f"y{j}*y{j}^-1=1", ys[j - 1] * yinvs[j - 1] - eye)
+    for j in range(1, ell + 1):
+        for k in range(j + 1, ell + 1):
+            check(f"y{j}*y{k}=y{k}*y{j}", ys[j - 1] * ys[k - 1] - ys[k - 1] * ys[j - 1])
+    for i in range(1, ell):
+        for j in range(1, ell + 1):
+            if j not in (i, i + 1):
+                check(f"y{j}*s{i}=s{i}*y{j}", ys[j - 1] * sig[i - 1] - sig[i - 1] * ys[j - 1])
+    for i in range(1, ell):
+        check(f"s{i}*y{i}*s{i}=q^2*y{i+1}",
+              sig[i - 1] * ys[i - 1] * sig[i - 1] - ys[i].scale(q2))
+    return res
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)], ids=["symbolic", "t=5/3"])
+@pytest.mark.parametrize("generator", ["sigma", "y"])
+def test_module_relations_match_direct_evaluation(t0, generator):
+    # perturb sigma_1, or y_2, of M_a (ell = 3) by the matrix unit E_(0, dim-1):
+    # the two-sided comparison must report the difference matrices' verdicts
+    # and first nonzero entries
+    c = ScalarContext(2, t0=t0)
+    M = universal_module(c, (c.scalar(2), c.scalar(Fraction(-3, 4)), c.scalar(5)))
+    sigma, y = list(M.sigma), list(M.y)
+    gens, k = (sigma, 0) if generator == "sigma" else (y, 1)
+    gens[k] = gens[k].copy()
+    gens[k].add_to_entry(0, M.dim - 1, c.one)
+    P = RightModule(c, "Hhat", 3, M.dim, sigma, y, M.y_inv)
+    got = verify_module_relations(P).results
+    assert got == _direct_module_relations(P)
+    assert {name for name, ok, _ in got if not ok} >= (
+        {"(s1+1)(s1-q^2)=0", "braid(s1,s2)", "s1*y1*s1=q^2*y2"} if generator == "sigma"
+        else {"y2*y2^-1=1", "y1*y2=y2*y1", "s1*y1*s1=q^2*y2"})
+    assert verify_module_relations(M).results == _direct_module_relations(M)
 
 
 def test_universal_module_zero_parameter(ctx):

@@ -288,7 +288,7 @@ def _direct_suite(ctx, labels, cartan, xp, xm, k, kinv, dim, bracket_serre):
     res = []
 
     def check(name, m):
-        pos = m.first_nonzero()
+        pos = next(((i, min(r)) for i, r in enumerate(m.rows) if r), None)
         res.append((name, pos is None, pos))
 
     idx = range(len(labels))
@@ -345,14 +345,19 @@ def _perturbed(M, ctx, i, j):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("perturb", [False, True])
+@pytest.mark.parametrize("perturb", [False, True, "k1"])
 def test_relation_suite_matches_direct_evaluation(n, perturb):
+    # perturb: nothing (False), one entry of x_0^+ (True), or "k1"
     c = ScalarContext(n)
     W = functor_F(universal_module(c, (c.scalar(2), c.scalar(Fraction(-3, 4)))), n,
                   check_source=False)
-    if perturb:
+    if perturb is True:
         W = UqModule(c, n, W.dim, W.xp, W.xm, W.k, W.kinv, t=W.t,
                      x0p=_perturbed(W.x0p, c, 0, W.dim - 1), x0m=W.x0m, k0=W.k0, k0inv=W.k0inv)
+    elif perturb == "k1":
+        # one diagonal entry of k_1, k_1^-1 untouched
+        W = UqModule(c, n, W.dim, W.xp, W.xm, [_perturbed(W.k[0], c, 0, 0)] + W.k[1:], W.kinv,
+                     t=W.t, x0p=W.x0p, x0m=W.x0m, k0=W.k0, k0inv=W.k0inv)
     got = verify_affine_relations(W).results
     want = _direct_suite(
         c, [str(i) for i in range(n + 1)], affine_cartan(n), [W.x0p] + W.xp,
@@ -361,9 +366,12 @@ def test_relation_suite_matches_direct_evaluation(n, perturb):
     assert got == want
     assert any(name.startswith("serre(x+0,") for name, _, _ in got)
     failed = {name for name, ok, _ in got if not ok}
-    if perturb:
+    if perturb is True:
         assert any(name.startswith("serre(") for name in failed)
         assert n == 1 or any(name.startswith("bracket-serre") for name in failed)
+    elif perturb == "k1":
+        assert {"k1*k1inv=1", "[x+1,x-1]=(k-kinv)/(q-qinv)"} <= failed
+        assert any(name.startswith("k1 x+") for name in failed)
     else:
         assert not failed
 

@@ -33,12 +33,21 @@ ambient, one copy of M per sorted tensor: the quotient basis is now the
 free columns of each block in turn, not the free columns of M (x) V^(x ell).
 Each old value is still asserted, on the reference construction in
 ``jimbo_reference``, and the two constructions are asserted isomorphic.
+
+The sweep digests pin the last line of ``scripts/run_checks.py --n 2 --ell
+1,2`` on both backends: every check's id, verdict and details, in the order
+run.  They were recorded when the relation suites moved from difference
+matrices to comparing the two sides of each relation.
 """
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -180,7 +189,7 @@ def test_left_module_intertwiner_digest():
     # digests did not change
     assert [_digest(T.to_triplets()) for T in news] == digests
     for new, old in zip(news, olds):
-        i, j = old.first_nonzero()
+        i, j = next((i, min(r)) for i, r in enumerate(old.rows) if r)
         scale = new.entry(i, j) * old.entry(i, j).inverse()
         assert not scale.is_zero() and new == old.scale(scale)
     assert are_isomorphic(W, ref) is not None
@@ -213,3 +222,19 @@ def test_rational_function_chain_digest():
     assert _digest(out) == (
         "b839a37bf4c1d04e951f614c6b42b34c940e815ec0e151ad0b3bb41851f64598"
     )
+
+
+@pytest.mark.parametrize("backend,digest", [
+    ([], "bda0cd227e7e9d3ec745c04054d6c84ed65b5a9ad070e3478ff53d576581169f"),
+    (["--backend", "5/3"], "ba17427f91ed862fe9d50542e4371b765f081aaa08e5ef8ff8ded970bfe2fdbb"),
+], ids=["symbolic", "t=5/3"])
+def test_small_registry_sweep_digest(backend, digest):
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_checks.py"), "--n", "2", "--ell", "1,2",
+         *backend],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"details sha256: {digest}"

@@ -167,7 +167,8 @@ def test_rcheck_matrix_n1(ctx1):
 def test_rcheck_quadratic(ctx2):
     R = rcheck(ctx2, 2)
     eye = Matrix.identity(ctx2, 9)
-    assert ((R + eye) * (R - eye.scale(ctx2.q_power(2)))).is_zero()
+    q2 = ctx2.q_power(2)
+    assert R * R == R.scale(q2 - ctx2.one) + eye.scale(q2)
 
 
 def test_rcheck_eigenvalue_multiplicities(ctx1):
@@ -185,7 +186,7 @@ def test_rcheck_commutes_with_quantum_group(n, ell):
     for i in range(1, ell):
         Ri = rcheck_i(c, n, ell, i)
         for name, g in T.generators().items():
-            assert (Ri * g - g * Ri).is_zero(), (i, name)
+            assert Ri * g == g * Ri, (i, name)
 
 
 def test_rcheck_braid(ctx2):
