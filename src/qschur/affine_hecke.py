@@ -303,22 +303,18 @@ class RelationReport:
 
     Each relation is checked as the literal equality of its two sides; a
     failure is witnessed by the first row where they differ and the least
-    column in that row, the first nonzero entry of lhs - rhs.
+    column in that row, the first nonzero entry of lhs - rhs
+    (``_first_difference``).  The quantum affine suite decides its Cartan
+    relations entrywise when every k_i is diagonal, with the same witness
+    (``affinization._relation_suite``).
     """
 
     results: list  # (name, passed: bool, witness position or None)
 
     @classmethod
-    def of(cls, identities) -> "RelationReport":
-        """The report on (name, lhs, rhs) triples, in their order."""
-        results = []
-        for name, lhs, rhs in identities:
-            pos = next((
-                (i, min(j for j in a.keys() | b.keys() if a.get(j) != b.get(j)))
-                for i, (a, b) in enumerate(zip(lhs.rows, rhs.rows)) if a != b
-            ), None)
-            results.append((name, pos is None, pos))
-        return cls(results)
+    def of(cls, relations) -> "RelationReport":
+        """The report on (name, witness) pairs, in their order; None witnesses a pass."""
+        return cls([(name, pos is None, pos) for name, pos in relations])
 
     @property
     def passed(self) -> bool:
@@ -336,6 +332,14 @@ class RelationReport:
         return f"RelationReport({n - len(bad)}/{n} ok" + (
             f", failing: {bad})" if bad else ")"
         )
+
+
+def _first_difference(lhs: Matrix, rhs: Matrix):
+    """The first row where lhs and rhs differ and the least column in it, or None."""
+    return next((
+        (i, min(j for j in a.keys() | b.keys() if a.get(j) != b.get(j)))
+        for i, (a, b) in enumerate(zip(lhs.rows, rhs.rows)) if a != b
+    ), None)
 
 
 def _module_relations(mod: RightModule):
@@ -374,7 +378,8 @@ def _module_relations(mod: RightModule):
 
 def verify_module_relations(mod: RightModule) -> RelationReport:
     """Check every defining relation of the (affine) Hecke algebra on mod."""
-    return RelationReport.of(_module_relations(mod))
+    return RelationReport.of(
+        (name, _first_difference(lhs, rhs)) for name, lhs, rhs in _module_relations(mod))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,12 @@ because every relation row lies in one block (``JimboImage`` asserts that
 once, on construction); x_0^+- also act on M, so the push builds and
 descends them, and rather than trusting that they descend it asserts
 outright that they carry the relations into the relations.  The full list
-of quantum affine defining relations is re-checked as exact matrix
-identities on every module built here.
+of quantum affine defining relations is re-checked as exact identities on
+every module built here.  Its k_i are diagonal, so the Cartan relations are
+decided entrywise on the nonzeros of x_j: k_i x_j k_i^-1 = q^a x_j exactly
+when k_i[r,r] k_i^-1[s,s] = q^a at every nonzero (r, s) of x_j, and the
+witness of a failure is the one the matrix products would give.  A module
+with any non-diagonal k_i^(+-1), from a module file say, keeps the products.
 
 The affine Cartan matrix is the cycle on {0, ..., n} for n >= 2; for n = 1
 the two nodes are joined by a double bond (a_01 = a_10 = -2), which makes
@@ -36,6 +40,7 @@ from fractions import Fraction
 from .affine_hecke import (
     RelationReport,
     RightModule,
+    _first_difference,
     cherednik_pullback,
     verify_module_relations,
 )
@@ -84,37 +89,94 @@ def _serre_words(pows: list, xj: Matrix, p: int) -> list:
     return words
 
 
-def _relation_suite(ctx, labels, cartan, xp, xm, k, kinv, dim):
-    """Every defining relation for the given Cartan datum, as (name, lhs, rhs).
+def _scalar_key(c: Scalar) -> tuple:
+    """A hashable key, equal for equal scalars: the canonical num and den."""
+    return frozenset(c.num.items()), frozenset(c.den.items())
 
-    The Serre and bracket-Serre checks of a pair (i, j) share one set of
-    words x_i^r x_j x_i^(p-r), built from powers of x_i kept per sign only
-    while i is the outer index.  A bracket-Serre check is made exactly for
-    a_ij = -1, which the affine n = 1 datum (a double bond) never has.
+
+def _diagonal_classes(m: Matrix):
+    """(class of each diagonal entry, {scalar key: class}, the inverse of each
+    class's entry or None for 0), equal entries sharing a class; None unless
+    m is diagonal."""
+    if any(r.keys() - {i} for i, r in enumerate(m.rows)):
+        return None
+    index, cls, invs = {}, [], []
+    for i, r in enumerate(m.rows):
+        c = r.get(i, m.ctx.zero)
+        key = _scalar_key(c)
+        if key not in index:
+            index[key] = len(invs)
+            invs.append(None if c.is_zero() else c.inverse())
+        cls.append(index[key])
+    return cls, index, invs
+
+
+def _conjugation_witness(kc: tuple, kinvc: tuple, x: Matrix, c: Scalar):
+    """Where k x k^-1 and c x first differ (row, least column), or None, for
+    diagonal k, k^-1 given by their ``_diagonal_classes`` and c != 0.
+
+    The (r, s) entries are k[r] x[r,s] k^-1[s] and c x[r,s], so over a field
+    they differ exactly at the nonzeros of x with k^-1[s] != c / k[r]: one
+    product per class of k, then an integer compare per nonzero.
+    """
+    kcls, _, kinvs = kc
+    icls, index, _ = kinvc
+    want = [-1 if inv is None else index.get(_scalar_key(c * inv), -1) for inv in kinvs]
+    for r, row in enumerate(x.rows):
+        w = want[kcls[r]]
+        bad = [s for s in row if icls[s] != w]
+        if bad:
+            return r, min(bad)
+    return None
+
+
+def _relation_suite(ctx, labels, cartan, xp, xm, k, kinv, dim):
+    """Every defining relation for the given Cartan datum, as (name, witness).
+
+    A relation stated by two matrix sides is witnessed by
+    ``_first_difference``.  When every k_i^(+-1) is diagonal, the Cartan
+    relations are decided entrywise instead, with the same witness: k_i x
+    k_i^-1 = c x on the nonzeros of x (``_conjugation_witness``), k_i k_i^-1
+    = 1 as k_i 1 k_i^-1 = 1, and diagonal matrices commute.  The Serre and
+    bracket-Serre checks of a pair (i, j) share one set of words x_i^r x_j
+    x_i^(p-r), built from powers of x_i kept per sign only while i is the
+    outer index.  A bracket-Serre check is made exactly for a_ij = -1, which
+    the affine n = 1 datum (a double bond) never has.
     """
     eye = Matrix.identity(ctx, dim)
     qdenom_inv = (ctx.q - ctx.q_power(-1)).inverse()
     idx = range(len(labels))
+    classes = [_diagonal_classes(m) for m in k + kinv]
+    diagonal = None not in classes
+
+    def conj(i, x, c):  # k_i x k_i^-1 = c x
+        if diagonal:
+            return _conjugation_witness(classes[i], classes[len(k) + i], x, c)
+        return _first_difference(k[i] * x * kinv[i], x.scale(c))
+
     for i in idx:
-        yield f"k{labels[i]}*k{labels[i]}inv=1", k[i] * kinv[i], eye
+        yield (f"k{labels[i]}*k{labels[i]}inv=1",
+               conj(i, eye, ctx.one) if diagonal else _first_difference(k[i] * kinv[i], eye))
     for i in idx:
         for j in idx:
             if i < j:
-                yield f"k{labels[i]}*k{labels[j]} commute", k[i] * k[j], k[j] * k[i]
+                yield (f"k{labels[i]}*k{labels[j]} commute",
+                       None if diagonal else _first_difference(k[i] * k[j], k[j] * k[i]))
     for i in idx:
         for j in idx:
             a = cartan[i][j]
             yield (f"k{labels[i]} x+{labels[j]} k{labels[i]}inv = q^{a} x+{labels[j]}",
-                   k[i] * xp[j] * kinv[i], xp[j].scale(ctx.q_power(a)))
+                   conj(i, xp[j], ctx.q_power(a)))
             yield (f"k{labels[i]} x-{labels[j]} k{labels[i]}inv = q^{-a} x-{labels[j]}",
-                   k[i] * xm[j] * kinv[i], xm[j].scale(ctx.q_power(-a)))
+                   conj(i, xm[j], ctx.q_power(-a)))
     for i in idx:
         for j in idx:
             if i == j:
-                yield (f"[x+{labels[i]},x-{labels[i]}]=(k-kinv)/(q-qinv)", xp[i] * xm[i],
-                       xm[i] * xp[i] + (k[i] - kinv[i]).scale(qdenom_inv))
+                yield (f"[x+{labels[i]},x-{labels[i]}]=(k-kinv)/(q-qinv)", _first_difference(
+                    xp[i] * xm[i], xm[i] * xp[i] + (k[i] - kinv[i]).scale(qdenom_inv)))
             else:
-                yield f"[x+{labels[i]},x-{labels[j]}]=0", xp[i] * xm[j], xm[j] * xp[i]
+                yield (f"[x+{labels[i]},x-{labels[j]}]=0",
+                       _first_difference(xp[i] * xm[j], xm[j] * xp[i]))
     for i in idx:
         pows = {"+": [eye, xp[i]], "-": [eye, xm[i]]}  # pows[sign][s] = x_i^s
         for j in idx:
@@ -131,13 +193,14 @@ def _relation_suite(ctx, labels, cartan, xp, xm, k, kinv, dim):
                 sides = [words[0], words[1].scale(q_binom(ctx, p, 1))]
                 for r in range(2, p + 1):
                     sides[r % 2] = sides[r % 2] + words[r].scale(q_binom(ctx, p, r))
-                yield (f"serre(x{sign}{labels[i]},x{sign}{labels[j]})", *sides)
+                yield (f"serre(x{sign}{labels[i]},x{sign}{labels[j]})",
+                       _first_difference(*sides))
                 if cartan[i][j] == -1:
                     # [x_i,[x_j,x_i]_{q^1/2}]_{q^1/2} = [2]_q x_i x_j x_i - x_i^2 x_j - x_j x_i^2
                     brackets.append((
                         f"bracket-serre [x{sign}{labels[i]},[x{sign}{labels[j]},"
                         f"x{sign}{labels[i]}]]",
-                        words[1].scale(q_int(ctx, 2)), words[2] + words[0],
+                        _first_difference(words[1].scale(q_int(ctx, 2)), words[2] + words[0]),
                     ))
             yield from brackets
 

@@ -344,36 +344,143 @@ def _perturbed(M, ctx, i, j):
     return out
 
 
+def _is_diagonal(m):
+    return all(r.keys() <= {i} for i, r in enumerate(m.rows))
+
+
+def _affine_suite(W):
+    """The affine relations of W by direct evaluation (_direct_suite)."""
+    return _direct_suite(
+        W.ctx, [str(i) for i in range(W.n + 1)], affine_cartan(W.n), [W.x0p] + W.xp,
+        [W.x0m] + W.xm, [W.k0] + W.k, [W.k0inv] + W.kinv, W.dim, bracket_serre=W.n >= 2,
+    )
+
+
+def _with(W, **gens):
+    """W with the named generators (as generators() names them) replaced."""
+    return UqModule.from_generators(W.ctx, W.n, W.dim, {**W.generators(), **gens})
+
+
+def _row_witness_input(W):
+    """(r, lo, hi): a row r of x_0^+ and columns lo < hi outside it at which
+    k_0[s] = k_0[r], so k_0 x k_0^-1 = q^2 x fails there."""
+    k0 = W.k0
+    for r, row in enumerate(W.x0p.rows):
+        cols = [s for s in range(W.dim) if s not in row and k0.entry(s, s) == k0.entry(r, r)]
+        if row and len(cols) >= 2:
+            return r, cols[0], cols[1]
+    raise AssertionError("no row with two same-weight free columns")
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("perturb", [False, True, "k1"])
+@pytest.mark.parametrize("perturb", [False, True, "k1", "k1inv", "k0zero", "x0row"])
 def test_relation_suite_matches_direct_evaluation(n, perturb):
-    # perturb: nothing (False), one entry of x_0^+ (True), or "k1"
+    # perturb: nothing (False), one entry of x_0^+ (True), one diagonal entry
+    # of k_1 ("k1") or of k_1^-1 ("k1inv"), a zero diagonal entry of k_0
+    # ("k0zero"), or two entries of one row of x_0^+ ("x0row"); every k stays
+    # diagonal, so the Cartan relations take the entrywise route
     c = ScalarContext(n)
     W = functor_F(universal_module(c, (c.scalar(2), c.scalar(Fraction(-3, 4)))), n,
                   check_source=False)
     if perturb is True:
-        W = UqModule(c, n, W.dim, W.xp, W.xm, W.k, W.kinv, t=W.t,
-                     x0p=_perturbed(W.x0p, c, 0, W.dim - 1), x0m=W.x0m, k0=W.k0, k0inv=W.k0inv)
+        W = _with(W, **{"x+0": _perturbed(W.x0p, c, 0, W.dim - 1)})
     elif perturb == "k1":
-        # one diagonal entry of k_1, k_1^-1 untouched
-        W = UqModule(c, n, W.dim, W.xp, W.xm, [_perturbed(W.k[0], c, 0, 0)] + W.k[1:], W.kinv,
-                     t=W.t, x0p=W.x0p, x0m=W.x0m, k0=W.k0, k0inv=W.k0inv)
+        W = _with(W, k1=_perturbed(W.k[0], c, 0, 0))
+    elif perturb == "k1inv":
+        W = _with(W, k1inv=_perturbed(W.kinv[0], c, 0, 0))
+    elif perturb == "k0zero":
+        k0 = W.k0.copy()
+        k0.set_entry(1, 1, c.zero)
+        W = _with(W, k0=k0)
+    elif perturb == "x0row":
+        r, lo, hi = _row_witness_input(W)
+        x = _perturbed(_perturbed(W.x0p, c, r, hi), c, r, lo)
+        keys = list(x.rows[r])
+        assert keys.index(hi) < keys.index(lo)  # the first failing key is not the least
+        W = _with(W, **{"x+0": x})
+    assert all(_is_diagonal(m) for m in [W.k0, W.k0inv] + W.k + W.kinv)
     got = verify_affine_relations(W).results
-    want = _direct_suite(
-        c, [str(i) for i in range(n + 1)], affine_cartan(n), [W.x0p] + W.xp,
-        [W.x0m] + W.xm, [W.k0] + W.k, [W.k0inv] + W.kinv, W.dim, bracket_serre=n >= 2,
-    )
-    assert got == want
+    assert got == _affine_suite(W)
     assert any(name.startswith("serre(x+0,") for name, _, _ in got)
     failed = {name for name, ok, _ in got if not ok}
     if perturb is True:
         assert any(name.startswith("serre(") for name in failed)
         assert n == 1 or any(name.startswith("bracket-serre") for name in failed)
-    elif perturb == "k1":
+    elif perturb in ("k1", "k1inv"):
         assert {"k1*k1inv=1", "[x+1,x-1]=(k-kinv)/(q-qinv)"} <= failed
         assert any(name.startswith("k1 x+") for name in failed)
+        assert dict((name, pos) for name, _, pos in got)["k1*k1inv=1"] == (0, 0)
+    elif perturb == "k0zero":
+        assert dict((name, pos) for name, _, pos in got)["k0*k0inv=1"] == (1, 1)
+        assert "[x+0,x-0]=(k-kinv)/(q-qinv)" in failed
+    elif perturb == "x0row":
+        assert dict((name, pos) for name, _, pos in got)["k0 x+0 k0inv = q^2 x+0"] == (r, lo)
     else:
         assert not failed
+
+
+def _unitriangular(ctx, dim):
+    """(P, P^-1): P all ones on and above the diagonal, P^-1 = 1 - the shift."""
+    P = Matrix.from_triplets(ctx, dim, dim, [[i, j, "1"] for i in range(dim)
+                                             for j in range(i, dim)])
+    P_inv = Matrix.from_triplets(ctx, dim, dim, [[i, i, "1"] for i in range(dim)]
+                                 + [[i, i + 1, "-1"] for i in range(dim - 1)])
+    return P, P_inv
+
+
+def _conjugated(W, P, P_inv):
+    return UqModule.from_generators(
+        W.ctx, W.n, W.dim, {name: P * g * P_inv for name, g in W.generators().items()})
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)])
+def test_relation_suite_with_non_diagonal_k(t0):
+    # F(M_a) conjugated by a unitriangular integer P: no k_i is diagonal, so
+    # the Cartan relations are matrix products; a relation holds or fails
+    # alike on W and P W P^-1, only the witnesses move
+    c = ScalarContext(2, t0=t0)
+    W = functor_F(universal_module(c, (c.scalar(2), c.scalar(Fraction(-3, 4)))), 2,
+                  check_source=False)
+    V = _conjugated(W, *_unitriangular(c, W.dim))
+    assert not any(_is_diagonal(m) for m in [V.k0, V.k0inv] + V.k + V.kinv)
+    rep = verify_affine_relations(V)
+    assert rep.passed, rep.failures()
+    assert rep.results == _affine_suite(V)
+    for bad in (_with(V, k1=_perturbed(V.k[0], c, 0, 0)),
+                _with(V, **{"x+0": _perturbed(V.x0p, c, 0, V.dim - 1)})):
+        got = verify_affine_relations(bad).results
+        assert got == _affine_suite(bad)
+        assert any(not ok for _, ok, _ in got)
+
+
+def test_relation_suite_with_one_non_diagonal_k():
+    # V (x) V at n = 2 conjugated by 1 + E_ab, e_a and e_b of equal k_2 but
+    # different k_1 weight: k_1^(+-1) alone are not diagonal, so every Cartan
+    # relation is a product again
+    c = ScalarContext(2)
+    T = tensor_rep(natural_rep(c, 2), 2)
+    k1, k2 = T.k
+    a, b = next((a, b) for a in range(T.dim) for b in range(T.dim)
+                if k2.entry(a, a) == k2.entry(b, b) and k1.entry(a, a) != k1.entry(b, b))
+    P = Matrix.identity(c, T.dim)
+    P.set_entry(a, b, c.one)
+    P_inv = Matrix.identity(c, T.dim)
+    P_inv.set_entry(a, b, -c.one)
+    V = _conjugated(T, P, P_inv)
+    assert [_is_diagonal(m) for m in V.k + V.kinv] == [False, True, False, True]
+
+    def suite(U):
+        return _direct_suite(c, ["1", "2"], finite_cartan(2), U.xp, U.xm, U.k, U.kinv,
+                             U.dim, bracket_serre=True)
+
+    rep = verify_finite_relations(V)
+    assert rep.passed, rep.failures()
+    assert rep.results == suite(V)
+    for bad in (_with(V, k2=_perturbed(V.k[1], c, b, b)),
+                _with(V, **{"x-1": _perturbed(V.xm[0], c, a, b)})):
+        got = verify_finite_relations(bad).results
+        assert got == suite(bad)
+        assert any(not ok for _, ok, _ in got)
 
 
 def test_finite_relation_suite_matches_direct_evaluation():

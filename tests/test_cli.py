@@ -4,6 +4,9 @@ import pytest
 
 from qschur import module_tools
 from qschur.cli import main
+from qschur.linalg import Matrix
+from qschur.scalars import ScalarContext
+from qschur.uq_rep import UqModule
 
 
 def run(capsys, *argv):
@@ -387,6 +390,40 @@ def test_descriptor_failing_its_relations_reports(tmp_path, capsys):
     code, out, _ = run(capsys, "relations", "--n", "2", "--module-file", path)
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("perturb,code,summary", [
+    (False, 0, "PASS: 57/57 relations"),
+    (True, 1, "FAIL: 53/57 relations"),
+])
+def test_relations_on_a_descriptor_with_non_diagonal_k(tmp_path, capsys, perturb, code,
+                                                       summary):
+    # F of 1@0:2 conjugated by the unitriangular P of all ones on and above
+    # the diagonal: its k_i are not diagonal, so its Cartan relations are
+    # matrix products, and it must print the report of the unconjugated F,
+    # whose diagonal k_i are checked entrywise (conjugation moves only the
+    # witnesses); perturb adds 1 at (0, 0) of k_1 on both
+    _, out, _ = run(capsys, "build", "--n", "2", "--segments", "1@0:2")
+    c = ScalarContext(2)
+    W = UqModule.from_json(c, json.loads(out)["F"])
+    gens = W.generators()
+    if perturb:
+        gens["k1"] = gens["k1"].copy()
+        gens["k1"].add_to_entry(0, 0, c.one)
+    dim = W.dim
+    P = Matrix.from_triplets(c, dim, dim, [[i, j, "1"] for i in range(dim)
+                                           for j in range(i, dim)])
+    P_inv = Matrix.from_triplets(c, dim, dim, [[i, i, "1"] for i in range(dim)]
+                                 + [[i, i + 1, "-1"] for i in range(dim - 1)])
+    reports = []
+    for name, mats in (("plain", gens),
+                       ("conj", {k: P * g * P_inv for k, g in gens.items()})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(UqModule.from_generators(c, 2, dim, mats).to_json()))
+        reports.append(run(capsys, "relations", "--n", "2", "--module-file", str(path)))
+    assert reports[0] == reports[1]
+    assert reports[1][0] == code
+    assert reports[1][1].splitlines()[-1] == summary
 
 
 @pytest.mark.parametrize("argv", [["--backend", "1"], ["--n", "x"], ["--n", ","],
