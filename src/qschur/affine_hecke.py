@@ -306,7 +306,9 @@ class RelationReport:
     column in that row, the first nonzero entry of lhs - rhs
     (``_first_difference``).  The quantum affine suite decides its Cartan
     relations entrywise when every k_i is diagonal, with the same witness
-    (``affinization._relation_suite``).
+    (``affinization._relation_suite``).  A relation that restates another
+    takes its witness: s_i s_i^-1 = 1 the quadratic relation's, and a
+    bracket-Serre relation the Serre relation's of the same pair and sign.
     """
 
     results: list  # (name, passed: bool, witness position or None)
@@ -344,42 +346,46 @@ def _first_difference(lhs: Matrix, rhs: Matrix):
 
 def _module_relations(mod: RightModule):
     """Every defining relation of the (affine) Hecke algebra on mod, as
-    (name, lhs, rhs) triples."""
+    (name, witness) pairs.  s_i s_i^-1 = 1 takes the quadratic relation's
+    witness: s_i s_i^-1 - 1 = q^-2 (s_i^2 - (q^2 - 1) s_i - q^2)."""
     ell = mod.ell
     eye = Matrix.identity(mod.ctx, mod.dim)
     q2 = mod.ctx.q_power(2)
     sig = mod.sigma
     for i in range(1, ell):
         s = sig[i - 1]
-        yield f"(s{i}+1)(s{i}-q^2)=0", s * s, s.scale(q2 - mod.ctx.one) + eye.scale(q2)
-        yield f"s{i}*s{i}^-1=1", s * mod.sigma_inv(i), eye
+        witness = _first_difference(s * s, s.scale(q2 - mod.ctx.one) + eye.scale(q2))
+        yield f"(s{i}+1)(s{i}-q^2)=0", witness
+        yield f"s{i}*s{i}^-1=1", witness
     for i in range(1, ell - 1):
         a, b = sig[i - 1], sig[i]
-        yield f"braid(s{i},s{i+1})", a * b * a, b * a * b
+        yield f"braid(s{i},s{i+1})", _first_difference(a * b * a, b * a * b)
     for i in range(1, ell):
         for j in range(i + 2, ell):
-            yield f"s{i}*s{j}=s{j}*s{i}", sig[i - 1] * sig[j - 1], sig[j - 1] * sig[i - 1]
+            yield (f"s{i}*s{j}=s{j}*s{i}",
+                   _first_difference(sig[i - 1] * sig[j - 1], sig[j - 1] * sig[i - 1]))
     if mod.kind == "Hhat":
         ys, yinvs = mod.y, mod.y_inv
         for j in range(1, ell + 1):
-            yield f"y{j}*y{j}^-1=1", ys[j - 1] * yinvs[j - 1], eye
+            yield f"y{j}*y{j}^-1=1", _first_difference(ys[j - 1] * yinvs[j - 1], eye)
         for j in range(1, ell + 1):
             for k in range(j + 1, ell + 1):
-                yield f"y{j}*y{k}=y{k}*y{j}", ys[j - 1] * ys[k - 1], ys[k - 1] * ys[j - 1]
+                yield (f"y{j}*y{k}=y{k}*y{j}",
+                       _first_difference(ys[j - 1] * ys[k - 1], ys[k - 1] * ys[j - 1]))
         for i in range(1, ell):
             for j in range(1, ell + 1):
                 if j in (i, i + 1):
                     continue
-                yield f"y{j}*s{i}=s{i}*y{j}", ys[j - 1] * sig[i - 1], sig[i - 1] * ys[j - 1]
+                yield (f"y{j}*s{i}=s{i}*y{j}",
+                       _first_difference(ys[j - 1] * sig[i - 1], sig[i - 1] * ys[j - 1]))
         for i in range(1, ell):
-            yield (f"s{i}*y{i}*s{i}=q^2*y{i+1}", sig[i - 1] * ys[i - 1] * sig[i - 1],
-                   ys[i].scale(q2))
+            yield (f"s{i}*y{i}*s{i}=q^2*y{i+1}",
+                   _first_difference(sig[i - 1] * ys[i - 1] * sig[i - 1], ys[i].scale(q2)))
 
 
 def verify_module_relations(mod: RightModule) -> RelationReport:
     """Check every defining relation of the (affine) Hecke algebra on mod."""
-    return RelationReport.of(
-        (name, _first_difference(lhs, rhs)) for name, lhs, rhs in _module_relations(mod))
+    return RelationReport.of(_module_relations(mod))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ decided entrywise on the nonzeros of x_j: k_i x_j k_i^-1 = q^a x_j exactly
 when k_i[r,r] k_i^-1[s,s] = q^a at every nonzero (r, s) of x_j, and the
 witness of a failure is the one the matrix products would give.  A module
 with any non-diagonal k_i^(+-1), from a module file say, keeps the products.
+A bracket-Serre relation (a_ij = -1) is the Serre relation at p = 2, so it
+takes the witness of the Serre entry of the same (i, j, sign).
 
 The affine Cartan matrix is the cycle on {0, ..., n} for n >= 2; for n = 1
 the two nodes are joined by a double bond (a_01 = a_10 = -2), which makes
@@ -45,7 +47,7 @@ from .affine_hecke import (
     verify_module_relations,
 )
 from .linalg import Matrix, diag_inverse
-from .scalars import Scalar, ScalarContext, q_binom, q_int
+from .scalars import Scalar, ScalarContext, q_binom
 from .uq_rep import JimboImage, UqModule, jimbo_J, kron_chain, natural_rep, tensor
 
 
@@ -98,11 +100,11 @@ def _diagonal_classes(m: Matrix):
     """(class of each diagonal entry, {scalar key: class}, the inverse of each
     class's entry or None for 0), equal entries sharing a class; None unless
     m is diagonal."""
-    if any(r.keys() - {i} for i, r in enumerate(m.rows)):
+    diagonal = m.diagonal_entries()
+    if diagonal is None:
         return None
     index, cls, invs = {}, [], []
-    for i, r in enumerate(m.rows):
-        c = r.get(i, m.ctx.zero)
+    for c in diagonal:
         key = _scalar_key(c)
         if key not in index:
             index[key] = len(invs)
@@ -137,11 +139,14 @@ def _relation_suite(ctx, labels, cartan, xp, xm, k, kinv, dim):
     ``_first_difference``.  When every k_i^(+-1) is diagonal, the Cartan
     relations are decided entrywise instead, with the same witness: k_i x
     k_i^-1 = c x on the nonzeros of x (``_conjugation_witness``), k_i k_i^-1
-    = 1 as k_i 1 k_i^-1 = 1, and diagonal matrices commute.  The Serre and
-    bracket-Serre checks of a pair (i, j) share one set of words x_i^r x_j
-    x_i^(p-r), built from powers of x_i kept per sign only while i is the
-    outer index.  A bracket-Serre check is made exactly for a_ij = -1, which
-    the affine n = 1 datum (a double bond) never has.
+    = 1 as k_i 1 k_i^-1 = 1, and diagonal matrices commute.  The Serre
+    check of a pair (i, j) is made on the words x_i^r x_j x_i^(p-r), built
+    from powers of x_i kept per sign only while i is the outer index.  A
+    bracket-Serre entry is made exactly for a_ij = -1, which the affine
+    n = 1 datum (a double bond) never has, and takes the witness of the
+    Serre entry of the same (i, j, sign): its expansion [2]_q x_i x_j x_i =
+    x_i^2 x_j + x_j x_i^2 is the Serre relation at p = 2, since [2 1]_q =
+    [2]_q and [2 2]_q = 1.
     """
     eye = Matrix.identity(ctx, dim)
     qdenom_inv = (ctx.q - ctx.q_power(-1)).inverse()
@@ -193,15 +198,13 @@ def _relation_suite(ctx, labels, cartan, xp, xm, k, kinv, dim):
                 sides = [words[0], words[1].scale(q_binom(ctx, p, 1))]
                 for r in range(2, p + 1):
                     sides[r % 2] = sides[r % 2] + words[r].scale(q_binom(ctx, p, r))
-                yield (f"serre(x{sign}{labels[i]},x{sign}{labels[j]})",
-                       _first_difference(*sides))
+                witness = _first_difference(*sides)
+                yield f"serre(x{sign}{labels[i]},x{sign}{labels[j]})", witness
                 if cartan[i][j] == -1:
-                    # [x_i,[x_j,x_i]_{q^1/2}]_{q^1/2} = [2]_q x_i x_j x_i - x_i^2 x_j - x_j x_i^2
-                    brackets.append((
-                        f"bracket-serre [x{sign}{labels[i]},[x{sign}{labels[j]},"
-                        f"x{sign}{labels[i]}]]",
-                        _first_difference(words[1].scale(q_int(ctx, 2)), words[2] + words[0]),
-                    ))
+                    # [x_i,[x_j,x_i]_{q^1/2}]_{q^1/2} = [2]_q x_i x_j x_i - x_i^2 x_j - x_j x_i^2,
+                    # the Serre relation at p = 2: the same two sides, the same witness
+                    brackets.append((f"bracket-serre [x{sign}{labels[i]},[x{sign}{labels[j]},"
+                                     f"x{sign}{labels[i]}]]", witness))
             yield from brackets
 
 
@@ -374,8 +377,10 @@ def theorem55_check(M: RightModule, a, n: int):
 
     Builds F(M(q^{-2 ell/(n+1)} a)) via the Cherednik pullback and J(M)(a)
     via the Jimbo pullback; returns (T, lhs, rhs), T the identity if the two
-    act by the same matrices and None otherwise.  Both routes are natural in
-    M, so the literal identity on the regular module gives it for every M.
+    act by the same matrices and None otherwise.  The pullback keeps the
+    sigma action, so the Jimbo route starts from F's own J(M|_H) = J(M).
+    Both routes are natural in M, so the literal identity on the regular
+    module gives it for every M.
     """
     ctx = M.ctx
     if M.kind != "H":
@@ -387,7 +392,7 @@ def theorem55_check(M: RightModule, a, n: int):
         a = ctx.scalar(a)
     shift = ctx.q_power(Fraction(-2 * ell, n + 1))
     lhs = functor_F(cherednik_pullback(M, shift * a), n)
-    rhs = jimbo_eval_pullback(jimbo_J(M, n).module, a)
+    rhs = jimbo_eval_pullback(lhs.jimbo.module, a)
     same = lhs.generators() == rhs.generators()
     return (Matrix.identity(ctx, lhs.dim) if same else None), lhs, rhs
 

@@ -36,6 +36,7 @@ from .affinization import (
     verify_central_element,
 )
 from .classification import (
+    _left_mult,
     drinfeld_polys,
     hecke_image_vector,
     ideal_I_pi,
@@ -44,6 +45,7 @@ from .classification import (
     irreducible_V_a,
     lemma64_check,
     make_segments,
+    parse_segments,
     rogawski_quotient,
 )
 from .hecke import HeckeElt, kl_parabolic_element
@@ -178,7 +180,6 @@ def _induced_by_quotient(M1: RightModule, M2: RightModule) -> RightModule:
     ctx = M1.ctx
     l1, ell = M1.ell, M1.ell + M2.ell
     perms = all_perms(ell)
-    index = {w: k for k, w in enumerate(perms)}
     eye_m = Matrix.identity(ctx, M1.dim * M2.dim)
     eye_h = Matrix.identity(ctx, len(perms))
     ambient = RightModule(ctx, "H", ell, eye_m.nrows * len(perms),
@@ -191,11 +192,7 @@ def _induced_by_quotient(M1: RightModule, M2: RightModule) -> RightModule:
             rho = M1.sigma[i - 1].kron(Matrix.identity(ctx, M2.dim))
         else:
             rho = Matrix.identity(ctx, M1.dim).kron(M2.sigma[i - l1 - 1])
-        sigma_i = HeckeElt.sigma(ctx, ell, i)
-        left = Matrix(ctx, len(perms), len(perms), [
-            {index[u]: c for u, c in (sigma_i * HeckeElt.basis(ctx, w)).terms.items()}
-            for w in perms
-        ])
+        left = _left_mult(HeckeElt.sigma(ctx, ell, i))
         relations += (rho.kron(eye_h) - eye_m.kron(left)).rows
     return quotient(ambient, span(ctx, ambient.dim, relations))
 
@@ -517,8 +514,6 @@ def check_thm_7_6(cfg: RunConfig) -> CheckResult:
         ctx = cfg.context(n)
         seg_sets = []
         if cfg.segments_spec:
-            from .classification import parse_segments
-
             seg_sets.append(parse_segments(ctx, cfg.segments_spec))
         else:
             seg_sets.append(make_segments(ctx, [(ctx.one, min(2, n))]))

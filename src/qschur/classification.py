@@ -23,6 +23,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import factorial, log10
 from typing import Optional
 
@@ -108,8 +109,6 @@ class SegmentList:
     def __post_init__(self):
         if not self.segments:
             raise ValueError("need at least one segment")
-        from functools import cmp_to_key
-
         max_shift = max(s.length for s in self.segments)
 
         def cmp(s1: Segment, s2: Segment) -> int:
@@ -283,23 +282,20 @@ def intertwiner_A(s: SegmentList, ctx: ScalarContext, i: int):
     return _left_mult_C_i(ctx, s.ell, i), source, target
 
 
-def _left_mult_C_i(ctx: ScalarContext, ell: int, i: int) -> Matrix:
-    """Left multiplication by C_i = q^-1 sigma_i - q on the sigma_w basis.
-
-    Row r is the image of sigma_w for the r-th permutation w of all_perms.
-    It depends only on ell, i and q, not on the parameters a.
-    """
-    perms = all_perms(ell)
+def _left_mult(h: HeckeElt) -> Matrix:
+    """Left multiplication by h on the sigma_w basis: row r is h sigma_w, for
+    w the r-th permutation of all_perms."""
+    perms = all_perms(h.ell)
     index = {w: k for k, w in enumerate(perms)}
-    sigma_i = HeckeElt.sigma(ctx, ell, i)
-    qinv = ctx.q_power(-1)
-    q = ctx.q
-    T = Matrix.zero(ctx, len(perms), len(perms))
-    for r, w in enumerate(perms):
-        for u, c in (sigma_i * HeckeElt.basis(ctx, w)).terms.items():
-            T.add_to_entry(r, index[u], qinv * c)
-        T.add_to_entry(r, index[w], -q)
-    return T
+    return Matrix(h.ctx, len(perms), len(perms),
+                  [hecke_image_vector(h * HeckeElt.basis(h.ctx, w), index) for w in perms])
+
+
+def _left_mult_C_i(ctx: ScalarContext, ell: int, i: int) -> Matrix:
+    """Left multiplication by C_i = q^-1 sigma_i - q, the KL element of the
+    composition with a 2 at position i, on the sigma_w basis.  It depends
+    only on ell, i and q, not on the parameters a."""
+    return _left_mult(kl_parabolic_element(ctx, [1] * (i - 1) + [2] + [1] * (ell - i - 1)))
 
 
 def image_intersection_I_pi(s: SegmentList, ctx: ScalarContext) -> SubspaceBasis:

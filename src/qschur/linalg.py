@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .scalars import Scalar, ScalarContext
+from .scalars import Scalar, ScalarContext, parse_scalar
 
 
 Vec = dict  # sparse vector: column index -> Scalar
@@ -116,6 +116,12 @@ class Matrix:
 
     def add_to_entry(self, i: int, j: int, c: Scalar):
         add_scaled(self.rows[i], {j: c})
+
+    def diagonal_entries(self) -> Optional[list]:
+        """The diagonal, zeros included, or None if any entry lies off it."""
+        if any(r.keys() - {i} for i, r in enumerate(self.rows)):
+            return None
+        return [r.get(i, self.ctx.zero) for i, r in enumerate(self.rows)]
 
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows)
@@ -234,8 +240,6 @@ class Matrix:
 
     @staticmethod
     def from_triplets(ctx, nrows, ncols, triplets) -> "Matrix":
-        from .scalars import parse_scalar
-
         m = Matrix(ctx, nrows, ncols)
         for i, j, s in triplets:
             i, j = json_int(i, "a row index"), json_int(j, "a column index")

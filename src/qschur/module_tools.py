@@ -29,7 +29,7 @@ from typing import Optional
 
 from .affine_hecke import RightModule
 from .linalg import Matrix, SubspaceBasis, add_scaled, column_kernel, left_kernel, rank, span
-from .scalars import ScalarContext
+from .scalars import ScalarContext, parse_scalar
 from .uq_rep import UqModule, weight_decomposition
 from fractions import Fraction
 
@@ -88,7 +88,7 @@ class ModuleView:
         eye = Matrix.identity(ctx, dim)
 
         def kernels(thetas):
-            if all(_triangular(t, True) and _triangular(t, False) for t in thetas):
+            if all(t.diagonal_entries() is not None for t in thetas):
                 # diagonal: the kernels are unit vectors, found without elimination
                 units = [{i: ctx.one} for i in range(dim) if not any(t.rows[i] for t in thetas)]
                 return units, lambda: units
@@ -113,7 +113,7 @@ class ModuleView:
         the number of indices carrying w, its generalised eigenspace's dim."""
         ys = [m for k, m in zip(self.names, self.mats) if k[0] == "y"]
         family = ys if ys and any(all(_triangular(m, lo) for m in ys) for lo in (True, False)) \
-            else [m for m in self.mats if _triangular(m, True) and _triangular(m, False)]
+            else [m for m in self.mats if m.diagonal_entries() is not None]
         diagonals = [tuple(m.entry(i, i) for m in family)
                      for i in range(self.dim if family else 0)]
         weights: list = []
@@ -331,8 +331,6 @@ def _vec_json(ctx, v, dim) -> list:
 
 def verify_submodule_certificate(mod, cert) -> bool:
     """Re-check a reducibility certificate by spinning its vector."""
-    from .scalars import parse_scalar
-
     view = ModuleView(mod)
     v = {
         i: s

@@ -48,7 +48,7 @@ structure.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 # Shared canonical denominator for polynomial scalars.  Never mutated.
@@ -492,8 +492,6 @@ class Scalar:
 
     def _int_cleared(self):
         """(num, den) with integer coefficients, jointly primitive, den lead > 0."""
-        from math import gcd, lcm
-
         denoms = [c.denominator for c in self.num.values()]
         denoms += [c.denominator for c in self.den.values()]
         m = lcm(*denoms) if denoms else 1

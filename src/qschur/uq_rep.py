@@ -88,17 +88,11 @@ class UqModule:
         """The weight of each basis vector, or None unless every k_i is
         diagonal with q-power entries.  Read once and cached, so the k_i
         must not be changed in place afterwards."""
-        out = []
-        for r in range(self.dim):
-            w = []
-            for k in self.k:
-                row = k.rows[r]
-                m = _q_exponent(self.ctx, row[r]) if row.keys() == {r} else None
-                if m is None:
-                    return None
-                w.append(m)
-            out.append(tuple(w))
-        return out
+        diagonals = [k.diagonal_entries() for k in self.k]
+        if None in diagonals:
+            return None
+        out = [tuple(_q_exponent(self.ctx, d[r]) for d in diagonals) for r in range(self.dim)]
+        return None if any(None in w for w in out) else out
 
     def generators(self) -> dict:
         out = {}
@@ -448,9 +442,9 @@ class JimboImage:
         """
         if len(terms) == 1:
             (A, X), = terms
-            if A is None and not any(row.keys() - {i} for i, row in enumerate(X.rows)):
+            if A is None and (diagonal := X.diagonal_entries()) is not None:
                 dim = self.source.dim
-                scalars = [X.entry(e, e) for e in self.blocks]
+                scalars = [diagonal[e] for e in self.blocks]
                 return Matrix.diagonal(
                     self.source.ctx, [scalars[c // dim] for c in self.relations.free_columns()])
         return self.relations.descend(self.ambient_operator(terms),

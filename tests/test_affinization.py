@@ -373,12 +373,13 @@ def _row_witness_input(W):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("perturb", [False, True, "k1", "k1inv", "k0zero", "x0row"])
+@pytest.mark.parametrize("perturb", [False, True, "k1", "k1inv", "k0zero", "x0row", "x1m"])
 def test_relation_suite_matches_direct_evaluation(n, perturb):
     # perturb: nothing (False), one entry of x_0^+ (True), one diagonal entry
     # of k_1 ("k1") or of k_1^-1 ("k1inv"), a zero diagonal entry of k_0
-    # ("k0zero"), or two entries of one row of x_0^+ ("x0row"); every k stays
-    # diagonal, so the Cartan relations take the entrywise route
+    # ("k0zero"), two entries of one row of x_0^+ ("x0row"), or one entry of
+    # x_1^- ("x1m"); every k stays diagonal, so the Cartan relations take the
+    # entrywise route
     c = ScalarContext(n)
     W = functor_F(universal_module(c, (c.scalar(2), c.scalar(Fraction(-3, 4)))), n,
                   check_source=False)
@@ -398,6 +399,8 @@ def test_relation_suite_matches_direct_evaluation(n, perturb):
         keys = list(x.rows[r])
         assert keys.index(hi) < keys.index(lo)  # the first failing key is not the least
         W = _with(W, **{"x+0": x})
+    elif perturb == "x1m":
+        W = _with(W, **{"x-1": _perturbed(W.xm[0], c, 1, 0)})
     assert all(_is_diagonal(m) for m in [W.k0, W.k0inv] + W.k + W.kinv)
     got = verify_affine_relations(W).results
     assert got == _affine_suite(W)
@@ -415,6 +418,9 @@ def test_relation_suite_matches_direct_evaluation(n, perturb):
         assert "[x+0,x-0]=(k-kinv)/(q-qinv)" in failed
     elif perturb == "x0row":
         assert dict((name, pos) for name, _, pos in got)["k0 x+0 k0inv = q^2 x+0"] == (r, lo)
+    elif perturb == "x1m":
+        assert "serre(x-0,x-1)" in failed
+        assert n == 1 or "bracket-serre [x-0,[x-1,x-0]]" in failed
     else:
         assert not failed
 

@@ -8,6 +8,7 @@ from qschur.affinization import functor_F, functor_F_map
 from qschur.checks import RunConfig, _identity_embedding, run_check
 from qschur.classification import (
     Segment,
+    _left_mult_C_i,
     SegmentSpecError,
     drinfeld_polys,
     ideal_I_pi,
@@ -22,7 +23,8 @@ from qschur.classification import (
 from qschur.linalg import Matrix
 from qschur.module_tools import is_irreducible
 from qschur.scalars import ScalarContext
-from qschur.symgroup import Perm
+from qschur.hecke import HeckeElt
+from qschur.symgroup import Perm, all_perms
 from qschur.uq_rep import (
     dominant_highest_weights,
     fundamental_weight,
@@ -107,6 +109,19 @@ def test_intertwiner_is_module_map(ctx):
     T, src, tgt = intertwiner_A(s, ctx, 1)
     for ga, gb in zip(src.action_matrices(), tgt.action_matrices()):
         assert ga * T == T * gb
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_left_mult_C_i_is_q_inv_sigma_i_minus_q(ctx, i):
+    # row r is (q^-1 sigma_i - q) sigma_w, w the r-th permutation, written out
+    perms = all_perms(4)
+    index = {w: k for k, w in enumerate(perms)}
+    expected = Matrix.zero(ctx, len(perms), len(perms))
+    for r, w in enumerate(perms):
+        for u, c in (HeckeElt.sigma(ctx, 4, i) * HeckeElt.basis(ctx, w)).terms.items():
+            expected.add_to_entry(r, index[u], ctx.q_power(-1) * c)
+        expected.add_to_entry(r, r, -ctx.q)
+    assert _left_mult_C_i(ctx, 4, i) == expected
 
 
 def test_intertwiner_rejects_boundary(ctx):
