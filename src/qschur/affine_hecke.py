@@ -86,12 +86,6 @@ class AffHeckeElt(_SigmaBasisElt):
         key = (tuple(alpha), Perm.identity(ell))
         return AffHeckeElt(ctx, ell, {key: ctx.one})
 
-    @staticmethod
-    def y_monomial(ctx, alpha) -> "AffHeckeElt":
-        alpha = tuple(alpha)
-        key = (alpha, Perm.identity(len(alpha)))
-        return AffHeckeElt(ctx, len(alpha), {key: ctx.one})
-
     # -- straightening ---------------------------------------------------------------
 
     def times_y(self, j: int, power: int = 1) -> "AffHeckeElt":
@@ -470,12 +464,9 @@ def _induced_generator(M1: RightModule, M2: RightModule, reps, rep_index, gen):
         for (beta, u), c in elt.terms.items():
             p, dprime = coset_factorize(u, l1, l2)
             p1, p2 = split_parabolic(p, l1, l2)
-            e1 = AffHeckeElt.y_monomial(ctx, beta[:l1])
-            e1 = e1 * AffHeckeElt.sigma_perm(ctx, p1)
-            e2 = AffHeckeElt.y_monomial(ctx, beta[l1:])
-            e2 = e2 * AffHeckeElt.sigma_perm(ctx, p2)
-            a1 = M1.act_elt(e1)
-            a2 = M2.act_elt(e2)
+            # y^beta sigma_p is itself a normal-form key
+            a1 = M1.act_elt(AffHeckeElt(ctx, l1, {(beta[:l1], p1): ctx.one}))
+            a2 = M2.act_elt(AffHeckeElt(ctx, l2, {(beta[l1:], p2): ctx.one}))
             kp = rep_index[dprime]
             piece = a1.kron(a2).scale(c)
             blocks[kp] = blocks.get(kp, Matrix.zero(ctx, d1 * d2, d1 * d2)) + piece

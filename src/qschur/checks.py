@@ -3,13 +3,17 @@
 Each check constructs fresh modules at the requested sizes and verifies an
 exact identity end to end, returning a CheckResult with per-instance detail.
 The registry is the single implementation behind the acceptance suite
-(tests/test_acceptance.py), the CLI `check` command and
-scripts/run_checks.py; all equalities are over the exact field, so there
-are no tolerances anywhere.
+(tests/test_acceptance.py) and the CLI `check` command, which
+scripts/run_checks.py forwards to; all equalities are over the exact field,
+so there are no tolerances anywhere.  `run_check` turns a decision that
+stays undecided into a failing result that carries the message, and
+`details_digest` hashes a sweep's results without their timings.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import time
 from dataclasses import dataclass, field
@@ -50,7 +54,7 @@ from .classification import (
 )
 from .hecke import HeckeElt, kl_parabolic_element
 from .linalg import Matrix, add_scaled, diag_inverse, span
-from .module_tools import are_isomorphic, is_irreducible, quotient, spin, submodule
+from .module_tools import Undecided, are_isomorphic, is_irreducible, quotient, spin, submodule
 from .scalars import ScalarContext
 from .symgroup import all_perms, block_boundaries, parabolic_longest
 from .uq_rep import (
@@ -87,9 +91,10 @@ class CheckResult:
     passed: bool
     details: list  # list of (label, ok, extra) triples
     seconds: float = 0.0
+    undecided: Optional[str] = None  # the message of a decision left undecided
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "check": self.check_id,
             "pass": self.passed,
             "seconds": round(self.seconds, 3),
@@ -98,6 +103,9 @@ class CheckResult:
                 for label, ok, extra in self.details
             ],
         }
+        if self.undecided is not None:
+            out["undecided"] = self.undecided
+        return out
 
 
 def _partitions(total: int):
@@ -576,13 +584,25 @@ CHECKS: dict[str, Callable[[RunConfig], CheckResult]] = {
 
 
 def run_check(check_id: str, cfg: RunConfig) -> CheckResult:
+    """Run one check; a decision left undecided fails it with its message."""
     if check_id not in CHECKS:
         raise KeyError(f"unknown check id {check_id!r}")
     start = time.time()
-    result = CHECKS[check_id](cfg)
+    try:
+        result = CHECKS[check_id](cfg)
+    except Undecided as e:
+        result = CheckResult(check_id, False, [], undecided=str(e))
     result.seconds = time.time() - start
     return result
 
 
-def run_all(cfg: RunConfig) -> list:
-    return [run_check(cid, cfg) for cid in CHECKS]
+def details_digest(results) -> str:
+    """SHA-256 over every result's record, in order, without its timing.
+
+    Two sweeps with the same arguments have the same digest exactly when
+    they reached the same results, on any code version.
+    """
+    records = [r.to_json() for r in results]
+    for record in records:
+        del record["seconds"]
+    return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()

@@ -63,13 +63,15 @@ class Segment:
 
 
 def _compare_centers(a: Scalar, b: Scalar, max_shift: int) -> int:
-    """Order centers along q^2-chains, independently of the backend.
+    """Order centers along q^2-chains.
 
     When two centers differ by q^(2m) the lower one comes first; this is
     the order that makes the head of the universal module match the
     polynomial dictionary when equal-length segments are linked.  Unlinked
     centers fall back to the rendering order (their relative order does not
-    change any isomorphism class).
+    change any isomorphism class).  That fallback depends on the backend:
+    a center renders differently over Q(t) and at a rational t, so at n = 4
+    `1@0:2,1@-6:1,5@0:1` puts `5:1` first symbolically and last at t = 5/3.
     """
     if a == b:
         return 0
@@ -253,14 +255,13 @@ class IdealImage:
     marked: dict            # coordinates of the image of C_{w_pi} in the sub-basis
     basis: SubspaceBasis    # rows inside the parent universal module
     parent: RightModule
-    segments: SegmentList
 
 
 def ideal_I_pi(s: SegmentList, ctx: ScalarContext) -> IdealImage:
     """The submodule of M_a spun from the image of C_{w_pi}."""
     parent = universal_module(ctx, s.a_vector())
     module, marked, basis = _kl_ideal(parent, s.partition())
-    return IdealImage(module, marked, basis, parent, s)
+    return IdealImage(module, marked, basis, parent)
 
 
 def intertwiner_A(s: SegmentList, ctx: ScalarContext, i: int):

@@ -6,7 +6,9 @@ Subcommands:
               and verify every quantum affine defining relation
   build       emit JSON descriptors for V_a and its affinization
   drinfeld    emit the Drinfeld polynomial tuple of a segment list
-  check       run one named identity check (or `all`)
+  check       run named identity checks (`all`, or ids comma separated); a
+              check left undecided fails and the others still run, and
+              the text output ends with the sweep's `details sha256` line
   character   weight multiplicity table of the affinized segment module
   isomorphic  test two module descriptor files for isomorphism
 
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 from .affine_hecke import RightModule, verify_module_relations
 from .affinization import functor_F, verify_affine_relations
-from .checks import CHECKS, RunConfig, run_all, run_check
+from .checks import CHECKS, RunConfig, details_digest, run_check
 from .classification import (
     SegmentSpecError,
     drinfeld_polys,
@@ -87,6 +89,17 @@ def _rank(text: str) -> int:
     return values[0]
 
 
+def _check_ids(text: str) -> list:
+    """`all`, or check ids comma separated, in the order given."""
+    if text == "all":
+        return list(CHECKS)
+    ids = [x for x in text.split(",") if x]
+    if not ids or any(x not in CHECKS for x in ids):
+        raise argparse.ArgumentTypeError(
+            f"expected `all` or check ids from {', '.join(CHECKS)}, got {text!r}")
+    return ids
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="qschur", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -119,13 +132,14 @@ def build_parser() -> argparse.ArgumentParser:
     single_rank(sp)
     sp.add_argument("--segments", required=True)
 
-    sp = sub.add_parser("check", help="run a named identity check")
+    sp = sub.add_parser("check", help="run named identity checks")
     sp.add_argument("--n", type=_int_list, default=[2, 3], help="ranks, comma separated")
     sp.add_argument("--ell", type=_int_list, default=[1, 2, 3],
                     help="module sizes, comma separated")
     common(sp)
     sp.add_argument("--seed", type=int, default=0, help="draws the check parameters")
-    sp.add_argument("check_id", choices=sorted(CHECKS) + ["all"])
+    sp.add_argument("check_ids", metavar="ids", type=_check_ids,
+                    help="`all`, or check ids comma separated")
     sp.add_argument("--segments", default=None)
 
     sp = sub.add_parser("character", help="weight table of F(V_a)")
@@ -280,16 +294,24 @@ def cmd_check(args) -> int:
         t0=args.backend,
         segments_spec=args.segments,
     )
-    results = run_all(cfg) if args.check_id == "all" else [run_check(args.check_id, cfg)]
+    results = []
+    for cid in args.check_ids:
+        r = run_check(cid, cfg)
+        results.append(r)
+        if args.json:
+            continue
+        if r.undecided is not None:
+            print(f"UNDECIDED {r.check_id}: {r.undecided}")
+            continue
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.check_id} "
+              f"({len(r.details)} cases, {r.seconds:.2f}s)")
+        for label, ok, extra in r.details:
+            if not ok:
+                print(f"    FAIL {label} {extra}")
     if args.json:
         print(json.dumps([r.to_json() for r in results], indent=2))
     else:
-        for r in results:
-            print(f"{'PASS' if r.passed else 'FAIL'} {r.check_id} "
-                  f"({len(r.details)} cases, {r.seconds:.2f}s)")
-            for label, ok, extra in r.details:
-                if not ok:
-                    print(f"    FAIL {label} {extra}")
+        print(f"details sha256: {details_digest(results)}")
     return 0 if all(r.passed for r in results) else CHECK_FAILED
 
 

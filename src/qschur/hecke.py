@@ -173,7 +173,7 @@ class HeckeElt(_SigmaBasisElt):
         ]
 
 
-def kl_parabolic_element(ctx: ScalarContext, parts, ell=None) -> HeckeElt:
+def kl_parabolic_element(ctx: ScalarContext, parts) -> HeckeElt:
     """The Kazhdan-Lusztig element C_{w_pi} for a parabolic longest element.
 
     C_{w_pi} = q^{len(w_pi)} * sum over w' in the parabolic subgroup of
@@ -182,7 +182,7 @@ def kl_parabolic_element(ctx: ScalarContext, parts, ell=None) -> HeckeElt:
     and all their KL polynomials are 1.  For a single transposition this is
     C_i = q^{-1} sigma_i - q.
     """
-    parts = check_partition(parts, ell)
+    parts = check_partition(parts)
     total = sum(parts)
     wpi = parabolic_longest(parts)
     L = wpi.length()

@@ -241,10 +241,14 @@ class Matrix:
     @staticmethod
     def from_triplets(ctx, nrows, ncols, triplets) -> "Matrix":
         m = Matrix(ctx, nrows, ncols)
+        seen = set()
         for i, j, s in triplets:
             i, j = json_int(i, "a row index"), json_int(j, "a column index")
             if not (0 <= i < nrows and 0 <= j < ncols):
                 raise ValueError(f"entry ({i}, {j}) outside a {nrows}x{ncols} matrix")
+            if (i, j) in seen:
+                raise ValueError(f"entry ({i}, {j}) is given twice")
+            seen.add((i, j))
             if not isinstance(s, str):
                 raise ValueError(f"entry ({i}, {j}) is {s!r}, not a scalar string")
             m.set_entry(i, j, parse_scalar(ctx, s))

@@ -122,12 +122,10 @@ def all_perms(ell: int) -> list:
     return sorted(Perm(p) for p in permutations(range(ell)))
 
 
-def check_partition(parts, ell=None) -> tuple:
+def check_partition(parts) -> tuple:
     parts = tuple(int(p) for p in parts)
     if not parts or any(p < 1 for p in parts):
         raise ValueError(f"invalid composition {parts}: parts must be >= 1")
-    if ell is not None and sum(parts) != ell:
-        raise ValueError(f"composition {parts} does not sum to {ell}")
     return parts
 
 

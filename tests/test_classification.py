@@ -237,6 +237,19 @@ def test_linkage_order_does_not_depend_on_the_input_order(t0, spec, linked):
         assert classification._precedes(segs[j], segs[i]) == ((j, i) in linked)
 
 
+@pytest.mark.xfail(strict=True, reason="unlinked segments are ordered by their rendering, "
+                   "which depends on the backend (ROADMAP item 9)")
+def test_unlinked_segment_order_is_backend_independent():
+    # 5:1 is linked to neither segment; it comes first over Q(t), last at t = 5/3
+    spec = "1@0:2,1@-6:1,5@0:1"
+    orders = []
+    for t0 in (None, Fraction(5, 3)):
+        ctx = ScalarContext(4, t0=t0)
+        segs = [parse_segments(ctx, c).segments[0] for c in spec.split(",")]
+        orders.append([segs.index(s) for s in parse_segments(ctx, spec).segments])
+    assert orders[0] == orders[1]
+
+
 @pytest.mark.parametrize("spec, n", [("3@0:2,3@-6:1", 3), ("1@0:1,1@6:2", 3), ("1@0:1,1@8:3", 4)])
 def test_a_shorter_segment_linked_below_goes_first(spec, n):
     s = parse_segments(ScalarContext(n), spec)

@@ -371,10 +371,11 @@ def _add_generator(name):
     ("V_a", lambda d: d.update(labels="a"), "labels must be a list of 1"),
     ("V_a", _edit_generators(s1=[[0.9, 0, "-1"]]), "a row index must be an integer"),
     ("F", _edit_generators(k0=[[0, "1", "1"]]), "a column index must be an integer"),
+    ("V_a", lambda d: d["generators"]["s1"].append([0, 0, "5"]), "entry (0, 0) is given twice"),
 ], ids=["size-drops-generators", "finite-with-y", "uq-generator-beyond-n",
      "uq-torus-beyond-n", "fractional-dim", "float-ell", "string-dim", "bool-n",
      "string-weights", "fractional-weight", "labels-length", "labels-not-a-list",
-     "fractional-row-index", "string-column-index"])
+     "fractional-row-index", "string-column-index", "repeated-position"])
 @pytest.mark.parametrize("command", ["relations", "isomorphic"])
 def test_descriptor_rules_exit_2(tmp_path, capsys, part, edit, reason, command):
     path = _descriptor(capsys, tmp_path, edit, part)
@@ -444,25 +445,33 @@ def test_run_checks_rejects_bad_input(argv):
     assert "Traceback" not in proc.stderr
 
 
-def test_run_checks_reports_an_undecided_check_and_goes_on(capsys, monkeypatch):
+def _run_checks_script():
     import importlib.util
-    import sys
     from pathlib import Path
-
-    from qschur.checks import CheckResult
-    from qschur.module_tools import Undecided
 
     path = Path(__file__).resolve().parents[1] / "scripts" / "run_checks.py"
     spec = importlib.util.spec_from_file_location("run_checks", path)
-    run_checks = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run_checks)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    def run_check(cid, cfg):
-        if cid == "prop-7.2":
-            raise Undecided("irreducibility undecided: no eigenspace known in advance decides")
-        return CheckResult(cid, True, [("case", True, "")])
 
-    monkeypatch.setattr(run_checks, "run_check", run_check)
+def _undecided(cfg):
+    raise module_tools.Undecided("irreducibility undecided: no eigenspace known in advance decides")
+
+
+def test_run_checks_reports_an_undecided_check_and_goes_on(capsys, monkeypatch):
+    import sys
+
+    from qschur import checks
+
+    def passing(cid):
+        return lambda cfg: checks.CheckResult(cid, True, [("case", True, "")])
+
+    run_checks = _run_checks_script()
+    monkeypatch.setitem(checks.CHECKS, "prop-4.6", passing("prop-4.6"))
+    monkeypatch.setitem(checks.CHECKS, "prop-7.2", _undecided)
+    monkeypatch.setitem(checks.CHECKS, "thm-7.6", passing("thm-7.6"))
     monkeypatch.setattr(sys, "argv", ["run_checks.py", "--only", "prop-4.6,prop-7.2,thm-7.6"])
     assert run_checks.main() == 1
     out, err = capsys.readouterr()
@@ -471,9 +480,41 @@ def test_run_checks_reports_an_undecided_check_and_goes_on(capsys, monkeypatch):
     assert ("UNDECIDED prop-7.2: irreducibility undecided: no eigenspace known in advance decides"
             in lines)
     for cid in ("prop-4.6", "thm-7.6"):
-        assert any(line.split()[:2] == [cid, "PASS"] for line in lines)
-    assert lines[-2].startswith("SOME FAILED")
+        assert any(line.split()[:2] == ["PASS", cid] for line in lines)
     assert lines[-1].startswith("details sha256: ")
+
+
+def test_check_all_reports_an_undecided_check_and_goes_on(capsys, monkeypatch):
+    from qschur import checks
+
+    monkeypatch.setitem(checks.CHECKS, "prop-3.4c", _undecided)
+    argv = ("check", "all", "--n", "2", "--ell", "1,2")
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert ("UNDECIDED prop-3.4c: irreducibility undecided: "
+            "no eigenspace known in advance decides") in lines
+    assert [line.split()[:2] for line in lines[:-1]] == [
+        ["UNDECIDED", "prop-3.4c:"] if cid == "prop-3.4c" else ["PASS", cid]
+        for cid in checks.CHECKS]
+    assert lines[-1].startswith("details sha256: ")
+
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 1 and err == ""
+    records = json.loads(out)
+    assert [r["check"] for r in records] == list(checks.CHECKS)
+    for r in records:
+        if r["check"] == "prop-3.4c":
+            assert not r["pass"] and r["details"] == []
+            assert r["undecided"].startswith("irreducibility undecided")
+        else:
+            assert r["pass"] and "undecided" not in r
+
+    # the script forwards to the same command and prints the same digest
+    assert _run_checks_script().main(["--n", "2", "--ell", "1,2"]) == 1
+    script_out, script_err = capsys.readouterr()
+    assert script_err == ""
+    assert script_out.splitlines()[-1] == lines[-1]
 
 
 def test_run_checks_details_digest_is_stable():

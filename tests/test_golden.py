@@ -37,7 +37,9 @@ Each old value is still asserted, on the reference construction in
 The sweep digests pin the last line of ``scripts/run_checks.py --n 2 --ell
 1,2`` on both backends: every check's id, verdict and details, in the order
 run.  They were recorded when the relation suites moved from difference
-matrices to comparing the two sides of each relation.
+matrices to comparing the two sides of each relation.  ``qschur check all``
+with the same sizes must print the same line, so the script and the command
+it forwards to cannot drift apart.
 """
 
 import hashlib
@@ -224,17 +226,21 @@ def test_rational_function_chain_digest():
     )
 
 
-@pytest.mark.parametrize("backend,digest", [
-    ([], "bda0cd227e7e9d3ec745c04054d6c84ed65b5a9ad070e3478ff53d576581169f"),
-    (["--backend", "5/3"], "ba17427f91ed862fe9d50542e4371b765f081aaa08e5ef8ff8ded970bfe2fdbb"),
+@pytest.mark.parametrize("script_backend,cli_backend,digest", [
+    ([], [], "bda0cd227e7e9d3ec745c04054d6c84ed65b5a9ad070e3478ff53d576581169f"),
+    (["--backend", "5/3"], ["--backend", "rational:5/3"],
+     "ba17427f91ed862fe9d50542e4371b765f081aaa08e5ef8ff8ded970bfe2fdbb"),
 ], ids=["symbolic", "t=5/3"])
-def test_small_registry_sweep_digest(backend, digest):
+def test_small_registry_sweep_digest(script_backend, cli_backend, digest):
     root = Path(__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "run_checks.py"), "--n", "2", "--ell", "1,2",
-         *backend],
-        capture_output=True, text=True, timeout=300,
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"details sha256: {digest}"
+    for argv in ([str(root / "scripts" / "run_checks.py"), "--n", "2", "--ell", "1,2",
+                  *script_backend],
+                 ["-m", "qschur.cli", "check", "all", "--n", "2", "--ell", "1,2",
+                  *cli_backend]):
+        proc = subprocess.run(
+            [sys.executable, *argv],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"details sha256: {digest}"
