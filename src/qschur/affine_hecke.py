@@ -503,8 +503,8 @@ def zelevinsky_induce(M1: RightModule, M2: RightModule) -> RightModule:
 def cherednik_pullback(M: RightModule, a) -> RightModule:
     """Pull a finite Hecke module back to the affine algebra at parameter a.
 
-    y_j acts by a q^{-2(j-1)} sigma_{j-1} ... sigma_2 sigma_1^2 sigma_2 ...
-    sigma_{j-1}; the sigma action is untouched.
+    y_j acts by a L_j and y_j^-1 by a^-1 L_j^-1, with L_j the Jucys-Murphy
+    elements (``jucys_murphy``); the sigma action is untouched.
     """
     ctx = M.ctx
     if not isinstance(a, Scalar):
@@ -513,23 +513,24 @@ def cherednik_pullback(M: RightModule, a) -> RightModule:
         raise ValueError("evaluation parameter must be nonzero")
     if M.kind != "H":
         raise ValueError("pullback starts from a finite Hecke module")
-    eye = Matrix.identity(ctx, M.dim)
-    y = []
-    y_inv = []
-    for j in range(1, M.ell + 1):
-        m = eye
-        for i in range(j - 1, 0, -1):
-            m = m * M.sigma[i - 1]
-        for i in range(1, j):
-            m = m * M.sigma[i - 1]
-        y.append(m.scale(a * ctx.q_power(-2 * (j - 1))))
-        minv = eye
-        for i in range(j - 1, 0, -1):
-            minv = minv * M.sigma_inv(i)
-        for i in range(1, j):
-            minv = minv * M.sigma_inv(i)
-        y_inv.append(minv.scale(a.inverse() * ctx.q_power(2 * (j - 1))))
+    y = [L.scale(a) for L in jucys_murphy(M.dim, M.sigma, ctx.q_power(-2))]
+    sigma_inv = [M.sigma_inv(i) for i in range(1, M.ell)]
+    y_inv = [L.scale(a.inverse()) for L in jucys_murphy(M.dim, sigma_inv, ctx.q_power(2))]
     return RightModule(ctx, "Hhat", M.ell, M.dim, M.sigma, y, y_inv, labels=M.labels)
+
+
+def jucys_murphy(dim: int, sigmas, c: Scalar):
+    """L_1 = 1, L_2, ... with L_{j+1} = c sigma_j L_j sigma_j, one at a time.
+
+    For the right-action matrices of the sigma_j and c = q^-2 these are the
+    Jucys-Murphy elements L_j = q^(-2(j-1)) sigma_{j-1} ... sigma_1 sigma_1
+    ... sigma_{j-1}; for the sigma_j^-1 and c = q^2 they are their inverses.
+    """
+    L = Matrix.identity(c.ctx, dim)
+    yield L
+    for s in sigmas:
+        L = (s * L * s).scale(c)
+        yield L
 
 
 def one_dimensional_module(ctx: ScalarContext, ell: int, sigma_value) -> RightModule:

@@ -2,17 +2,19 @@
 
 A segment of length k and center a is the geometric progression
 (a q^{-k+1}, a q^{-k+3}, ..., a q^{k-1}).  An unordered multiset of segments
-is juxtaposed in a canonical order (length descending, then center, then each
-segment after every segment linked to it from below) into a parameter
-vector; the attached partition pi feeds the parabolic Kazhdan-Lusztig
-element C_{w_pi}, whose image generates the distinguished submodule I_pi
-of the universal module.  The irreducible subquotient with
-nonzero marked vector is carved out constructively by repeated Meataxe
-splitting, and the n-tuple of Drinfeld polynomials of its affinization is
-the product formula P_i(u) = prod over segments of length i of (u - a_j^{-1}).
-At finite level, Rogawski's constituent J_pi of I_pi inside H_ell is the
-spin of the one line I_pi * x_{pi'}, with x_{pi'} the sum of sigma_w over
-the parabolic subgroup of the conjugate partition.
+is juxtaposed in a canonical order into a parameter vector: longer segments
+first, the lower of two linked segments first, and otherwise the order in
+which the centers render.  Linkage is read exactly: r starts q^(2m) above s
+when the ratio of their starts has ``Scalar.q_exponent`` 2m.  The attached
+partition pi feeds the parabolic Kazhdan-Lusztig element C_{w_pi}, whose
+image generates the distinguished submodule I_pi of the universal module.
+The irreducible subquotient with nonzero marked vector is carved out
+constructively by repeated Meataxe splitting, and the n-tuple of Drinfeld
+polynomials of its affinization is the product formula P_i(u) = prod over
+segments of length i of (u - a_j^{-1}).  At finite level, Rogawski's
+constituent J_pi of I_pi inside H_ell is the spin of the one line
+I_pi * x_{pi'}, with x_{pi'} the sum of sigma_w over the parabolic subgroup
+of the conjugate partition.
 
 Centers are restricted to Laurent monomials c * q^{e/2} so that all segment
 arithmetic stays inside the exact field.
@@ -23,7 +25,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from math import factorial, log10
 from typing import Optional
 
@@ -62,48 +63,25 @@ class Segment:
         return [self.center * ctx.q_power(2 * i - k + 1) for i in range(k)]
 
 
-def _compare_centers(a: Scalar, b: Scalar, max_shift: int) -> int:
-    """Order centers along q^2-chains.
-
-    When two centers differ by q^(2m) the lower one comes first; this is
-    the order that makes the head of the universal module match the
-    polynomial dictionary when equal-length segments are linked.  Unlinked
-    centers fall back to the rendering order (their relative order does not
-    change any isomorphism class).  That fallback depends on the backend:
-    a center renders differently over Q(t) and at a rational t, so at n = 4
-    `1@0:2,1@-6:1,5@0:1` puts `5:1` first symbolically and last at t = 5/3.
-    """
-    if a == b:
-        return 0
-    ctx = a.ctx
-    ratio = a / b
-    for m in range(1, max_shift + 1):
-        if ratio == ctx.q_power(2 * m):
-            return 1
-        if ratio == ctx.q_power(-2 * m):
-            return -1
-    sa, sb = str(a), str(b)
-    return -1 if sa < sb else 1
-
-
 def _precedes(s: Segment, r: Segment) -> bool:
     """Whether s and r are linked with s lower: their union is a segment that
     neither contains, and s starts first.  Then r starts q^(2m) above s with
-    len(s) - len(r) < m <= len(s)."""
-    ratio = r.expansion()[0] / s.expansion()[0]
-    q = s.center.ctx.q_power
-    return any(ratio == q(2 * m) for m in range(max(1, s.length - r.length + 1), s.length + 1))
+    max(0, len(s) - len(r)) < m <= len(s)."""
+    d = (r.expansion()[0] / s.expansion()[0]).q_exponent()
+    return d is not None and d % 2 == 0 and max(0, s.length - r.length) < d // 2 <= s.length
 
 
 @dataclass
 class SegmentList:
     """A multiset of segments in canonical juxtaposition order.
 
-    Longer segments come first, and equal-length segments are arranged along
-    their q^2-chains (lower center first).  Then each segment waits for every
-    segment linked to it from below, whatever the lengths: of the segments
-    not yet placed, the first in that order with none linked below it goes
-    next.  An order that already puts each linked pair lower first is kept.
+    The segments are sorted once, by the key (-length, rendering of the
+    center), and then each waits for every segment linked to it from below,
+    whatever the lengths: of the segments not yet placed, the first in key
+    order with none linked below it goes next.  So longer segments go first,
+    the lower of two linked segments goes first, and everything else
+    follows the rendering, which depends on the backend (a center renders
+    differently over Q(t) and at a rational t).
     """
 
     segments: list
@@ -111,17 +89,7 @@ class SegmentList:
     def __post_init__(self):
         if not self.segments:
             raise ValueError("need at least one segment")
-        max_shift = max(s.length for s in self.segments)
-
-        def cmp(s1: Segment, s2: Segment) -> int:
-            if s1.length != s2.length:
-                return -1 if s1.length > s2.length else 1
-            return _compare_centers(s1.center, s2.center, max_shift)
-
-        # cmp need not be transitive where _compare_centers falls back to the
-        # rendering along one q^2-chain, so start from a fixed input order
-        rest = sorted(sorted(self.segments, key=lambda s: (s.length, str(s.center))),
-                      key=cmp_to_key(cmp))
+        rest = sorted(self.segments, key=lambda s: (-s.length, str(s.center)))
         self.segments = []
         while rest:
             s = next(s for s in rest if not any(_precedes(r, s) for r in rest))

@@ -108,8 +108,6 @@ class _SigmaBasisElt:
         return out
 
     def __mul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self.scale(other)
         if type(other) is not type(self):
             return NotImplemented
         self._check(other)
@@ -117,11 +115,6 @@ class _SigmaBasisElt:
         for key, d in other.terms.items():
             add_scaled(out.terms, self._times_basis(key).terms, d)
         return out
-
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self.scale(other)
-        return NotImplemented
 
 
 class HeckeElt(_SigmaBasisElt):

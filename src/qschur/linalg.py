@@ -156,21 +156,12 @@ class Matrix:
             [{j: c * v for j, v in r.items()} for r in self.rows],
         )
 
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            assert self.ncols == other.nrows, "matrix shape mismatch"
-            return Matrix(self.ctx, self.nrows, other.ncols,
-                          [other.apply_row(r) for r in self.rows])
-        if isinstance(other, Scalar):
-            return self.scale(other)
-        if isinstance(other, int):
-            return self.scale(self.ctx.scalar(other))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self.__mul__(other)
-        return NotImplemented
+    def __mul__(self, other: "Matrix") -> "Matrix":
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        assert self.ncols == other.nrows, "matrix shape mismatch"
+        return Matrix(self.ctx, self.nrows, other.ncols,
+                      [other.apply_row(r) for r in self.rows])
 
     def transpose(self) -> "Matrix":
         m = Matrix(self.ctx, self.ncols, self.nrows)

@@ -27,7 +27,7 @@ import random
 from itertools import islice
 from typing import Optional
 
-from .affine_hecke import RightModule
+from .affine_hecke import RightModule, jucys_murphy
 from .linalg import Matrix, SubspaceBasis, add_scaled, column_kernel, left_kernel, rank, span
 from .scalars import ScalarContext, parse_scalar
 from .uq_rep import UqModule, weight_decomposition
@@ -127,17 +127,17 @@ class ModuleView:
         thetas the L_j - q^(2c_j) they are the common kernel of, basis their
         rows; [] unless ell >= 3 (for ell = 2 they are the sigma_1
         eigenspaces) and they fill the module, which makes the L_j
-        diagonalisable.  L_1 = 1, L_{j+1} = q^-2 sigma_j L_j sigma_j, and
-        L_{j+1} has eigenvalues q^(2c), c the content of box j+1 of a
-        standard tableau, so |c| <= j (Murphy 1983).
+        diagonalisable.  L_1 = 1, L_{j+1} = q^-2 sigma_j L_j sigma_j
+        (``jucys_murphy``), and L_{j+1} has eigenvalues q^(2c), c the
+        content of box j+1 of a standard tableau, so |c| <= j (Murphy 1983).
         """
         if len(sigmas) < 2:
             return []
         ctx, dim = self.ctx, self.dim
         eye = Matrix.identity(ctx, dim)
-        spaces, L = [([], eye)], eye
-        for j, s in enumerate(sigmas, start=1):
-            L = (s * L * s).scale(ctx.q_power(-2))
+        spaces = [([], eye)]
+        for j, L in enumerate(islice(jucys_murphy(dim, sigmas, ctx.q_power(-2)), 1, None),
+                              start=1):
             refined = []
             for thetas, basis in spaces:
                 for c in range(-j, j + 1):

@@ -469,6 +469,38 @@ class Scalar:
         nval = sum((c * t0 ** e for e, c in self.num.items()), Fraction(0))
         return nval / dval
 
+    def q_exponent(self) -> Optional[int]:
+        """The integer m with this scalar equal to q^m, or None.
+
+        Over Q(t), q^m is the monic monomial t^(m e), so m is its t-exponent
+        divided by e.  At t = t0 the scalar is a rational x, and q0 = t0^e is
+        positive and not 1.  With b >= 2 the larger of q0's numerator and
+        denominator, the larger of x's numerator and denominator is b^|m|
+        when x = q0^m, so |m| is the number of times b divides it: at most
+        log_2 of it integer divisions.  The sign says whether x and q0 lie on
+        the same side of 1.  No float is involved on either backend, and
+        q^m == self confirms the answer.
+        """
+        if len(self.num) != 1 or self.den != _DEN_ONE:
+            return None
+        (k, x), = self.num.items()
+        ctx = self.ctx
+        if ctx.t0 is None:
+            m = k // ctx.e
+        elif x > 0:
+            q0, x = ctx.t0 ** ctx.e, Fraction(x)
+            b = max(q0.numerator, q0.denominator)
+            side = max(x.numerator, x.denominator)
+            m = 0
+            while side % b == 0:
+                side //= b
+                m += 1
+            if (x > 1) != (q0 > 1):
+                m = -m
+        else:
+            return None
+        return m if ctx.q_power(m) == self else None
+
     def as_t_monomial(self) -> Optional[tuple]:
         """(exponent, coefficient) if this is c * t^k, else None."""
         if self.den is not _DEN_ONE and self.den != _DEN_ONE:

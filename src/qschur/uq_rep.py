@@ -41,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations_with_replacement
-from math import log
 from typing import Optional
 
 from .linalg import Matrix, SubspaceBasis, add_scaled, column_kernel, json_int, named_matrices
@@ -86,12 +85,13 @@ class UqModule:
     @cached_property
     def weights(self) -> Optional[list]:
         """The weight of each basis vector, or None unless every k_i is
-        diagonal with q-power entries.  Read once and cached, so the k_i
-        must not be changed in place afterwards."""
+        diagonal with q-power entries.  Each exponent is read exactly by
+        ``Scalar.q_exponent``, on every backend.  Read once and cached, so
+        the k_i must not be changed in place afterwards."""
         diagonals = [k.diagonal_entries() for k in self.k]
         if None in diagonals:
             return None
-        out = [tuple(_q_exponent(self.ctx, d[r]) for d in diagonals) for r in range(self.dim)]
+        out = [tuple(d[r].q_exponent() for d in diagonals) for r in range(self.dim)]
         return None if any(None in w for w in out) else out
 
     def generators(self) -> dict:
@@ -157,24 +157,6 @@ class UqModule:
         if weights is not None and weights != mod.weights:
             raise ValueError("the weights list differs from the weights the k_i act by")
         return mod
-
-
-def _q_exponent(ctx: ScalarContext, c) -> Optional[int]:
-    """The integer m with c == q^m, or None.
-
-    The exponent of t (symbolic) or a float logarithm (specialized) only
-    guesses m; the exact comparison decides, and |t| != 1 makes m unique.
-    """
-    mono = c.as_t_monomial()
-    if mono is None:
-        return None
-    k, x = mono
-    if ctx.t0 is not None:
-        if x <= 0:
-            return None
-        k = round((log(x.numerator) - log(x.denominator)) / log(abs(ctx.t0)))
-    m = k // ctx.e
-    return m if ctx.q_power(m) == c else None
 
 
 def fundamental_weight(n: int, i: int) -> tuple:
@@ -314,18 +296,8 @@ def rcheck_i(ctx: ScalarContext, n: int, ell: int, i: int) -> Matrix:
     """Rcheck acting in tensor slots i, i+1 of V^(x ell)."""
     if not 1 <= i <= ell - 1:
         raise ValueError(f"Rcheck_{i} out of range for ell={ell}")
-    d = n + 1
-    eye = Matrix.identity(ctx, d)
-    factors = []
-    j = 1
-    while j <= ell:
-        if j == i:
-            factors.append(rcheck(ctx, n))
-            j += 2
-        else:
-            factors.append(eye)
-            j += 1
-    return kron_chain(factors)
+    eye = Matrix.identity(ctx, n + 1)
+    return kron_chain([eye] * (i - 1) + [rcheck(ctx, n)] + [eye] * (ell - i - 1))
 
 
 def _tensor_index(word, d: int) -> int:

@@ -222,6 +222,8 @@ def test_linked_singletons_order_is_backend_independent(ctx):
     ("3@0:2,3@-6:1,3@6:1", [(1, 0), (0, 2)]),
     # 5 lies on another chain than the linked pair q^-3 < (1, 2)
     ("1@0:2,1@-6:1,5@0:1", [(1, 0)]),
+    # q^-4 and 1 lie on one q^2-chain but are not linked: the rendering orders them
+    ("1@-8:1,1@-8:2,1@0:1", []),
 ])
 def test_linkage_order_does_not_depend_on_the_input_order(t0, spec, linked):
     ctx = ScalarContext(4, t0=t0)
@@ -232,6 +234,11 @@ def test_linkage_order_does_not_depend_on_the_input_order(t0, spec, linked):
         assert parse_segments(ctx, ",".join(perm)).segments == order
     for lower, upper in linked:
         assert order.index(segs[lower]) < order.index(segs[upper])
+    # after length and linkage the rendering decides: of the orders that put
+    # every linked pair lower first, the one least by (-length, rendering)
+    allowed = [list(p) for p in permutations(segs)
+               if all(p.index(segs[lower]) < p.index(segs[upper]) for lower, upper in linked)]
+    assert order == min(allowed, key=lambda p: [(-s.length, str(s.center)) for s in p])
     for i, j in combinations(range(len(segs)), 2):
         assert classification._precedes(segs[i], segs[j]) == ((i, j) in linked)
         assert classification._precedes(segs[j], segs[i]) == ((j, i) in linked)

@@ -238,6 +238,13 @@ def test_specialized_backend(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("argv", [["character", "--n", "2", "--segments", "1@0:1"],
+                                  ["check", "thm-7.6", "--n", "2"]])
+def test_weights_are_read_exactly_next_to_t_equal_one(capsys, argv):
+    code, _, err = run(capsys, *argv, "--backend", "rational:1000000000000001/1000000000000000")
+    assert code == 0, err
+
+
 def test_relations_accepts_affine_descriptor_directly(tmp_path, capsys):
     code, out, _ = run(capsys, "build", "--n", "2", "--segments", "1@0:2")
     f = tmp_path / "F.json"

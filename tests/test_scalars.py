@@ -94,6 +94,15 @@ def test_render_q(ctx):
     assert ctx.q_half.render_q() == "t^3"  # not an integer q power
 
 
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3), Fraction(-5, 3), Fraction(2, 5), Fraction(4)],
+                         ids=["symbolic", "5/3", "-5/3", "2/5", "4"])
+def test_q_exponent_reads_exactly_the_powers_of_q(t0):
+    c = ScalarContext(2, t0=t0)
+    assert [c.q_power(m).q_exponent() for m in range(-40, 41)] == list(range(-40, 41))
+    for x in (c.q_half, c.scalar(2) * c.q, c.scalar(2), c.scalar(Fraction(1, 3)), -c.one):
+        assert x.q_exponent() is None
+
+
 def test_canonical_form_denominator(ctx):
     t = ctx.t_power(1)
     s = (t ** 3 - 2) / (2 * t ** 2 + t)

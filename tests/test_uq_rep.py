@@ -366,13 +366,19 @@ def test_weights_are_read_off_the_k_diagonal_exactly(t0):
                         [Matrix.diagonal(c, [k.inverse()])])
 
     assert line(c.q_power(-3)).weights == [(-3,)]
-    # a float logarithm of the first rounds to the exponent 2; only the
-    # exact comparison tells it from q^2
+    # none is a power of q; the first differs from q^2 by 10^-30
     for k in (c.q_power(2) + c.scalar(Fraction(1, 10 ** 30)), -c.q_power(2), c.scalar(2)):
         W = line(k)
         assert W.weights is None
         with pytest.raises(ValueError):
             weight_decomposition(W)
+
+
+def test_weights_next_to_t_equal_one_are_the_symbolic_weights():
+    # this close to t = 1 a float logarithm of q^m would not round to m
+    symbolic = tensor_rep(natural_rep(ScalarContext(2), 2), 3).weights
+    c = ScalarContext(2, t0=1 + Fraction(1, 10 ** 13))
+    assert tensor_rep(natural_rep(c, 2), 3).weights == symbolic
 
 
 def test_weight_level():
