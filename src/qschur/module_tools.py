@@ -5,12 +5,13 @@ Meataxe-style irreducibility decision with checkable certificates,
 isomorphism testing, and characters.  Irreducibility samples nothing:
 Norton's test runs on eigenspaces whose eigenvalues are known in advance
 (``ModuleView.eigenspaces``), then the density test.  Isomorphism of
-U_q-modules whose weights are known is decided by Parker's standard basis:
-a weight line that generates A leaves one candidate intertwiner, which is
-checked exactly.  Other pairs solve the Hom space, whose few sampled
-combinations come from a random.Random(0) of the call's own.  So every
-decision depends only on its modules, and every verdict is backed by a
-certificate that can be re-checked with plain linear algebra.
+U_q-modules whose weights are known is decided by Parker's standard basis,
+spun over A and B together in one weight-graded pass: a weight line that
+generates A leaves one candidate intertwiner, which is checked exactly.
+Other pairs solve the Hom space, whose few sampled combinations come from a
+random.Random(0) of the call's own.  So every decision depends only on its
+modules, and every verdict is backed by a certificate that can be
+re-checked with plain linear algebra.
 
 Every algorithm reads a module through its ``ModuleView``, the one place
 that tells right Hecke modules from left U_q-modules.  The view transposes
@@ -24,6 +25,7 @@ either.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import islice
 from typing import Optional
 
@@ -167,28 +169,14 @@ def spin(ctx: ScalarContext, ambient: int, mats, vectors) -> SubspaceBasis:
     Right-action convention: a vector v grows the space by v * M.  Each
     vector that grew the space is multiplied by every matrix once.
     """
-    return _spin_words(ctx, ambient, mats, vectors)[0]
-
-
-def _spin_words(ctx, ambient: int, mats, vectors) -> tuple:
-    """The spin as (basis, grown, words): grown lists the vectors that grew
-    the basis, in order, and words[k] is None for one of the given vectors,
-    else (p, g) with grown[k] = grown[p] * mats[g]."""
     basis = SubspaceBasis(ctx, ambient)
-    grown, words = [], []
-    for v in vectors:
-        if basis.add(v):
-            grown.append(v)
-            words.append(None)
-    p = 0
-    while p < len(grown):
-        for g, m in enumerate(mats):
-            w = m.apply_row(grown[p])
+    grown = [v for v in vectors if basis.add(v)]
+    for v in grown:  # the list grows while it is walked
+        for m in mats:
+            w = m.apply_row(v)
             if basis.add(w):
                 grown.append(w)
-                words.append((p, g))
-        p += 1
-    return basis, grown, words
+    return basis
 
 
 def spin_module(mod, vector) -> SubspaceBasis:
@@ -355,13 +343,15 @@ def are_isomorphic(A, B) -> Optional[Matrix]:
     For right modules the result T satisfies rho_A(g) T = T rho_B(g) (row
     convention); for left modules T rho_A(g) = rho_B(g) T (column
     convention), i.e. T carries A-coordinates to B-coordinates either way.
-    When a weight line of A generates A, Parker's standard basis gives the
-    one candidate (_standard_basis): it is accepted after the exact check on
-    every algebra generator and an invertibility certificate, and if either
-    fails there is no isomorphism.  Otherwise the Hom space is solved
-    (_hom_solve).  None is proven: the dimensions or weights differ, the
-    Hom space is zero, or it is the line of one singular map.  Only the Hom
-    solve can run out of candidates; it then raises Undecided.
+    When a weight line of A generates A, one weight-graded pass builds
+    Parker's standard basis and the one candidate T (_standard_basis), or
+    proves None when a relation of A fails in B.  T is accepted after the
+    exact check on every algebra generator (_intertwines) and an
+    invertibility certificate; if either fails there is no isomorphism.
+    Otherwise the Hom space is solved (_hom_solve).  None is proven: the
+    dimensions or weights differ, a relation breaks, the Hom space is zero,
+    or it is the line of one singular map.  Only the Hom solve can run out
+    of candidates; it then raises Undecided.
     """
     va, vb = ModuleView(A), ModuleView(B)
     if va.signature != vb.signature:
@@ -372,46 +362,91 @@ def are_isomorphic(A, B) -> Optional[Matrix]:
     if wa is not None and wb is not None:
         if sorted(wa) != sorted(wb):
             return None
-        T = _standard_basis(va, vb)
-        if T is not None:
-            ga, gb = (dict(zip(v.names, v.mats)) for v in (va, vb))
-            if all(ga[k] * T == T * gb[k] for k in va.algebra_names) and _is_invertible(T):
+        decided, T = _standard_basis(va, vb)
+        if decided:
+            if T is not None and _intertwines(va, vb, T) and _is_invertible(T):
                 return va.native(T)
             return None
     return _hom_solve(va, vb)
 
 
-def _standard_basis(va: ModuleView, vb: ModuleView) -> Optional[Matrix]:
-    """The only right-action map T: A -> B that can intertwine, or None if
-    no weight line of A generates A.
+def _intertwines(va: ModuleView, vb: ModuleView, T: Matrix) -> bool:
+    """ga T == T gb for every algebra generator, right-action convention.
+    For diagonal ga and gb, (ga T)[r, c] = ga[r, r] T[r, c] and (T gb)[r, c]
+    = T[r, c] gb[c, c], so it is checked entrywise: T must be zero wherever
+    the two diagonal entries differ."""
+    ga, gb = (dict(zip(v.names, v.mats)) for v in (va, vb))
+    for k in va.algebra_names:
+        da, db = ga[k].diagonal_entries(), gb[k].diagonal_entries()
+        if da is not None and db is not None:
+            if any(da[r] != db[c] for r, row in enumerate(T.rows) for c in row):
+                return False
+        elif ga[k] * T != T * gb[k]:
+            return False
+    return True
+
+
+def _standard_basis(va: ModuleView, vb: ModuleView) -> tuple:
+    """(decided, T): decided when a weight line of A generates A or its spin
+    breaks a relation; T is then the only right-action map A -> B that can
+    intertwine, or None when the spin proves that nothing does.
 
     A weight that occurs once labels a unit vector v of A and w of B, and an
-    intertwiner sends v into the line of w.  If v generates A, an
-    intertwiner is fixed by that multiple: spin v in A, replay the same
-    words from w in B, and T solves S_A T = S_B for the stacked words.  The
-    k_i scale every weight vector, so only the x's can grow the spin.
+    intertwiner sends v to a nonzero multiple of w.  The pair (v, w) is spun
+    under the x's (the k_i scale weight vectors): each word gives a row
+    (u, u') of one SubspaceBasis on 2 dim columns, A's first.  A row whose
+    A part reduces to zero but whose B part does not is a relation of A
+    that B breaks and ends the spin with None, so every pivot lies in A,
+    and once the A parts span A the pivot rows are [I | T].  A product is
+    skipped when every weight space x can carry the vector's weight to is
+    full: it holds as many grown vectors as its multiplicity, and grown
+    vectors are independent.  Vectors that are not weight vectors never
+    count and are never skipped.  The skipped products are why
+    are_isomorphic checks T.
     """
     ctx, dim, wa, wb = va.ctx, va.dim, va.weights, vb.weights
-    ga, gb = (dict(zip(v.names, v.mats)) for v in (va, vb))
     xs = [k for k in va.algebra_names if k[0] == "x"]
+    ga, gb = (dict(zip(v.names, v.mats)) for v in (va, vb))
+    mats = [(ga[k], gb[k]) for k in xs]
+    mult = Counter(wa)
+    reach = []  # reach[g][w]: the weights x_g can carry weight w to
+    for ma, _ in mats:
+        to: dict = {}
+        for r, row in enumerate(ma.rows):
+            to.setdefault(wa[r], set()).update(wa[c] for c in row)
+        reach.append(to)
     proper: list = []  # spins of weight lines that do not generate A
     for i, w in enumerate(wa):
         v = {i: ctx.one}
-        if wa.count(w) > 1 or any(not sub.reduce(v) for sub in proper):
+        if mult[w] > 1 or any(min(sub.reduce(v), default=dim) >= dim for sub in proper):
             continue
-        sub, grown, words = _spin_words(ctx, dim, [ga[k] for k in xs], [v])
-        if sub.dim < dim:
-            proper.append(sub)
+        j = wb.index(w)
+        pairs = SubspaceBasis(ctx, 2 * dim)
+        pairs.add({i: ctx.one, dim + j: ctx.one})
+        grown = [(v, {j: ctx.one}, w)]
+        filled = Counter([w])  # grown weight vectors per weight
+        for ua, ub, wu in grown:  # the list grows while it is walked
+            for (ma, mb), to in zip(mats, reach):
+                if wu is not None and all(filled[t] == mult[t] for t in to.get(wu, ())):
+                    continue
+                a, b = ma.apply_row(ua), mb.apply_row(ub)
+                res = pairs.reduce({**a, **{dim + c: x for c, x in b.items()}})
+                if not res:
+                    continue
+                if min(res) >= dim:
+                    return True, None
+                pairs.add(res)
+                support = {wa[c] for c in a}
+                wn = support.pop() if len(support) == 1 else None
+                grown.append((a, b, wn))
+                if wn is not None:
+                    filled[wn] += 1
+        if pairs.dim < dim:
+            proper.append(pairs)
             continue
-        images = [{wb.index(w): ctx.one}]
-        for p, g in words[1:]:
-            images.append(gb[xs[g]].apply_row(images[p]))
-        # row reduction takes [S_A | S_B] to [I | T]
-        stacked = span(ctx, 2 * dim, ({**u, **{dim + c: x for c, x in im.items()}}
-                                      for u, im in zip(grown, images)))
-        rows = [stacked.pivots[r].items() for r in range(dim)]
-        return Matrix(ctx, dim, dim, [{c - dim: x for c, x in r if c >= dim} for r in rows])
-    return None
+        rows = [pairs.pivots[r].items() for r in range(dim)]
+        return True, Matrix(ctx, dim, dim, [{c - dim: x for c, x in r if c >= dim} for r in rows])
+    return False, None
 
 
 def _hom_solve(va: ModuleView, vb: ModuleView) -> Optional[Matrix]:

@@ -14,7 +14,9 @@ from qschur.affine_hecke import (
 from qschur.affinization import evaluation_natural, functor_F, tensor_affine_chain
 from qschur.classification import (
     finite_ideal_module,
+    ideal_I_pi,
     irreducible_V_a,
+    make_segments,
     parse_segments,
     rogawski_quotient,
 )
@@ -468,17 +470,19 @@ def test_are_isomorphic_transitive_triple():
 
 
 def _routes(A, B):
-    """(T, intertwines, invertible, Hom-solve verdict): T is the standard
-    basis candidate (None when no weight line of A generates A), checked on
-    every algebra generator in the right-action convention."""
+    """(decided, T, intertwines, invertible, Hom-solve verdict): decided and
+    T as the one-pass standard basis returns them (decided is False when no
+    weight line of A generates A, T is None when the spin proves that no
+    map intertwines), T checked on every algebra generator in the
+    right-action convention."""
     va, vb = module_tools.ModuleView(A), module_tools.ModuleView(B)
     hom = module_tools._hom_solve(va, vb) is not None
-    T = module_tools._standard_basis(va, vb)
+    decided, T = module_tools._standard_basis(va, vb)
     if T is None:
-        return None, None, None, hom
+        return decided, None, None, None, hom
     ga, gb = (dict(zip(v.names, v.mats)) for v in (va, vb))
     holds = all(ga[k] * T == T * gb[k] for k in va.algebra_names)
-    return T, holds, module_tools._is_invertible(T), hom
+    return decided, T, holds, module_tools._is_invertible(T), hom
 
 
 def _F(c, n, a):
@@ -499,8 +503,8 @@ def test_standard_basis_accepts_the_dictionary_pairs(t0):
              (functor_F(zelevinsky_induce(M1, M2), 2, check_source=False),
               tensor_affine_chain([functor_F(m, 2, check_source=False) for m in (M1, M2)]))]
     for A, B in pairs:
-        T, holds, invertible, hom = _routes(A, B)
-        assert T is not None and holds and invertible and hom
+        decided, T, holds, invertible, hom = _routes(A, B)
+        assert decided and T is not None and holds and invertible and hom
         assert are_isomorphic(A, B) == T.transpose()
 
 
@@ -510,23 +514,25 @@ def test_standard_basis_check_failure_proves_no_isomorphism(t0):
     # line, and a candidate that is not an intertwiner, so Hom is zero
     c = ScalarContext(2, t0=t0)
     A, B = _F(c, 2, (c.scalar(3), c.scalar(5))), _chain(c, 2, (c.scalar(3), c.scalar(7)))
-    T, holds, _, hom = _routes(A, B)
-    assert T is not None and not holds and not hom
+    decided, T, holds, _, hom = _routes(A, B)
+    assert decided and T is not None and not holds and not hom
     assert are_isomorphic(A, B) is None
 
 
 @pytest.mark.parametrize("t0", [None, Fraction(5, 3)])
 def test_singular_standard_basis_candidate_proves_no_isomorphism(t0):
     # F(M_(1,q^2)) -> F(M_(q^2,1)): the candidate intertwines but is
-    # singular, and Hom is its line; the reverse direction has no
-    # generating weight line, so the Hom solve decides it
+    # singular, and Hom is its line; in the reverse direction the spin of
+    # a weight line that does not generate meets a relation of
+    # F(M_(q^2,1)) that F(M_(1,q^2)) breaks, which proves None before the
+    # spin ends
     c = ScalarContext(2, t0=t0)
     A, B = _F(c, 2, (c.one, c.q_power(2))), _F(c, 2, (c.q_power(2), c.one))
-    T, holds, invertible, hom = _routes(A, B)
-    assert T is not None and holds and not invertible and not hom
+    decided, T, holds, invertible, hom = _routes(A, B)
+    assert decided and T is not None and holds and not invertible and not hom
     assert are_isomorphic(A, B) is None
-    T, _, _, hom = _routes(B, A)
-    assert T is None and not hom
+    decided, T, _, _, hom = _routes(B, A)
+    assert decided and T is None and not hom
     assert are_isomorphic(B, A) is None
 
 
@@ -553,9 +559,152 @@ def test_scaled_torus_does_not_change_the_verdict(t0):
     A = _F(c, 2, (c.one, c.scalar(5)))
     B = UqModule.from_generators(c, 2, A.dim, {
         k: g.scale(c.scalar(3)) if k[0] == "t" else g for k, g in A.generators().items()})
-    T, holds, invertible, hom = _routes(A, B)
-    assert T is not None and holds and invertible and hom
+    decided, T, holds, invertible, hom = _routes(A, B)
+    assert decided and T is not None and holds and invertible and hom
     assert are_isomorphic(A, B) == T.transpose()
+
+
+def _old_standard_basis(A, B):
+    """The standard basis candidate by the route it first took: spin the
+    first generating weight line v of A under the x's, replay each word
+    from w in B, and solve S_A T = S_B by one span of the stacked rows
+    [S_A | S_B]."""
+    va, vb = module_tools.ModuleView(A), module_tools.ModuleView(B)
+    ctx, dim, wa, wb = va.ctx, va.dim, va.weights, vb.weights
+    ga, gb = (dict(zip(v.names, v.mats)) for v in (va, vb))
+    xs = [k for k in va.algebra_names if k[0] == "x"]
+    for i, w in enumerate(wa):
+        if wa.count(w) > 1:
+            continue
+        grown, images = [{i: ctx.one}], [{wb.index(w): ctx.one}]
+        basis = span(ctx, dim, grown)
+        p = 0
+        while p < len(grown):
+            for k in xs:
+                u = ga[k].apply_row(grown[p])
+                if basis.add(u):
+                    grown.append(u)
+                    images.append(gb[k].apply_row(images[p]))
+            p += 1
+        if basis.dim == dim:
+            stacked = span(ctx, 2 * dim, ({**u, **{dim + c: x for c, x in im.items()}}
+                                          for u, im in zip(grown, images)))
+            return Matrix(ctx, dim, dim, [{c - dim: x for c, x in stacked.pivots[r].items()
+                                           if c >= dim} for r in range(dim)])
+    return None
+
+
+# One pair of each shape the dictionary benchmark decides: Prop 4.7 at
+# (n, ell) = (2, 2), (2, 3), (3, 2); Prop 4.6 at n = 2, 3; Thm 7.6 on the
+# six segment shapes, each segment (coefficient, q-exponent, length).
+DICTIONARY_SHAPES = [
+    ("4.7", 2, (2, 5)), ("4.7", 2, (2, 5, 7)), ("4.7", 3, (2, 5)),
+    ("4.6", 2, (2, 7)), ("4.6", 3, (2, 7)),
+    ("7.6", 2, ((2, 0, 2),)), ("7.6", 2, ((2, 0, 1), (2, 2, 1))),
+    ("7.6", 2, ((2, 0, 1), (5, 0, 1))), ("7.6", 3, ((2, 0, 1), (2, 2, 1))),
+    ("7.6", 3, ((2, 0, 2), (5, 0, 1))), ("7.6", 3, ((2, 0, 2), (2, 3, 1))),
+]
+
+
+def _dictionary_pair(c, kind, n, params):
+    if kind == "4.7":
+        a = [c.scalar(x) for x in params]
+        return _F(c, n, a), _chain(c, n, a)
+    if kind == "4.6":
+        M1, M2 = (one_dimensional_affine_module(c, [c.scalar(x)]) for x in params)
+        return (functor_F(zelevinsky_induce(M1, M2), n, check_source=False),
+                tensor_affine_chain([functor_F(m, n, check_source=False) for m in (M1, M2)]))
+    s = make_segments(c, [(c.scalar(x) * c.q_power(e), k) for x, e, k in params])
+    factors = [irreducible_V_a(make_segments(c, [(seg.center, seg.length)]), c)[0]
+               for seg in s.segments]
+    return (functor_F(ideal_I_pi(s, c).module, n, check_source=False),
+            tensor_affine_chain([functor_F(V, n, check_source=False) for V in factors]))
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)])
+@pytest.mark.parametrize("kind, n, params", DICTIONARY_SHAPES)
+def test_one_pass_standard_basis_equals_the_old_route(t0, kind, n, params):
+    c = ScalarContext(n, t0=t0)
+    A, B = _dictionary_pair(c, kind, n, params)
+    T = _old_standard_basis(A, B)
+    assert T is not None
+    va, vb = module_tools.ModuleView(A), module_tools.ModuleView(B)
+    assert module_tools._standard_basis(va, vb) == (True, T)
+    assert are_isomorphic(A, B) == T.transpose()
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)])
+def test_relation_that_b_breaks_ends_the_spin(t0):
+    # F(M_(3,5,7)) against V(3) (x) V(5) (x) V(11): equal weights, but a
+    # word that the earlier words of A span in a weight space of
+    # multiplicity two escapes their span in B, so the spin returns None
+    # before any candidate exists
+    c = ScalarContext(2, t0=t0)
+    A = _F(c, 2, [c.scalar(x) for x in (3, 5, 7)])
+    B = _chain(c, 2, [c.scalar(x) for x in (3, 5, 11)])
+    va, vb = module_tools.ModuleView(A), module_tools.ModuleView(B)
+    assert module_tools._standard_basis(va, vb) == (True, None)
+    assert module_tools._hom_solve(va, vb) is None
+    assert are_isomorphic(A, B) is None
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)])
+def test_spin_grows_through_vectors_that_are_not_weight_vectors(t0):
+    # V(2) (x) V(5) with one entry of x-1 copied into a row of another
+    # weight: the k_i stay diagonal, but x-1 now carries a weight vector
+    # across weight spaces, so the spin grows vectors that are not weight
+    # vectors, which are never counted towards a full weight space
+    c = ScalarContext(2, t0=t0)
+    W = _chain(c, 2, (c.scalar(2), c.scalar(5)))
+    gens, wts = W.generators(), W.weights
+    r, col = next((r, k) for r, row in enumerate(gens["x-1"].rows) for k in row)
+    bent = gens["x-1"].copy()
+    bent.set_entry(next(i for i in range(W.dim) if wts[i] != wts[r]), col, c.one)
+    A = UqModule.from_generators(c, 2, W.dim, {**gens, "x-1": bent})
+    D = Matrix.diagonal(c, [c.scalar(i + 2) for i in range(W.dim)])
+    D_inv = Matrix.diagonal(c, [c.scalar(i + 2).inverse() for i in range(W.dim)])
+    B = UqModule.from_generators(c, 2, W.dim,
+                                 {k: D * g * D_inv for k, g in A.generators().items()})
+    for other, iso in ((B, True), (W, False)):
+        va, vb = module_tools.ModuleView(A), module_tools.ModuleView(other)
+        assert module_tools._standard_basis(va, vb)[0]
+        T = are_isomorphic(A, other)
+        assert (T is not None) == iso == (module_tools._hom_solve(va, vb) is not None)
+        if T is not None:
+            ga, gb = A.generators(), other.generators()
+            assert all(T * ga[k] == gb[k] * T for k in va.algebra_names)
+
+
+def _bent_sl2(c, last):
+    """A U_q(sl_2) action on three weight lines, k_1 = diag(q^2, 1, q^-2),
+    with x+1 = 0, x-1 e_0 = e_1 + e_2 and x-1 e_1 = last e_2: x-1 carries
+    the weight vector e_0 across two weight spaces."""
+    k, k_inv = (Matrix.diagonal(c, [c.q_power(2 * s), c.one, c.q_power(-2 * s)])
+                for s in (1, -1))
+    x = Matrix.from_triplets(c, 3, 3, [[1, 0, "1"], [2, 0, "1"], [2, 1, str(last)]])
+    return UqModule.from_generators(
+        c, 1, 3, {"x+1": Matrix.zero(c, 3, 3), "x-1": x, "k1": k, "k1inv": k_inv})
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)])
+def test_products_of_a_vector_that_is_not_a_weight_vector_are_never_skipped(t0):
+    # e_0 generates only through x-1 (e_1 + e_2), which is not a weight
+    # vector: its product e_2 completes the spin.  With last = 2 the one
+    # candidate intertwines x+-1 but sends e_1 to e_1 - e_2, across weights,
+    # which the entrywise check of the diagonal k_1 refutes
+    c = ScalarContext(1, t0=t0)
+    A = _bent_sl2(c, 1)
+    D = Matrix.diagonal(c, [c.scalar(2), c.scalar(3), c.scalar(5)])
+    D_inv = Matrix.diagonal(c, [c.scalar(Fraction(1, x)) for x in (2, 3, 5)])
+    B = UqModule.from_generators(c, 1, 3, {k: D * g * D_inv for k, g in A.generators().items()})
+    for other, iso in ((B, True), (_bent_sl2(c, 2), False)):
+        va, vb = module_tools.ModuleView(A), module_tools.ModuleView(other)
+        decided, T = module_tools._standard_basis(va, vb)
+        assert decided and T is not None
+        assert (are_isomorphic(A, other) is not None) == iso
+        assert (module_tools._hom_solve(va, vb) is not None) == iso
+    # T sends e_0 to e_0, so it is D / 2
+    assert are_isomorphic(A, B) == D.scale(c.scalar(Fraction(1, 2)))
 
 
 _params = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
