@@ -299,8 +299,8 @@ class RelationReport:
     failure is witnessed by the first row where they differ and the least
     column in that row, the first nonzero entry of lhs - rhs
     (``_first_difference``).  The quantum affine suite decides its Cartan
-    relations entrywise when every k_i is diagonal, with the same witness
-    (``affinization._relation_suite``).  A relation that restates another
+    relations on integer q-exponents when every k_i^(+-1) is a diagonal of
+    powers of q, with the same witness (``affinization._relation_suite``).  A relation that restates another
     takes its witness: s_i s_i^-1 = 1 the quadratic relation's, and a
     bracket-Serre relation the Serre relation's of the same pair and sign.
     """

@@ -21,11 +21,11 @@ once, on construction); x_0^+- also act on M, so the push builds and
 descends them, and rather than trusting that they descend it asserts
 outright that they carry the relations into the relations.  The full list
 of quantum affine defining relations is re-checked as exact identities on
-every module built here.  Its k_i are diagonal, so the Cartan relations are
-decided entrywise on the nonzeros of x_j: k_i x_j k_i^-1 = q^a x_j exactly
-when k_i[r,r] k_i^-1[s,s] = q^a at every nonzero (r, s) of x_j, and the
-witness of a failure is the one the matrix products would give.  A module
-with any non-diagonal k_i^(+-1), from a module file say, keeps the products.
+every module built here.  Its k_i are diagonals of powers of q (type 1), so
+the Cartan relations are decided on integer exponents: k_i x_j k_i^-1 =
+q^a x_j exactly when e_k[r] + e_kinv[s] = a at every nonzero (r, s) of x_j,
+with the witness the matrix products would give.  A module with any other
+k_i^(+-1), from a module file say, keeps the products.
 A bracket-Serre relation (a_ij = -1) is the Serre relation at p = 2, so it
 takes the witness of the Serre entry of the same (i, j, sign).
 
@@ -48,7 +48,7 @@ from .affine_hecke import (
 )
 from .linalg import Matrix, diag_inverse
 from .scalars import Scalar, ScalarContext, q_binom
-from .uq_rep import JimboImage, UqModule, jimbo_J, kron_chain, natural_rep, tensor
+from .uq_rep import JimboImage, UqModule, _q_exponents, jimbo_J, kron_chain, natural_rep, tensor
 
 
 def affine_cartan(n: int) -> list:
@@ -91,55 +91,15 @@ def _serre_words(pows: list, xj: Matrix, p: int) -> list:
     return words
 
 
-def _scalar_key(c: Scalar) -> tuple:
-    """A hashable key, equal for equal scalars: the canonical num and den."""
-    return frozenset(c.num.items()), frozenset(c.den.items())
-
-
-def _diagonal_classes(m: Matrix):
-    """(class of each diagonal entry, {scalar key: class}, the inverse of each
-    class's entry or None for 0), equal entries sharing a class; None unless
-    m is diagonal."""
-    diagonal = m.diagonal_entries()
-    if diagonal is None:
-        return None
-    index, cls, invs = {}, [], []
-    for c in diagonal:
-        key = _scalar_key(c)
-        if key not in index:
-            index[key] = len(invs)
-            invs.append(None if c.is_zero() else c.inverse())
-        cls.append(index[key])
-    return cls, index, invs
-
-
-def _conjugation_witness(kc: tuple, kinvc: tuple, x: Matrix, c: Scalar):
-    """Where k x k^-1 and c x first differ (row, least column), or None, for
-    diagonal k, k^-1 given by their ``_diagonal_classes`` and c != 0.
-
-    The (r, s) entries are k[r] x[r,s] k^-1[s] and c x[r,s], so over a field
-    they differ exactly at the nonzeros of x with k^-1[s] != c / k[r]: one
-    product per class of k, then an integer compare per nonzero.
-    """
-    kcls, _, kinvs = kc
-    icls, index, _ = kinvc
-    want = [-1 if inv is None else index.get(_scalar_key(c * inv), -1) for inv in kinvs]
-    for r, row in enumerate(x.rows):
-        w = want[kcls[r]]
-        bad = [s for s in row if icls[s] != w]
-        if bad:
-            return r, min(bad)
-    return None
-
-
 def _relation_suite(ctx, labels, cartan, xp, xm, k, kinv, dim):
     """Every defining relation for the given Cartan datum, as (name, witness).
 
     A relation stated by two matrix sides is witnessed by
-    ``_first_difference``.  When every k_i^(+-1) is diagonal, the Cartan
-    relations are decided entrywise instead, with the same witness: k_i x
-    k_i^-1 = c x on the nonzeros of x (``_conjugation_witness``), k_i k_i^-1
-    = 1 as k_i 1 k_i^-1 = 1, and diagonal matrices commute.  The Serre
+    ``_first_difference``.  When every k_i^(+-1) is a diagonal of powers of
+    q, with exponents e_k, e_kinv (``uq_rep._q_exponents``), the Cartan
+    relations take the same witness from them: k x k^-1 = q^a x fails
+    exactly at the nonzeros (r, s) of x with e_k[r] + e_kinv[s] != a, k k^-1
+    = 1 is the case x = 1, a = 0, and diagonal matrices commute.  The Serre
     check of a pair (i, j) is made on the words x_i^r x_j x_i^(p-r), built
     from powers of x_i kept per sign only while i is the outer index.  A
     bracket-Serre entry is made exactly for a_ij = -1, which the affine
@@ -151,29 +111,33 @@ def _relation_suite(ctx, labels, cartan, xp, xm, k, kinv, dim):
     eye = Matrix.identity(ctx, dim)
     qdenom_inv = (ctx.q - ctx.q_power(-1)).inverse()
     idx = range(len(labels))
-    classes = [_diagonal_classes(m) for m in k + kinv]
-    diagonal = None not in classes
+    exps = [_q_exponents(m) for m in k + kinv]
+    on_exponents = None not in exps
 
-    def conj(i, x, c):  # k_i x k_i^-1 = c x
-        if diagonal:
-            return _conjugation_witness(classes[i], classes[len(k) + i], x, c)
-        return _first_difference(k[i] * x * kinv[i], x.scale(c))
+    def conj(i, x, a):  # k_i x k_i^-1 = q^a x
+        if not on_exponents:
+            return _first_difference(k[i] * x * kinv[i], x.scale(ctx.q_power(a)))
+        ek, ekinv = exps[i], exps[len(k) + i]
+        for r, row in enumerate(x.rows):
+            bad = [s for s in row if ek[r] + ekinv[s] != a]
+            if bad:
+                return r, min(bad)
+        return None
 
     for i in idx:
-        yield (f"k{labels[i]}*k{labels[i]}inv=1",
-               conj(i, eye, ctx.one) if diagonal else _first_difference(k[i] * kinv[i], eye))
+        yield f"k{labels[i]}*k{labels[i]}inv=1", conj(i, eye, 0)
     for i in idx:
         for j in idx:
             if i < j:
                 yield (f"k{labels[i]}*k{labels[j]} commute",
-                       None if diagonal else _first_difference(k[i] * k[j], k[j] * k[i]))
+                       None if on_exponents else _first_difference(k[i] * k[j], k[j] * k[i]))
     for i in idx:
         for j in idx:
             a = cartan[i][j]
             yield (f"k{labels[i]} x+{labels[j]} k{labels[i]}inv = q^{a} x+{labels[j]}",
-                   conj(i, xp[j], ctx.q_power(a)))
+                   conj(i, xp[j], a))
             yield (f"k{labels[i]} x-{labels[j]} k{labels[i]}inv = q^{-a} x-{labels[j]}",
-                   conj(i, xm[j], ctx.q_power(-a)))
+                   conj(i, xm[j], -a))
     for i in idx:
         for j in idx:
             if i == j:

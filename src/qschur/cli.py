@@ -184,6 +184,13 @@ def _segments_or_die(ctx, spec, n, force):
     return segs
 
 
+def _segment_modules(args) -> tuple:
+    """(V_a, F(V_a)) for the --segments list, refused as _segments_or_die says."""
+    ctx = _context(args, args.n)
+    vmod, _, _ = irreducible_V_a(_segments_or_die(ctx, args.segments, args.n, args.force), ctx)
+    return vmod, functor_F(vmod, args.n)
+
+
 def _load_module(ctx, path):
     try:
         with open(path) as fh:
@@ -222,16 +229,13 @@ def _report_relations(report, as_json) -> int:
 
 def cmd_relations(args) -> int:
     n = args.n
-    ctx = _context(args, n)
     if bool(args.segments) == bool(args.module_file):
         print("need exactly one of --segments / --module-file", file=sys.stderr)
         return USAGE_ERROR
     if args.segments:
-        segs = _segments_or_die(ctx, args.segments, n, args.force)
-        vmod, _, _ = irreducible_V_a(segs, ctx)
-        W = functor_F(vmod, n)
+        _, W = _segment_modules(args)
     else:
-        mod = _load_module(ctx, args.module_file)
+        mod = _load_module(_context(args, n), args.module_file)
         if isinstance(mod, UqModule):
             W = mod
             if not W.is_affine():
@@ -251,12 +255,8 @@ def cmd_relations(args) -> int:
 
 
 def cmd_build(args) -> int:
-    n = args.n
-    ctx = _context(args, n)
-    segs = _segments_or_die(ctx, args.segments, n, args.force)
-    vmod, _, _ = irreducible_V_a(segs, ctx)
-    W = functor_F(vmod, n)
-    out = {"n": n, "segments": args.segments, "V_a": vmod.to_json(), "F": W.to_json()}
+    vmod, W = _segment_modules(args)
+    out = {"n": args.n, "segments": args.segments, "V_a": vmod.to_json(), "F": W.to_json()}
     print(json.dumps(out, indent=2))
     return 0
 
@@ -316,11 +316,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_character(args) -> int:
-    n = args.n
-    ctx = _context(args, n)
-    segs = _segments_or_die(ctx, args.segments, n, args.force)
-    vmod, _, _ = irreducible_V_a(segs, ctx)
-    W = functor_F(vmod, n)
+    _, W = _segment_modules(args)
     table = character(W)
     if args.json:
         print(json.dumps({"dim": W.dim,

@@ -83,17 +83,15 @@ class ModuleView:
         Norton's test: a submodule meeting the generalised eigenspace meets
         the line, and one missing it is annihilated by the dual eigenspace.
         In order: the -1 and q^2 eigenspaces of each sigma_i of a Hecke
-        module, the weight spaces (_weights), lines first, then the
-        Jucys-Murphy spaces.
+        module, the weight spaces (_weights), lines first and ties in the
+        order their weights first occur, then the Jucys-Murphy spaces.  The
+        weight spaces of a diagonal family are the groups of indices that
+        share a weight, as unit vectors; a triangular one solves for them.
         """
         ctx, dim = self.ctx, self.dim
         eye = Matrix.identity(ctx, dim)
 
         def kernels(thetas):
-            if all(t.diagonal_entries() is not None for t in thetas):
-                # diagonal: the kernels are unit vectors, found without elimination
-                units = [{i: ctx.one} for i in range(dim) if not any(t.rows[i] for t in thetas)]
-                return units, lambda: units
             return (column_kernel(_stack([t.transpose() for t in thetas])),
                     lambda: column_kernel(_stack(thetas)))
 
@@ -102,8 +100,16 @@ class ModuleView:
             for theta in (s + eye, s - eye.scale(ctx.q_power(2))):
                 yield kernels([theta])
         family, weights = self._weights()
-        for _, w in sorted(weights, key=lambda g: g[0]):  # lines first
-            yield kernels([m - eye.scale(c) for m, c in zip(family, w)])
+        groups: dict = {}
+        for i, w in enumerate(weights):
+            groups.setdefault(w, []).append(i)
+        diagonal = all(m.diagonal_entries() is not None for m in family)
+        for w, group in sorted(groups.items(), key=lambda g: len(g[1])):  # lines first
+            if diagonal:
+                units = [{i: ctx.one} for i in group]
+                yield units, lambda units=units: units
+            else:
+                yield kernels([m - eye.scale(c) for m, c in zip(family, w)])
         for thetas, basis in self._jucys_murphy_spaces(sigmas):
             yield basis.rows, lambda thetas=thetas: column_kernel(_stack(thetas))
 
@@ -111,18 +117,13 @@ class ModuleView:
         """(family, weights): commuting matrices whose eigenvalues are their
         diagonal entries, the y_j^(+-1) of a Hecke module if all are lower or
         all upper triangular, else the diagonal ones (the k_i and t_r of a
-        U_q-module); each tuple w of diagonal entries as (count, w), count
-        the number of indices carrying w, its generalised eigenspace's dim."""
+        U_q-module); and the tuple of the family's diagonal entries at each
+        index, its weight ([] for an empty family)."""
         ys = [m for k, m in zip(self.names, self.mats) if k[0] == "y"]
         family = ys if ys and any(all(_triangular(m, lo) for m in ys) for lo in (True, False)) \
             else [m for m in self.mats if m.diagonal_entries() is not None]
-        diagonals = [tuple(m.entry(i, i) for m in family)
-                     for i in range(self.dim if family else 0)]
-        weights: list = []
-        for w in diagonals:
-            if w not in weights:
-                weights.append(w)
-        return family, [(diagonals.count(w), w) for w in weights]
+        return family, [tuple(m.entry(i, i) for m in family)
+                        for i in range(self.dim if family else 0)]
 
     def _jucys_murphy_spaces(self, sigmas) -> list:
         """The joint eigenspaces of L_2, ..., L_ell as (thetas, basis) pairs,

@@ -312,7 +312,9 @@ class Scalar:
     """An element of Q(t) in canonical reduced form.
 
     Immutable; all operations return fresh values, so scalars are safe to
-    share across threads and to reuse inside cached matrices.
+    share across threads and to reuse inside cached matrices.  The hash is
+    that of the canonical numerator, so equal scalars hash equal, and a
+    constant hashes as the int or Fraction it is == to.
     """
 
     __slots__ = ("ctx", "num", "den")
@@ -444,17 +446,22 @@ class Scalar:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ctx.scalar(other)
         if not isinstance(other, Scalar):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self.ctx.scalar(other)
         return (
             self.ctx is other.ctx
             and self.num == other.num
             and self.den == other.den
         )
 
-    __hash__ = None  # type: ignore[assignment]
+    def __hash__(self):
+        # equal scalars have equal numerators, and the constant c has {0: c}
+        num = self.num
+        if len(num) == 1 and 0 in num:
+            return hash(num[0])
+        return hash(frozenset(num.items())) if num else 0
 
     # -- specialization and inspection --------------------------------------
 

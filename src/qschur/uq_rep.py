@@ -48,6 +48,24 @@ from .scalars import ScalarContext
 from .affine_hecke import RightModule
 
 
+def _q_exponents(m: Matrix) -> Optional[list]:
+    """The integer e[r] with m[r, r] == q^e[r] for every r, or None unless m
+    is diagonal with powers of q on its diagonal.  ``Scalar.q_exponent``
+    reads each distinct entry once, exactly on every backend."""
+    diagonal = m.diagonal_entries()
+    if diagonal is None:
+        return None
+    exps, out = {}, []
+    for c in diagonal:
+        e = exps.get(c)
+        if e is None:
+            e = exps[c] = c.q_exponent()
+            if e is None:
+                return None
+        out.append(e)
+    return out
+
+
 @dataclass
 class UqModule:
     """A finite-dimensional left module, stored as generator matrices.
@@ -85,14 +103,10 @@ class UqModule:
     @cached_property
     def weights(self) -> Optional[list]:
         """The weight of each basis vector, or None unless every k_i is
-        diagonal with q-power entries.  Each exponent is read exactly by
-        ``Scalar.q_exponent``, on every backend.  Read once and cached, so
-        the k_i must not be changed in place afterwards."""
-        diagonals = [k.diagonal_entries() for k in self.k]
-        if None in diagonals:
-            return None
-        out = [tuple(d[r].q_exponent() for d in diagonals) for r in range(self.dim)]
-        return None if any(None in w for w in out) else out
+        diagonal with q-power entries (``_q_exponents``).  Read once and
+        cached, so the k_i must not be changed in place afterwards."""
+        exps = [_q_exponents(k) for k in self.k]
+        return None if None in exps else list(zip(*exps))
 
     def generators(self) -> dict:
         out = {}

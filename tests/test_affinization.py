@@ -373,14 +373,20 @@ def _row_witness_input(W):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("perturb", [False, True, "k1", "k1inv", "k0zero", "x0row", "x1m"])
-def test_relation_suite_matches_direct_evaluation(n, perturb):
+@pytest.mark.parametrize("perturb, t0", [
+    pytest.param(p, t0, id=str(p) if t0 is None else f"{p}-t=5/3")
+    for t0 in (None, Fraction(5, 3))
+    for p in (False, True, "k1", "k1inv", "k1q", "k0zero", "x0row", "x1m")])
+def test_relation_suite_matches_direct_evaluation(n, perturb, t0):
     # perturb: nothing (False), one entry of x_0^+ (True), one diagonal entry
-    # of k_1 ("k1") or of k_1^-1 ("k1inv"), a zero diagonal entry of k_0
-    # ("k0zero"), two entries of one row of x_0^+ ("x0row"), or one entry of
-    # x_1^- ("x1m"); every k stays diagonal, so the Cartan relations take the
-    # entrywise route
-    c = ScalarContext(n)
+    # of k_1 plus one ("k1") or of k_1^-1 ("k1inv"), one diagonal entry of
+    # k_1 times q ("k1q"), a zero diagonal entry of k_0 ("k0zero"), two
+    # entries of one row of x_0^+ ("x0row"), or one entry of x_1^- ("x1m").
+    # Every k stays diagonal.  "k1", "k1inv" and "k0zero" leave an entry
+    # that is no power of q, so the Cartan relations take the matrix
+    # products; the other inputs keep every k a diagonal of powers of q, so
+    # they are decided on exponents
+    c = ScalarContext(n, t0=t0)
     W = functor_F(universal_module(c, (c.scalar(2), c.scalar(Fraction(-3, 4)))), n,
                   check_source=False)
     if perturb is True:
@@ -389,6 +395,10 @@ def test_relation_suite_matches_direct_evaluation(n, perturb):
         W = _with(W, k1=_perturbed(W.k[0], c, 0, 0))
     elif perturb == "k1inv":
         W = _with(W, k1inv=_perturbed(W.kinv[0], c, 0, 0))
+    elif perturb == "k1q":
+        k1 = W.k[0].copy()
+        k1.set_entry(0, 0, k1.entry(0, 0) * c.q)
+        W = _with(W, k1=k1)
     elif perturb == "k0zero":
         k0 = W.k0.copy()
         k0.set_entry(1, 1, c.zero)
@@ -409,7 +419,7 @@ def test_relation_suite_matches_direct_evaluation(n, perturb):
     if perturb is True:
         assert any(name.startswith("serre(") for name in failed)
         assert n == 1 or any(name.startswith("bracket-serre") for name in failed)
-    elif perturb in ("k1", "k1inv"):
+    elif perturb in ("k1", "k1inv", "k1q"):
         assert {"k1*k1inv=1", "[x+1,x-1]=(k-kinv)/(q-qinv)"} <= failed
         assert any(name.startswith("k1 x+") for name in failed)
         assert dict((name, pos) for name, _, pos in got)["k1*k1inv=1"] == (0, 0)

@@ -385,6 +385,25 @@ def test_rational_backend_matches_reference(x, y):
     assert (a * b).num == ({0: x * y} if x * y else {})
 
 
+@pytest.mark.parametrize("c", [_CTX, _RATIONAL], ids=["symbolic", "t=5/3"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_equal_scalars_hash_equal(c, data):
+    a, b = data.draw(scalars_strategy(c)), data.draw(scalars_strategy(c))
+    for x, y in ((a + b, b + a), (a * b, b * a), ((a + b) - b, a)):
+        assert x == y and hash(x) == hash(y)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)], ids=["symbolic", "t=5/3"])
+def test_constants_hash_as_the_numbers_they_equal(t0):
+    c = ScalarContext(2, t0=t0)
+    for x, y in ((c.scalar(3), 3), (c.scalar(Fraction(1, 2)), Fraction(1, 2)), (c.zero, 0),
+                 (Scalar(c, {0: 3}, {0: 1}), c.scalar(3))):
+        assert x == y and hash(x) == hash(y)
+
+
 @pytest.mark.parametrize("t0", [None, Fraction(5, 3)], ids=["symbolic", "t=5/3"])
 def test_integral_coefficients_are_ints(t0):
     c = ScalarContext(2, t0=t0)
