@@ -4,7 +4,10 @@ Submodule spinning, sub- and quotient modules on a stable subspace, a
 Meataxe-style irreducibility decision with checkable certificates,
 isomorphism testing, and characters.  Irreducibility samples nothing:
 Norton's test runs on eigenspaces whose eigenvalues are known in advance
-(``ModuleView.eigenspaces``), then the density test.  Isomorphism of
+(``ModuleView.eigenspaces``), then the density test.  Every spin of a
+module whose weight family is diagonal is weight-graded (``spin``): it
+never forms a product that provably cannot grow the span, so it returns
+the same subspace with fewer products.  Isomorphism of
 U_q-modules whose weights are known is decided by Parker's standard basis,
 spun over A and B together in one weight-graded pass: a weight line that
 generates A leaves one candidate intertwiner, which is checked exactly.
@@ -15,7 +18,8 @@ re-checked with plain linear algebra.
 
 Every algorithm reads a module through its ``ModuleView``, the one place
 that tells right Hecke modules from left U_q-modules.  The view transposes
-the latter's matrices (invariant subspaces are unchanged), so one
+the latter's matrices (invariant subspaces are unchanged), all but the
+diagonal ones, which are their own transposes and are shared, so one
 right-action code path serves both species.  A U_q-module's weights, which
 choose the standard basis's lines and restrict the unknowns of a Hom solve,
 are read off its k_i, so no wrong label can change an isomorphism verdict
@@ -25,7 +29,7 @@ either.
 from __future__ import annotations
 
 import random
-from collections import Counter
+from functools import cached_property
 from itertools import islice
 from typing import Optional
 
@@ -41,6 +45,7 @@ class ModuleView:
 
     ``mats`` act on row vectors, one per generator in ``names``;
     ``signature`` is the descriptor's ``algebra`` key with ``ell`` or ``n``;
+    ``diagonals`` hold each one's diagonal entries, None if it has others;
     ``weights`` are a U_q-module's, read off its k_i (None for a right
     module or when the k_i are not diagonal).  ``algebra_names`` leave out
     the t_r: they act by the gl_{n+1} torus, which is not in U_q(sl_{n+1}),
@@ -54,7 +59,11 @@ class ModuleView:
         gens = mod.generators()
         self.ctx, self.dim = mod.ctx, mod.dim
         self.names = list(gens)
-        self.mats = [self.native(m) for m in gens.values()]
+        self._own = list(gens.values())
+        self.diagonals = [m.diagonal_entries() for m in self._own]
+        self.mats = [m if d is not None else self.native(m)
+                     for m, d in zip(self._own, self.diagonals)]
+        self._gradings: dict = {}
         if self._left:
             self.signature = ("Uq-affine" if mod.is_affine() else "Uq", mod.n)
             self.weights = mod.weights
@@ -64,8 +73,27 @@ class ModuleView:
         self.algebra_names = [k for k in self.names if not k.startswith("t")]
 
     def native(self, m: Matrix) -> Matrix:
-        """A right-action matrix in the species' own convention, and back."""
-        return m.transpose() if self._left else m
+        """A right-action matrix in the species' own convention, and back.
+        A diagonal matrix is its own transpose and comes back unchanged, so
+        the view shares a U_q-module's k_i, k_i^-1 and t_r read-only."""
+        return m.transpose() if self._left and m.diagonal_entries() is None else m
+
+    @cached_property
+    def transposes(self) -> list:
+        """The transposes of mats, for the dual spin: a U_q-module's own
+        matrices, else made once."""
+        return self._own if self._left else [m.transpose() for m in self.mats]
+
+    def grading(self, dual: bool = False) -> Optional["_Grading"]:
+        """The weight grading spin skips products by, for mats or (dual)
+        their transposes: None unless the weight family (_weights) is
+        diagonal, and then its generators rescale each weight vector.
+        Built once per view and direction."""
+        if dual not in self._gradings:
+            family, weights, diagonal = self._weights
+            mats = self.transposes if dual else self.mats
+            self._gradings[dual] = _Grading(weights, mats, family) if family and diagonal else None
+        return self._gradings[dual]
 
     def rebuild(self, mats, dim: int):
         """The module of this species acting by the right-action mats."""
@@ -99,31 +127,34 @@ class ModuleView:
         for s in sigmas:
             for theta in (s + eye, s - eye.scale(ctx.q_power(2))):
                 yield kernels([theta])
-        family, weights = self._weights()
+        family, weights, diagonal = self._weights
         groups: dict = {}
         for i, w in enumerate(weights):
             groups.setdefault(w, []).append(i)
-        diagonal = all(m.diagonal_entries() is not None for m in family)
         for w, group in sorted(groups.items(), key=lambda g: len(g[1])):  # lines first
             if diagonal:
                 units = [{i: ctx.one} for i in group]
                 yield units, lambda units=units: units
             else:
-                yield kernels([m - eye.scale(c) for m, c in zip(family, w)])
+                yield kernels([self.mats[g] - eye.scale(c) for g, c in zip(family, w)])
         for thetas, basis in self._jucys_murphy_spaces(sigmas):
             yield basis.rows, lambda thetas=thetas: column_kernel(_stack(thetas))
 
+    @cached_property
     def _weights(self) -> tuple:
-        """(family, weights): commuting matrices whose eigenvalues are their
-        diagonal entries, the y_j^(+-1) of a Hecke module if all are lower or
-        all upper triangular, else the diagonal ones (the k_i and t_r of a
-        U_q-module); and the tuple of the family's diagonal entries at each
-        index, its weight ([] for an empty family)."""
-        ys = [m for k, m in zip(self.names, self.mats) if k[0] == "y"]
-        family = ys if ys and any(all(_triangular(m, lo) for m in ys) for lo in (True, False)) \
-            else [m for m in self.mats if m.diagonal_entries() is not None]
-        return family, [tuple(m.entry(i, i) for m in family)
-                        for i in range(self.dim if family else 0)]
+        """(family, weights, diagonal): the indices of commuting generators
+        whose eigenvalues are their diagonal entries, the y_j^(+-1) of a
+        Hecke module if all are lower or all upper triangular, else the
+        diagonal ones (the k_i and t_r of a U_q-module); the tuple of the
+        family's diagonal entries at each index, its weight ([] for an empty
+        family); and whether the family is diagonal."""
+        ys = [g for g, k in enumerate(self.names) if k[0] == "y"]
+        family = ys if ys and any(all(_triangular(self.mats[g], lo) for g in ys)
+                                  for lo in (True, False)) \
+            else [g for g, d in enumerate(self.diagonals) if d is not None]
+        weights = [tuple(self.mats[g].entry(i, i) for g in family)
+                   for i in range(self.dim if family else 0)]
+        return family, weights, all(self.diagonals[g] is not None for g in family)
 
     def _jucys_murphy_spaces(self, sigmas) -> list:
         """The joint eigenspaces of L_2, ..., L_ell as (thetas, basis) pairs,
@@ -164,25 +195,87 @@ def _stack(mats) -> Matrix:
     return Matrix(mats[0].ctx, len(rows), mats[0].ncols, rows)
 
 
-def spin(ctx: ScalarContext, ambient: int, mats, vectors) -> SubspaceBasis:
+class _Grading:
+    """Which products of a weight vector cannot grow a spun subspace.
+
+    Each distinct entry of ``weights`` becomes a small int label, and a
+    weight vector is one whose support carries a single label.  ``mult``
+    counts the indices of each label; ``reach[g]`` maps a label to the
+    labels mats[g] can carry it to, read off its nonzero pattern.  A
+    generator whose index is in ``rescales`` reaches nothing: it only
+    rescales a weight vector.
+    """
+
+    def __init__(self, weights, mats, rescales=()):
+        ids: dict = {}
+        self.labels = labels = [ids.setdefault(w, len(ids)) for w in weights]
+        self.mult = [0] * len(ids)
+        for lab in labels:
+            self.mult[lab] += 1
+        self.reach = []
+        for g, m in enumerate(mats):
+            to: dict = {}
+            if g not in rescales:
+                for r, row in enumerate(m.rows):
+                    if row:
+                        to.setdefault(labels[r], set()).update(labels[c] for c in row)
+            self.reach.append({lab: tuple(ts) for lab, ts in to.items()})
+
+    def count(self, v, room: list) -> Optional[int]:
+        """The label of a nonzero weight vector v, counted off room (below),
+        or None for any other vector."""
+        labels = self.labels
+        cols = iter(v)
+        lab = labels[next(cols)]
+        if any(labels[c] != lab for c in cols):
+            return None
+        room[lab] -= 1
+        return lab
+
+    def futile(self, g: int, lab: Optional[int], room: list) -> bool:
+        """Whether mats[g] times a weight vector of label lab lies in the
+        span: every label it reaches is full.  room[t] starts at mult[t] and
+        counts the weight vectors of label t that grow the span; they are
+        independent, so at room[t] = 0 they span its weight space."""
+        return lab is not None and not any(room[t] for t in self.reach[g].get(lab, ()))
+
+
+def spin(ctx: ScalarContext, ambient: int, mats, vectors,
+         grading: Optional[_Grading] = None) -> SubspaceBasis:
     """Smallest subspace containing the vectors and stable under all mats.
 
     Right-action convention: a vector v grows the space by v * M.  Each
-    vector that grew the space is multiplied by every matrix once.
+    vector that grew the space is multiplied by every matrix once.  With a
+    grading (ModuleView.grading) a weight vector skips two kinds of product,
+    both exact: (a) a generator of the diagonal weight family, which only
+    rescales it; (b) a matrix whose every reachable weight space is full,
+    since those spaces lie in the span (_Grading.futile).  Other vectors
+    are multiplied by every matrix.  The basis is kept in RREF, so the
+    result equals the ungraded spin's.
     """
     basis = SubspaceBasis(ctx, ambient)
-    grown = [v for v in vectors if basis.add(v)]
-    for v in grown:  # the list grows while it is walked
-        for m in mats:
+    room = list(grading.mult) if grading else []
+    grown: list = []  # (vector, its label or None), in the order they grew the span
+
+    def keep(w):
+        grown.append((w, grading.count(w, room) if grading else None))
+
+    for v in vectors:
+        if basis.add(v):
+            keep(v)
+    for v, lab in grown:  # the list grows while it is walked
+        for g, m in enumerate(mats):
+            if lab is not None and grading.futile(g, lab, room):
+                continue
             w = m.apply_row(v)
             if basis.add(w):
-                grown.append(w)
+                keep(w)
     return basis
 
 
 def spin_module(mod, vector) -> SubspaceBasis:
     view = ModuleView(mod)
-    return spin(view.ctx, view.dim, view.mats, [vector])
+    return spin(view.ctx, view.dim, view.mats, [vector], view.grading())
 
 
 def submodule(mod, basis: SubspaceBasis):
@@ -246,17 +339,17 @@ def _decide_irreducibility(view: ModuleView):
         return ("reducible", v, span(ctx, dim, [v]))
     for ker, dual in view.eigenspaces():
         for v in ker:
-            sub = spin(ctx, dim, mats, [v])
+            sub = spin(ctx, dim, mats, [v], view.grading())
             if sub.dim < dim:
                 return ("reducible", v, sub)
         if len(ker) == 1:
             dker = dual()
             if len(dker) == 1:
-                dsub = spin(ctx, dim, [m.transpose() for m in mats], [dker[0]])
+                dsub = spin(ctx, dim, view.transposes, [dker[0]], view.grading(dual=True))
                 if dsub.dim < dim:
                     # the annihilator of a dual submodule is a submodule
                     gen = _annihilator(ctx, dim, dsub).rows()[0]
-                    return ("reducible", gen, spin(ctx, dim, mats, [gen]))
+                    return ("reducible", gen, spin(ctx, dim, mats, [gen], view.grading()))
                 return ("irreducible", {"kind": "norton", "nullity": 1})
     # density: the unital algebra generated by the action matrices.
     # flatten(z m) = flatten(z) (I (x) m), so spinning the flattened identity
@@ -319,8 +412,11 @@ def _vec_json(ctx, v, dim) -> list:
 
 
 def verify_submodule_certificate(mod, cert) -> bool:
-    """Re-check a reducibility certificate by spinning its vector."""
+    """Re-check a reducibility certificate by spinning its vector, with no
+    grading, so the check shares no skipped product with the decision."""
     view = ModuleView(mod)
+    if len(cert["vector"]) != view.dim:
+        return False
     v = {
         i: s
         for i, raw in enumerate(cert["vector"])
@@ -376,13 +472,13 @@ def _intertwines(va: ModuleView, vb: ModuleView, T: Matrix) -> bool:
     For diagonal ga and gb, (ga T)[r, c] = ga[r, r] T[r, c] and (T gb)[r, c]
     = T[r, c] gb[c, c], so it is checked entrywise: T must be zero wherever
     the two diagonal entries differ."""
-    ga, gb = (dict(zip(v.names, v.mats)) for v in (va, vb))
+    ga, gb = (dict(zip(v.names, zip(v.mats, v.diagonals))) for v in (va, vb))
     for k in va.algebra_names:
-        da, db = ga[k].diagonal_entries(), gb[k].diagonal_entries()
+        (ma, da), (mb, db) = ga[k], gb[k]
         if da is not None and db is not None:
             if any(da[r] != db[c] for r, row in enumerate(T.rows) for c in row):
                 return False
-        elif ga[k] * T != T * gb[k]:
+        elif ma * T != T * mb:
             return False
     return True
 
@@ -399,36 +495,29 @@ def _standard_basis(va: ModuleView, vb: ModuleView) -> tuple:
     A part reduces to zero but whose B part does not is a relation of A
     that B breaks and ends the spin with None, so every pivot lies in A,
     and once the A parts span A the pivot rows are [I | T].  A product is
-    skipped when every weight space x can carry the vector's weight to is
-    full: it holds as many grown vectors as its multiplicity, and grown
-    vectors are independent.  Vectors that are not weight vectors never
-    count and are never skipped.  The skipped products are why
-    are_isomorphic checks T.
+    skipped by spin's rule (b) on A's weights (_Grading.futile); B is not
+    spun on its own, so the skipped products are why are_isomorphic
+    checks T.
     """
     ctx, dim, wa, wb = va.ctx, va.dim, va.weights, vb.weights
     xs = [k for k in va.algebra_names if k[0] == "x"]
     ga, gb = (dict(zip(v.names, v.mats)) for v in (va, vb))
     mats = [(ga[k], gb[k]) for k in xs]
-    mult = Counter(wa)
-    reach = []  # reach[g][w]: the weights x_g can carry weight w to
-    for ma, _ in mats:
-        to: dict = {}
-        for r, row in enumerate(ma.rows):
-            to.setdefault(wa[r], set()).update(wa[c] for c in row)
-        reach.append(to)
+    grading = _Grading(wa, [ma for ma, _ in mats])
     proper: list = []  # spins of weight lines that do not generate A
-    for i, w in enumerate(wa):
+    for i, lab in enumerate(grading.labels):
         v = {i: ctx.one}
-        if mult[w] > 1 or any(min(sub.reduce(v), default=dim) >= dim for sub in proper):
+        if grading.mult[lab] > 1 or any(min(sub.reduce(v), default=dim) >= dim
+                                        for sub in proper):
             continue
-        j = wb.index(w)
+        j = wb.index(wa[i])
         pairs = SubspaceBasis(ctx, 2 * dim)
         pairs.add({i: ctx.one, dim + j: ctx.one})
-        grown = [(v, {j: ctx.one}, w)]
-        filled = Counter([w])  # grown weight vectors per weight
-        for ua, ub, wu in grown:  # the list grows while it is walked
-            for (ma, mb), to in zip(mats, reach):
-                if wu is not None and all(filled[t] == mult[t] for t in to.get(wu, ())):
+        room = list(grading.mult)
+        grown = [(v, {j: ctx.one}, grading.count(v, room))]
+        for ua, ub, lu in grown:  # the list grows while it is walked
+            for g, (ma, mb) in enumerate(mats):
+                if grading.futile(g, lu, room):
                     continue
                 a, b = ma.apply_row(ua), mb.apply_row(ub)
                 res = pairs.reduce({**a, **{dim + c: x for c, x in b.items()}})
@@ -437,11 +526,7 @@ def _standard_basis(va: ModuleView, vb: ModuleView) -> tuple:
                 if min(res) >= dim:
                     return True, None
                 pairs.add(res)
-                support = {wa[c] for c in a}
-                wn = support.pop() if len(support) == 1 else None
-                grown.append((a, b, wn))
-                if wn is not None:
-                    filled[wn] += 1
+                grown.append((a, b, grading.count(a, room)))
         if pairs.dim < dim:
             proper.append(pairs)
             continue

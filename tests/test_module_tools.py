@@ -91,16 +91,67 @@ def sweep_spin(ctx, ambient, mats, vectors):
 @pytest.mark.parametrize("n", [2, 3])
 def test_worklist_spin_matches_the_sweep_on_the_grid(t0, n):
     # the grid of the segments workload: M_(1,c) and F(M_(1,c)), c = q^2,
-    # q^-2 and a generic c; the spin of every unit vector, proper or not
+    # q^-2 and a generic c; the spin of every unit vector, proper or not,
+    # under the action and its transpose, plain and graded, and of a sum of
+    # two unit vectors of different weights, which the grading never skips
     c = ScalarContext(n, t0=t0)
     for x in (c.q_power(2), c.q_power(-2), c.scalar(Fraction(7, 3))):
         M = universal_module(c, (c.one, x))
         for mod in (M, functor_F(M, n, check_source=False)):
             view = module_tools.ModuleView(mod)
-            for i in range(view.dim):
-                v = {i: c.one}
-                assert (module_tools.spin(c, view.dim, view.mats, [v])
-                        == sweep_spin(c, view.dim, view.mats, [v]))
+            for dual in (False, True):
+                mats = view.transposes if dual else view.mats
+                grading = view.grading(dual)
+                assert (grading is None) == (mod is M)  # M's y_j are triangular, not diagonal
+                vectors = [{i: c.one} for i in range(view.dim)]
+                if grading is not None:
+                    labels = grading.labels
+                    j = next(j for j, lab in enumerate(labels) if lab != labels[0])
+                    vectors.append({0: c.one, j: c.one})
+                for v in vectors:
+                    want = sweep_spin(c, view.dim, mats, [v])
+                    assert module_tools.spin(c, view.dim, mats, [v]) == want
+                    assert module_tools.spin(c, view.dim, mats, [v], grading) == want
+
+
+def test_graded_spin_skips_the_products_that_cannot_grow(monkeypatch):
+    # F(M_(1,q^2)) is reducible; its weight lines are spun by the decision
+    c = ScalarContext(2)
+    V = functor_F(universal_module(c, (c.one, c.q_power(2))), 2, check_source=False)
+    view = module_tools.ModuleView(V)
+    grading = view.grading()
+    line = {grading.labels.index(grading.mult.index(1)): c.one}  # a weight that occurs once
+    diagonal = [m for m in view.mats if m.diagonal_entries() is not None]
+    assert diagonal
+    applied = []
+    apply_row = Matrix.apply_row
+
+    def counting(self, v):
+        applied.append(self)
+        return apply_row(self, v)
+
+    monkeypatch.setattr(Matrix, "apply_row", counting)
+    graded = module_tools.spin(c, view.dim, view.mats, [line], grading)
+    products = len(applied)
+    assert not any(m is d for m in applied for d in diagonal)
+    applied.clear()
+    plain = module_tools.spin(c, view.dim, view.mats, [line])
+    assert products < len(applied)
+    assert graded == plain
+
+
+def test_decisions_leave_the_module_unchanged():
+    # the view shares a U_q-module's diagonal generators read-only
+    c = ScalarContext(2)
+    for x in (c.q_power(2), c.scalar(Fraction(7, 3))):
+        V = functor_F(universal_module(c, (c.one, x)), 2, check_source=False)
+        saved = V.to_json()
+        assert any(m is k for m in module_tools.ModuleView(V).mats for k in V.k)
+        is_irreducible(V)
+        assert UqModule.from_json(c, saved) == V
+        W = UqModule.from_json(c, saved)
+        assert are_isomorphic(V, W) is not None
+        assert UqModule.from_json(c, saved) == V == W
 
 
 def test_natural_rep_irreducible(ctx):
@@ -250,6 +301,12 @@ def test_tensor_square_reducible(ctx, vv):
     ok, cert = is_irreducible(vv)
     assert not ok
     assert verify_submodule_certificate(vv, cert)
+
+
+def test_certificate_vector_of_the_wrong_length_is_refused(ctx, vv):
+    _, cert = is_irreducible(vv)
+    for vector in (cert["vector"] + ["0"], cert["vector"][:-1], cert["vector"] + ["1"]):
+        assert not verify_submodule_certificate(vv, {**cert, "vector": vector})
 
 
 def test_universal_module_grid():
