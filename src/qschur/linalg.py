@@ -119,9 +119,12 @@ class Matrix:
 
     def diagonal_entries(self) -> Optional[list]:
         """The diagonal, zeros included, or None if any entry lies off it."""
-        if any(r.keys() - {i} for i, r in enumerate(self.rows)):
-            return None
-        return [r.get(i, self.ctx.zero) for i, r in enumerate(self.rows)]
+        zero, out = self.ctx.zero, []
+        for i, r in enumerate(self.rows):
+            if len(r) > 1 or (r and i not in r):
+                return None
+            out.append(r.get(i, zero))
+        return out
 
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows)
@@ -175,10 +178,10 @@ class Matrix:
         m = Matrix(self.ctx, self.nrows * other.nrows, self.ncols * other.ncols)
         for i, r in enumerate(self.rows):
             for j, c in r.items():
+                unit, base = c.is_one(), j * other.ncols
                 for i2, r2 in enumerate(other.rows):
-                    row = m.rows[i * other.nrows + i2]
-                    for j2, c2 in r2.items():
-                        row[j * other.ncols + j2] = c * c2
+                    m.rows[i * other.nrows + i2].update(
+                        {base + j2: c2 if unit else c * c2 for j2, c2 in r2.items()})
         return m
 
     # -- vector action -----------------------------------------------------------

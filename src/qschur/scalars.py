@@ -33,6 +33,11 @@ TAOCP vol. 2, 4.5.1), with n/d, n1/d1, n2/d2 canonical and p a polynomial:
 * anything else (parsing) goes through ``_canon``: one gcd, then
   ``_normalize`` (shift and monic).
 
+Before any of these, + and * take a fast path for the operands they mostly
+see, two monomials c1 t^e1 and c2 t^e2 over ``_DEN_ONE`` (every constant
+included): the product is c1 c2 t^(e1+e2), and the sum is one term, zero
+or the two terms, with no coercion, dict merge or gcd.
+
 Every gcd and exact division runs in the q-grading: after the Laurent shift,
 with s the gcd of all exponents of both polynomials, it runs on coefficient
 lists in u = t^s (s = 2(n+1) for the q-polynomials of this package), which
@@ -114,6 +119,8 @@ class ScalarContext:
 
     def q_power(self, r) -> "Scalar":
         """q^r for rational r with r * 2(n+1) integral."""
+        if type(r) is int:
+            return self.t_power(r * self.e)
         m = Fraction(r) * self.e
         if m.denominator != 1:
             raise ValueError(
@@ -339,7 +346,7 @@ class Scalar:
         return not self.num
 
     def is_one(self) -> bool:
-        return self.den is _DEN_ONE and self.num == {0: 1}
+        return self.den is _DEN_ONE and self.num == _DEN_ONE  # the numerator {0: 1}
 
     def __bool__(self):
         return bool(self.num)
@@ -347,6 +354,22 @@ class Scalar:
     # -- field operations --------------------------------------------------
 
     def __add__(self, other):
+        n1 = self.num
+        if (type(other) is Scalar and other.ctx is self.ctx and len(n1) == 1
+                and len(n2 := other.num) == 1 and self.den is _DEN_ONE
+                and other.den is _DEN_ONE):
+            # monomials c1 t^e1 + c2 t^e2: no coercion, no dict merge
+            e1, = n1
+            e2, = n2
+            c1, c2 = n1[e1], n2[e2]
+            if e1 != e2:
+                return Scalar(self.ctx, {e1: c1, e2: c2}, _DEN_ONE)
+            c = c1 + c2
+            if not c:
+                return self.ctx._zero
+            if type(c) is not int and c.denominator == 1:
+                c = c.numerator
+            return Scalar(self.ctx, {e1: c}, _DEN_ONE)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -398,6 +421,17 @@ class Scalar:
         return (-self) + other
 
     def __mul__(self, other):
+        n1 = self.num
+        if (type(other) is Scalar and other.ctx is self.ctx and len(n1) == 1
+                and len(n2 := other.num) == 1 and self.den is _DEN_ONE
+                and other.den is _DEN_ONE):
+            # monomials: (c1 t^e1)(c2 t^e2) = c1 c2 t^(e1+e2), never zero
+            e1, = n1
+            e2, = n2
+            c = n1[e1] * n2[e2]
+            if type(c) is not int and c.denominator == 1:
+                c = c.numerator
+            return Scalar(self.ctx, {e1 + e2: c}, _DEN_ONE)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -287,3 +288,67 @@ def test_scale_by_unit_matches_entrywise(unit, t0):
     # the result is a fresh matrix: changing it leaves m alone
     got.set_entry(1, 0, c.one)
     assert m.entry(1, 0).is_zero() and m.nnz() == 3
+
+
+def _rows_by_add_scaled(m, v):
+    """v . m accumulated one row of m at a time: the reference for apply_row."""
+    out = {}
+    for i, c in v.items():
+        add_scaled(out, m.rows[i], c)
+    return out
+
+
+def _sample_matrix(c):
+    # rows with several entries, one entry (on and off the diagonal) and none
+    t = c.t_power(1)
+    m = Matrix(c, 4, 3)
+    for (i, j), x in {(0, 0): t, (0, 2): c.scalar(Fraction(1, 2)), (0, 1): -c.one,
+                      (1, 1): (t + 1).inverse(), (2, 0): c.scalar(-4)}.items():
+        m.set_entry(i, j, x)
+    return m
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)], ids=["symbolic", "t=5/3"])
+def test_apply_row_matches_row_by_row_reference(t0):
+    c = ScalarContext(2, t0=t0)
+    m = _sample_matrix(c)
+    coeffs = [c.one, -c.one, c.scalar(3), c.scalar(Fraction(-2, 7)), c.t_power(2)]
+    vectors = [{}] + [{k: x} for k in range(4) for x in coeffs]
+    vectors += [{0: x, 1: y, 3: x} for x in coeffs for y in coeffs]
+    vectors += [{0: c.scalar(4), 2: c.t_power(1)}]  # 4t - 4t cancels at column 0
+    for v in vectors:
+        assert m.apply_row(v) == _rows_by_add_scaled(m, v)
+    assert 0 not in m.apply_row(vectors[-1])
+    left = Matrix(c, len(vectors), 4, [dict(v) for v in vectors])
+    assert (left * m).rows == [_rows_by_add_scaled(m, v) for v in vectors]
+    assert not any(x.is_zero() for r in (left * m).rows for x in r.values())
+    # a unit coefficient returns a copy of the row, not the row itself
+    got = m.apply_row({0: c.one})
+    got[1] = c.scalar(9)
+    assert m.entry(0, 1) == -c.one
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)], ids=["symbolic", "t=5/3"])
+def test_kron_with_identity_factors_is_entrywise(t0):
+    c = ScalarContext(2, t0=t0)
+    m = _sample_matrix(c)
+    eye = Matrix.identity(c, 2)
+    for a, b in ((m, eye), (eye, m), (eye, eye), (m, m.transpose())):
+        want = Matrix(c, a.nrows * b.nrows, a.ncols * b.ncols)
+        for i, j, i2, j2 in itertools.product(range(a.nrows), range(a.ncols),
+                                              range(b.nrows), range(b.ncols)):
+            want.set_entry(i * b.nrows + i2, j * b.ncols + j2, a.entry(i, j) * b.entry(i2, j2))
+        got = a.kron(b)
+        assert got == want
+        got.set_entry(0, 0, c.scalar(7))  # the factors are left alone
+        assert a.entry(0, 0) != c.scalar(7) and b.entry(0, 0) != c.scalar(7)
+
+
+def test_diagonal_entries(ctx):
+    two = ctx.scalar(2)
+    assert Matrix.diagonal(ctx, [two, ctx.zero, -two]).diagonal_entries() == [two, ctx.zero, -two]
+    assert Matrix.zero(ctx, 2, 2).diagonal_entries() == [ctx.zero, ctx.zero]
+    assert _m(ctx, [[1, 0], [1, 0]]).diagonal_entries() is None  # one entry, off the diagonal
+    assert _m(ctx, [[1, 0], [0, 0], [0, 1]]).diagonal_entries() is None
+    assert _m(ctx, [[1, 0], [0, 1]]).diagonal_entries() == [ctx.one, ctx.one]
+    assert _m(ctx, [[0, 0], [3, 4]]).diagonal_entries() is None  # two entries in a row

@@ -326,7 +326,9 @@ def _operands(draw):
     poly = _laurent(grading)
     one = {0: Fraction(1)}
     kind = draw(st.sampled_from(["free", "equal-den", "shared-factor", "cancelling-sum",
-                                 "poly", "monomial"]))
+                                 "poly", "monomial", "two-monomials"]))
+    if kind == "two-monomials":
+        return draw(_monomial_pair(_CTX, _exponents(grading)))
     if kind == "free":
         return _make(_CTX, draw(poly), draw(poly)), _make(_CTX, draw(poly), draw(poly))
     if kind == "equal-den":
@@ -352,6 +354,25 @@ def _operands(draw):
     return _make(_CTX, {e: c}, one), _make(_CTX, draw(poly), draw(poly))
 
 
+_UNITS_AND_OTHERS = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-4, 3)]) | _nonzero
+
+
+@st.composite
+def _monomial_pair(draw, ctx, exponents):
+    """c1 t^e1 and c2 t^e2, the operands of the monomial fast paths: exponents
+    free or equal, and a sum that may cancel, with coefficients +-1, other
+    ints and Fractions."""
+    e1, c1 = draw(exponents), draw(_UNITS_AND_OTHERS)
+    e2, c2 = draw(exponents), draw(_UNITS_AND_OTHERS)
+    how = draw(st.sampled_from(["free", "equal-exponent", "cancelling"]))
+    if how != "free":
+        e2 = e1
+    if how == "cancelling":
+        c2 = -c1
+    one = {0: Fraction(1)}
+    return _make(ctx, {e1: c1}, one), _make(ctx, {e2: c2}, one)
+
+
 def _check_field_operations(a: Scalar, b: Scalar) -> None:
     neg_b = _make(b.ctx, {e: -c for e, c in b.num.items()}, b.den)
     for x, y in ((a, b), (b, a)):
@@ -365,6 +386,10 @@ def _check_field_operations(a: Scalar, b: Scalar) -> None:
                 _assert_is(y ** k, _ref_pow(y, k))
     _assert_is(a - b, _ref_add(a, neg_b))
     _assert_is(a + neg_b, _ref_add(a, neg_b))
+    if (not a + b and len(a.num) == len(b.num) == 1
+            and a.den is _DEN_ONE and b.den is _DEN_ONE):
+        # two monomials that cancel give the context's own zero
+        assert a + b is a.ctx.zero
 
 
 @settings(max_examples=100, deadline=None)
@@ -383,6 +408,42 @@ def test_rational_backend_matches_reference(x, y):
     a, b = _RATIONAL.scalar(x), _RATIONAL.scalar(y)
     _check_field_operations(a, b)
     assert (a * b).num == ({0: x * y} if x * y else {})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_monomial_pair(_RATIONAL, st.just(0)))
+def test_rational_monomial_fast_paths_match_reference(pair):
+    # a t0 backend holds constants only: every operand is c t^0; the
+    # symbolic monomials are the two-monomials kind of _operands
+    _check_field_operations(*pair)
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)], ids=["symbolic", "t=5/3"])
+def test_monomial_operands_of_other_kinds(t0):
+    c, other = ScalarContext(2, t0=t0), ScalarContext(2, t0=t0)
+    x = c.scalar(-3) * c.t_power(1)
+    for y in (2, -1, Fraction(2, 3), Fraction(-4, 2)):
+        assert x + y == y + x == x + c.scalar(y)
+        assert x * y == y * x == x * c.scalar(y)
+        assert x - y == x + c.scalar(-y) and x / y == x * c.scalar(y).inverse()
+    for y in (other.scalar(2), other.t_power(1)):
+        for op in (lambda u, v: u + v, lambda u, v: u * v):
+            with pytest.raises(ValueError, match="different contexts"):
+                op(x, y)
+            with pytest.raises(ValueError, match="different contexts"):
+                op(y, x)
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)], ids=["symbolic", "t=5/3"])
+def test_q_power_of_an_int_matches_the_rational_route(t0):
+    c = ScalarContext(2, t0=t0)
+    for k in range(-6, 7):
+        got, want = c.q_power(k), c.q_power(Fraction(k))
+        _assert_is(got, (want.num, want.den))
+    assert c.q_power(2) == c.q * c.q
+    for r in (Fraction(1, 7), Fraction(5, 4)):
+        with pytest.raises(ValueError, match="not representable"):
+            c.q_power(r)
 
 
 @pytest.mark.parametrize("c", [_CTX, _RATIONAL], ids=["symbolic", "t=5/3"])
