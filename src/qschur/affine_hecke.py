@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .linalg import Matrix, json_int, named_matrices
+from .linalg import Matrix, add_scaled, json_int, named_matrices
 from .scalars import Scalar, ScalarContext
 from .symgroup import (
     Perm,
@@ -459,8 +459,6 @@ def _induced_generator(M1: RightModule, M2: RightModule, reps, rep_index, gen):
             elt = elt.times_sigma(idx)
         else:
             elt = elt.times_y(idx[0], idx[1])
-        # group terms by target coset rep
-        blocks: dict[int, Matrix] = {}
         for (beta, u), c in elt.terms.items():
             p, dprime = coset_factorize(u, l1, l2)
             p1, p2 = split_parabolic(p, l1, l2)
@@ -468,12 +466,8 @@ def _induced_generator(M1: RightModule, M2: RightModule, reps, rep_index, gen):
             a1 = M1.act_elt(AffHeckeElt(ctx, l1, {(beta[:l1], p1): ctx.one}))
             a2 = M2.act_elt(AffHeckeElt(ctx, l2, {(beta[l1:], p2): ctx.one}))
             kp = rep_index[dprime]
-            piece = a1.kron(a2).scale(c)
-            blocks[kp] = blocks.get(kp, Matrix.zero(ctx, d1 * d2, d1 * d2)) + piece
-        for kp, piece in blocks.items():
-            for rs, row in enumerate(piece.rows):
-                for rs2, v in row.items():
-                    out.add_to_entry(rs * K + k, rs2 * K + kp, v)
+            for rs, row in enumerate(a1.kron(a2).rows):
+                add_scaled(out.rows[rs * K + k], {rs2 * K + kp: v for rs2, v in row.items()}, c)
     return out
 
 

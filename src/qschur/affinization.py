@@ -17,15 +17,16 @@ q^2).  x_0^+-, k_0 and k_0^-1 all go through
 block e_mu by the diagonal entry of (k_theta^{-1})^(x ell) at e_mu, so the
 push reads its matrix off the block scalars, which preserve the relations
 because every relation row lies in one block (``JimboImage`` asserts that
-once, on construction); x_0^+- also act on M, so the push builds and
-descends them, and rather than trusting that they descend it asserts
-outright that they carry the relations into the relations.  The full list
-of quantum affine defining relations is re-checked as exact identities on
-every module built here.  Its k_i are diagonals of powers of q (type 1), so
-the Cartan relations are decided on integer exponents: k_i x_j k_i^-1 =
-q^a x_j exactly when e_k[r] + e_kinv[s] = a at every nonzero (r, s) of x_j,
-with the witness the matrix products would give.  A module with any other
-k_i^(+-1), from a module file say, keeps the products.
+once, on construction); x_0^+- also act on M, so the push descends them
+through their images on the block ambient, and rather than trusting that
+they descend it asserts outright that they carry the relations into the
+relations.  The full list of quantum affine defining relations is re-checked
+as exact identities on every module built here.  Its k_i are diagonals of
+powers of q (type 1), so the Cartan relations are decided on integer
+exponents: k_i x_j k_i^-1 = q^a x_j exactly when e_k[r] + e_kinv[s] = a at
+every nonzero (r, s) of x_j, with the witness the matrix products would
+give.  A module with any other k_i^(+-1), from a module file say, keeps the
+products.
 A bracket-Serre relation (a_ij = -1) is the Serre relation at p = 2, so it
 takes the witness of the Serre entry of the same (i, j, sign).
 
@@ -231,7 +232,7 @@ def functor_F(M: RightModule, n: int, check_source: bool = True) -> UqModule:
     fail to preserve the subspace defining the Jimbo quotient (they cannot,
     but the invariance is asserted rather than assumed).  The four loop
     operators are handed to ``JimboImage.push_ambient_operator``, which
-    builds x_0^+- on the block ambient and descends them with that check,
+    descends x_0^+- through their images on the block ambient with that check,
     and reads the diagonal k_0^+-1 off the block scalars, which need none.
     """
     if M.kind != "Hhat":
@@ -263,9 +264,11 @@ def functor_F_map(f: Matrix, src: UqModule, dst: UqModule) -> Matrix:
     a, b = src.jimbo, dst.jimbo
     if a is None or b is None:
         raise ValueError("both modules must come from functor_F")
-    amb = Matrix.identity(f.ctx, len(a.blocks)).kron(f.transpose())
+    def image(c):  # block k's copy of row m of f
+        k, m = divmod(c, a.source.dim)
+        return {k * b.source.dim + j: x for j, x in f.rows[m].items()}
     try:
-        return a.relations.descend(amb, b.relations, check=True)
+        return a.relations.descend(image, b.relations, check=True)
     except ValueError:
         raise ValueError("map does not respect the defining subspaces") from None
 

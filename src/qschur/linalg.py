@@ -10,11 +10,12 @@ on the right (v . M); left-module actions multiply column vectors (M . v).
 form, which makes subspace equality literal equality of the pivot rows.
 The same basis is the quotient V/U: the class of v has coordinates
 ``U.coset(v)``, the reduction of v read off on the free (non-pivot)
-columns, and ``U.descend(op)`` is the map D an operator induces on V/U,
-read off the free columns.  The same square certifies it on the pivot
-columns: op carries U into U' exactly when U'.coset(op e_p) =
-D U.coset(e_p) for every pivot column p.  A vector of U has coordinates
-``U.coords(v)`` in the pivot rows.
+columns, and ``U.descend(image)`` is the map D an operator op induces on
+V/U.  It takes op by its images, ``image(c)`` = op e_c, and reads D off the
+free columns.  The same square certifies it on the pivot columns: op
+carries U into U' exactly when U'.coset(op e_p) = D U.coset(e_p) for every
+pivot column p.  A vector of U has coordinates ``U.coords(v)`` in the pivot
+rows.
 """
 
 from __future__ import annotations
@@ -343,29 +344,29 @@ class SubspaceBasis:
             return None
         return {k: v[c] for k, c in enumerate(self.pivot_columns()) if c in v}
 
-    def descend(self, op: Matrix, target: Optional["SubspaceBasis"] = None,
+    def descend(self, image, target: Optional["SubspaceBasis"] = None,
                 check: bool = False) -> Matrix:
         """The map D: ambient/self -> ambient'/target induced by op.
 
-        Column convention: op maps this ambient space to the target's, and
-        D maps quotient coordinates to quotient coordinates.  The target
-        defaults to self.  A free column is its own class, so D is read off
-        the free columns, where target.coset(op e_c) = D coset(e_c) holds by
-        construction.  With ``check``, raises ValueError unless that square
-        also commutes on every pivot column p.  coset(e_p) is the class of
-        e_p - u_p, u_p the pivot row, so the square on p says exactly that
-        op u_p lies in the target subspace.  Without it, that is the
-        caller's promise.
+        op is read by its images: ``image(c)`` = op e_c in the target's
+        ambient space, asked for once at each free column, with ``check``
+        once at each pivot column too, and nowhere else.  D maps quotient
+        coordinates to quotient coordinates.  The target defaults to self.
+        A free column is its own class, so D is read off the free columns,
+        where target.coset(op e_c) = D coset(e_c) holds by construction.
+        With ``check``, raises ValueError unless that square also commutes
+        on every pivot column p.  coset(e_p) is the class of e_p - u_p, u_p
+        the pivot row, so the square on p says exactly that op u_p lies in
+        the target subspace.  Without it, that is the caller's promise.
         """
         target = self if target is None else target
-        cols = op.transpose().rows
         out = Matrix(self.ctx, target.ambient - target.dim, self.ambient - self.dim)
         for k, c in enumerate(self.free_columns()):
-            for r, x in target.coset(cols[c]).items():
+            for r, x in target.coset(image(c)).items():
                 out.rows[r][k] = x
         if check:
             one = self.ctx.one
-            if any(target.coset(cols[p]) != out.apply_col(self.coset({p: one}))
+            if any(target.coset(image(p)) != out.apply_col(self.coset({p: one}))
                    for p in self.pivots):
                 raise ValueError("operator does not carry the subspace into its target")
         return out

@@ -301,13 +301,14 @@ def quotient(mod, basis: SubspaceBasis):
 
     With P the matrix whose row c is basis.coset(e_c), rho(g) P =
     P rho_quot(g) for a right module (transpose both sides for a UqModule).
-    Each rho_quot(g) is basis.descend of the column-convention rho(g), whose
-    check is that square on the pivot columns.  Raises ValueError if the
-    subspace is not stable.
+    Each rho_quot(g) is the transpose of basis.descend of rho(g), read by
+    its images: the rows of the right-action matrix.  descend's check is
+    that square on the pivot columns.  Raises ValueError if the subspace is
+    not stable.
     """
     view = ModuleView(mod)
     try:
-        out = [basis.descend(m.transpose(), check=True).transpose() for m in view.mats]
+        out = [basis.descend(m.rows.__getitem__, check=True).transpose() for m in view.mats]
     except ValueError:
         raise ValueError("subspace is not stable under the action") from None
     return view.rebuild(out, basis.ambient - basis.dim)

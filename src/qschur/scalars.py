@@ -112,9 +112,13 @@ class ScalarContext:
         return Scalar(self, {0: x}, _DEN_ONE)
 
     def t_power(self, k: int) -> "Scalar":
-        """The monomial t^k (a rational value on the specialized backend)."""
+        """The monomial t^k; on the specialized backend a rational, kept in ``cache``."""
         if self.t0 is not None:
-            return self.scalar(self.t0 ** k)
+            key = ("t_power", k)
+            hit = self.cache.get(key)
+            if hit is None:
+                hit = self.cache[key] = self.scalar(self.t0 ** k)
+            return hit
         return Scalar(self, {k: 1}, _DEN_ONE)
 
     def q_power(self, r) -> "Scalar":
@@ -542,21 +546,11 @@ class Scalar:
             return None
         return m if ctx.q_power(m) == self else None
 
-    def as_t_monomial(self) -> Optional[tuple]:
-        """(exponent, coefficient) if this is c * t^k, else None."""
-        if self.den is not _DEN_ONE and self.den != _DEN_ONE:
-            return None
-        if len(self.num) != 1:
+    def as_q_monomial(self) -> Optional[tuple]:
+        """(coefficient, integer q-exponent) if this is c * q^m, else None."""
+        if self.den is not _DEN_ONE or len(self.num) != 1:
             return None
         (e, c), = self.num.items()
-        return e, c
-
-    def as_q_monomial(self) -> Optional[tuple]:
-        """(coefficient, integer q-exponent) when the t-exponent divides out."""
-        m = self.as_t_monomial()
-        if m is None:
-            return None
-        e, c = m
         if e % self.ctx.e:
             return None
         return c, e // self.ctx.e

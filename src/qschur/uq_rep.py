@@ -26,8 +26,9 @@ keeps those rows, block by block, as a reduced basis: the quotient.
 (A on M, X on V^(x ell)), so J and its affine extension push all their
 generators through the same quotient.  A single diagonal 1 (x) X (the
 k_i^+-1, t_r and k_0^+-1) scales each block e_mu by X[e_mu, e_mu], and the
-push reads its quotient matrix off those scalars without forming the
-ambient operator; any other sum is built through the lift and descended.
+push reads its quotient matrix off those scalars; any other sum is
+descended through its images, each column built through the lift when
+``descend`` asks for it (``JimboImage.image``).
 Each basis tensor u is sorted once per image (``JimboImage.sort``), and V
 and V^(x ell) are built once per context, n and ell and shared through
 ``ctx.cache``, so they are read-only.
@@ -392,37 +393,41 @@ class JimboImage:
             add_scaled(acc, self.lift({m_index: self.source.ctx.one}, u, c))
         return self.relations.coset(acc)
 
-    def ambient_operator(self, terms) -> Matrix:
-        """The ambient matrix of sum (A (x) X) over the pairs (A, X) in terms.
+    def image(self, terms):
+        """The images of sum (A (x) X) over the pairs (A, X) in terms, as
+        the function c -> op e_c on the block ambient that ``descend`` reads.
 
         A is a right-action matrix on M, or None for 1; X is an operator on
-        V^(x ell) in column convention, of which only the columns X e_mu are
-        read, each once.  Column m of block e_mu collects, for every term
-        and every u with X[u, e_mu] != 0, the lift of X[u, e_mu] times
-        (row m of A) (x) u.
+        V^(x ell) in column convention, transposed once per call, of which
+        only the columns X e_mu are read.  Column m of block e_mu collects,
+        for every term and every u with X[u, e_mu] != 0, the lift of
+        X[u, e_mu] times (row m of A) (x) u.  Each column is built when it
+        is asked for, and no ambient matrix is formed.
         """
-        ctx, dim = self.source.ctx, self.source.dim
-        cols = [{} for _ in range(len(self.blocks) * dim)]
-        for A, X in terms:
-            Xt = X.transpose()
-            for e, b in self.blocks.items():
-                for u, x in Xt.rows[e].items():
-                    for m in range(dim):
-                        row = {m: ctx.one} if A is None else A.rows[m]
-                        add_scaled(cols[b * dim + m], self.lift(row, u, x))
-        return Matrix(ctx, len(cols), len(cols), cols).transpose()
+        dim, one, tensors = self.source.dim, self.source.ctx.one, list(self.blocks)
+        reads = [(A, X.transpose().rows) for A, X in terms]
+
+        def column(c):
+            b, m = divmod(c, dim)
+            out: dict = {}
+            for A, Xt in reads:
+                row = {m: one} if A is None else A.rows[m]
+                for u, x in Xt[tensors[b]].items():
+                    add_scaled(out, self.lift(row, u, x))
+            return out
+        return column
 
     def push_ambient_operator(self, terms) -> Matrix:
         """The quotient matrix of sum (A (x) X) over the pairs (A, X) in terms.
 
         A lone term (None, X) with X diagonal scales block e_mu by
         X[e_mu, e_mu] (m (x) e_mu is sorted), and a free column is its own
-        class, so its diagonal matrix is read off those scalars with no
-        ambient operator: the relations stay inside their blocks, so a block
-        scalar preserves them.  Any other sum is built by
-        ``ambient_operator`` and descended.  A sum of terms 1 (x) X, X a
-        U_q-operator, commutes with every Rcheck_i and so preserves the
-        relations; a sum with a term acting on M is certified on every call
+        class, so its diagonal matrix is read off those scalars: the
+        relations stay inside their blocks, so a block scalar preserves
+        them.  Any other sum is descended through its images (``image``).
+        A sum of terms 1 (x) X, X a U_q-operator, commutes with every
+        Rcheck_i and so preserves the relations, and only its free columns
+        are built; a sum with a term acting on M is certified on every call
         and raises ValueError if it does not carry the relations into
         themselves.
         """
@@ -433,7 +438,7 @@ class JimboImage:
                 scalars = [diagonal[e] for e in self.blocks]
                 return Matrix.diagonal(
                     self.source.ctx, [scalars[c // dim] for c in self.relations.free_columns()])
-        return self.relations.descend(self.ambient_operator(terms),
+        return self.relations.descend(self.image(terms),
                                       check=any(A is not None for A, _ in terms))
 
 

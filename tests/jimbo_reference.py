@@ -9,7 +9,9 @@ this construction's basis are asserted against it.
 
 ``reference_lift`` and ``reference_ambient_operator`` are the block
 construction with a bubble sort on every call, one sigma_p at a time; the
-library's memoized sort must agree with them entry for entry.
+library's memoized sort and the matrix of its images must agree with them
+entry for entry.  The reference matrices reach ``SubspaceBasis.descend``
+through their columns, as the rows of their transposes.
 """
 
 from dataclasses import dataclass, replace
@@ -30,7 +32,7 @@ class ReferenceImage:
     def push_tensor_operator(self, op: Matrix) -> Matrix:
         """Induced action on the quotient of 1_M (x) op."""
         eye = Matrix.identity(self.relations.ctx, self.source.dim)
-        return self.relations.descend(eye.kron(op))
+        return self.relations.descend(eye.kron(op).transpose().rows.__getitem__)
 
 
 def reference_jimbo_J(M: RightModule, n: int) -> ReferenceImage:
@@ -69,7 +71,7 @@ def reference_functor_F(M: RightModule, n: int) -> UqModule:
     eyeM = Matrix.identity(ctx, M.dim)
 
     def push(op):
-        return img.relations.descend(op, check=True)
+        return img.relations.descend(op.transpose().rows.__getitem__, check=True)
 
     return replace(img.module, x0p=push(x0p), x0m=push(x0m),
                    k0=push(eyeM.kron(k0t)), k0inv=push(eyeM.kron(k0invt)))

@@ -177,6 +177,22 @@ def _quotient_case(draw):
     return ctx, op, gens, draw(vec), draw(vec), draw(scalar)
 
 
+def _images(op):
+    """op by its images, c -> op e_c, as SubspaceBasis.descend reads it."""
+    return op.transpose().rows.__getitem__
+
+
+class _Recorder:
+    """The images of op, recording each column asked for."""
+
+    def __init__(self, op):
+        self.image, self.asked = _images(op), []
+
+    def __call__(self, c):
+        self.asked.append(c)
+        return self.image(c)
+
+
 def _column_spin(ctx, op, vectors):
     """The smallest op-stable subspace (column convention) containing vectors."""
     out = span(ctx, _AMB, vectors)
@@ -220,8 +236,8 @@ def test_coords_rebuild_vectors_of_the_span(case):
 def test_descend_commutes_with_coset(case):
     ctx, op, gens, v, _, _ = case
     U = _column_spin(ctx, op, gens)
-    down = U.descend(op, check=True)
-    assert down == U.descend(op)
+    down = U.descend(_images(op), check=True)
+    assert down == U.descend(_images(op))
     assert (down.nrows, down.ncols) == (_AMB - U.dim, _AMB - U.dim)
     assert U.coset(op.apply_col(v)) == down.apply_col(U.coset(v))
 
@@ -232,7 +248,7 @@ def test_descend_into_target_commutes_with_coset(case):
     ctx, op, gens, v, w, _ = case
     U = span(ctx, _AMB, gens)
     target = span(ctx, _AMB, [op.apply_col(row) for row in U.rows()] + [w])
-    down = U.descend(op, target, check=True)
+    down = U.descend(_images(op), target, check=True)
     assert (down.nrows, down.ncols) == (_AMB - target.dim, _AMB - U.dim)
     assert target.coset(op.apply_col(v)) == down.apply_col(U.coset(v))
 
@@ -259,17 +275,49 @@ def test_descend_check_raises_exactly_when_a_row_leaves(case, stable):
     for target in (None, span(ctx, _AMB, images[1:] + [w]), span(ctx, _AMB, images)):
         if _leaves_target(U, op, U if target is None else target):
             with pytest.raises(ValueError, match="does not carry the subspace"):
-                U.descend(op, target, check=True)
+                U.descend(_images(op), target, check=True)
         else:
-            assert U.descend(op, target, check=True) == U.descend(op, target)
+            assert (U.descend(_images(op), target, check=True)
+                    == U.descend(_images(op), target))
 
 
 def test_descend_check_rejects_a_map_off_the_subspace(ctx):
     U = span(ctx, 3, [{0: ctx.one, 1: ctx.one}])
     swap = _m(ctx, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])  # e0 + e1 -> e0 + e2
-    U.descend(swap)  # unchecked: the caller's promise
+    U.descend(_images(swap))  # unchecked: the caller's promise
     with pytest.raises(ValueError):
-        U.descend(swap, check=True)
+        U.descend(_images(swap), check=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_quotient_case())
+def test_unchecked_descend_reads_each_free_column_once(case):
+    ctx, op, gens, _, _, _ = case
+    U = _column_spin(ctx, op, gens)
+    images = _Recorder(op)
+    assert U.descend(images) == U.descend(_images(op), check=True)
+    assert sorted(images.asked) == U.free_columns()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_quotient_case())
+def test_checked_descend_reads_every_column_once(case):
+    ctx, op, gens, _, _, _ = case
+    U = _column_spin(ctx, op, gens)
+    images = _Recorder(op)
+    U.descend(images, check=True)
+    assert sorted(images.asked) == list(range(_AMB))
+
+
+def test_checked_descend_reads_every_column_of_a_map_off_the_subspace(ctx):
+    U = span(ctx, 3, [{0: ctx.one, 1: ctx.one}])
+    images = _Recorder(_m(ctx, [[1, 0, 0], [0, 0, 1], [0, 1, 0]]))
+    U.descend(images)
+    assert sorted(images.asked) == [1, 2]  # pivot 0 is never built
+    images.asked.clear()
+    with pytest.raises(ValueError, match="does not carry the subspace"):
+        U.descend(images, check=True)
+    assert sorted(images.asked) == [0, 1, 2]
 
 
 @pytest.mark.parametrize("unit", [1, -1])

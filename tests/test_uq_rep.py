@@ -322,15 +322,15 @@ def test_push_ambient_operator_checks_invariance(ctx2):
 
 def test_diagonal_generators_never_build_an_ambient_operator(monkeypatch):
     # the k_i^+-1, t_r and k_0^+-1 are read off the block scalars; only the
-    # x_i^+- and the loop operators x_0^+- are built on the block ambient
+    # x_i^+- and the loop operators x_0^+- are read through their images
     seen = []
-    build = JimboImage.ambient_operator
+    build = JimboImage.image
 
     def recording(self, terms):
         seen.extend(X for _, X in terms)
         return build(self, terms)
 
-    monkeypatch.setattr(JimboImage, "ambient_operator", recording)
+    monkeypatch.setattr(JimboImage, "image", recording)
     ctx = ScalarContext(2)
     jimbo_J(hecke_regular_module(ctx, 3), 2)
     W = functor_F(universal_module(ctx, [ctx.scalar(2), ctx.scalar(-3)]), 2)
