@@ -5,49 +5,63 @@ field Q(t).  A :class:`ScalarContext` fixes the rank ``n`` and the embedding
 ``q = t^(2(n+1))``, so that the fractional powers ``q^(1/2) = t^(n+1)`` and
 ``q^(1/(n+1)) = t^2`` needed by the quantum-group side are honest integer
 powers of the single variable t.  Nothing is ever approximated: numerators
-and denominators are sparse Laurent polynomials with rational coefficients,
+and denominators are sparse Laurent polynomials with integer coefficients,
 kept in a canonical reduced form so that equality is literal equality.
 
-A coefficient is an ``int`` when it is integral and a ``Fraction`` with
-denominator > 1 otherwise, never a float.  The q-numbers, q^k and Ř's
-entries all have integer coefficients, so most arithmetic stays on Python
-ints; an int and an equal Fraction compare and hash equal, so the type
-choice does not touch equality.  Every division between two coefficients
-goes through ``_div`` (int / int would give a float), and sums and products
-demote an integral Fraction.
+Every stored coefficient is a Python ``int``, never a ``Fraction`` or a
+float: the rational content is kept apart from the primitive part (Knuth,
+TAOCP vol. 2, 4.6.1).  Besides its context, a :class:`Scalar` holds an
+integer Laurent polynomial ``num``, a polynomial ``den`` and a positive int
+``c``, and its value is num / (c den).  The constant 7/3 is ({0: 7}, _DEN_ONE, 3); q^k, the
+q-numbers and Ř's entries have c = 1.  So + and * of two coefficients are
+int operations with at most a ``math.gcd``, and ``is_one`` compares ints.
 
-The canonical form of a nonzero value is unique: numerator and denominator
-are coprime, the denominator is a monic polynomial with nonzero constant
-term (the shared ``_DEN_ONE`` when it is 1), and any power of t rides on the
-numerator.  Any correct reduction therefore returns the same dicts, and each
-operation does only the gcd work it needs (Henrici, J. ACM 3, 1956; Knuth,
-TAOCP vol. 2, 4.5.1), with n/d, n1/d1, n2/d2 canonical and p a polynomial:
+The canonical form of a nonzero value is unique, so equality is literal
+dict and int equality:
 
-* inverse: d/n is already coprime; only the shift and the scale change;
+* ``den`` is the shared ``_DEN_ONE`` exactly when the value is a Laurent
+  polynomial; otherwise it is a primitive polynomial with nonzero constant
+  term and positive leading coefficient, and any power of t rides on ``num``;
+* ``num`` is coprime to ``den`` over Q;
+* gcd(c, content(num)) = 1, so c is the least common denominator of
+  value * den.  Zero is ({}, _DEN_ONE, 1).
+
+Any correct reduction therefore returns the same dicts, and each operation
+does only the gcd work it needs (Henrici, J. ACM 3, 1956; Knuth, TAOCP
+vol. 2, 4.5.1), with n/d, n1/d1, n2/d2 canonical and p a polynomial:
+
+* inverse: d/n is already coprime; only the shift, the content and the sign
+  change;
 * p + n/d = (p d + n)/d is already reduced;
 * n1/d1 + n2/d2: g = gcd(d1, d2); with e_i = d_i/g the sum is
   (n1 e2 + n2 e1)/(g e1 e2), and only a gcd with g can cancel.  Equal
   denominators take one gcd of n1 + n2 with d, coprime ones none;
 * (n1/d1)(n2/d2): only the cross gcds gcd(n1, d2) and gcd(n2, d1) can
   cancel, and a monomial numerator shares nothing with d;
-* anything else (parsing) goes through ``_canon``: one gcd, then
-  ``_normalize`` (shift and monic).
+* parsing reduces with one gcd and then normalizes (shift, content, sign).
+
+The contents combine as fractions do: a sum goes over lcm(c1, c2), a product
+over c1 c2, and ``_make`` divides out gcd(c, content(num)) at the end.
 
 Before any of these, + and * take a fast path for the operands they mostly
-see, two monomials c1 t^e1 and c2 t^e2 over ``_DEN_ONE`` (every constant
-included): the product is c1 c2 t^(e1+e2), and the sum is one term, zero
-or the two terms, with no coercion, dict merge or gcd.
+see, two monomials a1/c1 t^e1 and a2/c2 t^e2 over ``_DEN_ONE`` (every
+constant included): the product is a1 a2/(c1 c2) t^(e1+e2) after one int
+gcd, and the sum is one term, zero or the two terms, with no coercion, dict
+merge or polynomial gcd.  Two terms at different exponents over
+c = lcm(c1, c2) need no gcd at all: their content is already coprime to c.
 
 Every gcd and exact division runs in the q-grading: after the Laurent shift,
-with s the gcd of all exponents of both polynomials, it runs on coefficient
-lists in u = t^s (s = 2(n+1) for the q-polynomials of this package), which
-is exact because u -> t^s is an injective ring map that keeps Bezout
-identities.
+with s the gcd of all exponents of both polynomials, it runs on integer
+coefficient lists in u = t^s (s = 2(n+1) for the q-polynomials of this
+package), which is exact because u -> t^s is an injective ring map that
+keeps Bezout identities.  Euclid takes primitive pseudo-remainders, so the
+gcd comes out primitive and, by Gauss's lemma, the quotients by it have
+integer coefficients.
 
 A context may instead pin ``t`` to a fixed rational value (the "specialized"
-backend).  Scalars then degenerate to plain rationals but flow through the
-same code paths, which keeps symbolic and specialized runs bit-identical in
-structure.
+backend).  Scalars then degenerate to rational constants a/c, stored as the
+int pair ({0: a}, c), but flow through the same code paths, which keeps
+symbolic and specialized runs bit-identical in structure.
 """
 
 from __future__ import annotations
@@ -58,16 +72,6 @@ from typing import Optional
 
 # Shared canonical denominator for polynomial scalars.  Never mutated.
 _DEN_ONE: dict[int, int] = {0: 1}
-
-
-def _demote(x):
-    """x as an int when it is integral, else x itself (a Fraction)."""
-    return x if type(x) is int or x.denominator != 1 else x.numerator
-
-
-def _div(a, b):
-    """The exact quotient a / b of two coefficients, demoted."""
-    return _demote(Fraction(a, b))
 
 
 class ScalarContext:
@@ -106,7 +110,10 @@ class ScalarContext:
     def scalar(self, x) -> "Scalar":
         """Embed a rational number."""
         if type(x) is not int:
-            x = _demote(Fraction(x))
+            x = Fraction(x)
+            if x.denominator != 1:
+                return Scalar(self, {0: x.numerator}, _DEN_ONE, x.denominator)
+            x = x.numerator
         if x == 0:
             return self._zero
         return Scalar(self, {0: x}, _DEN_ONE)
@@ -147,180 +154,156 @@ class ScalarContext:
         return f"ScalarContext(n={self.n}, backend={self.backend_name()})"
 
 
-def _strip(d: dict) -> dict:
-    return {e: _demote(c) for e, c in d.items() if c}
+def _scaled(p: dict, m: int) -> dict:
+    return {e: m * c for e, c in p.items()} if m != 1 else p
 
 
 def _dict_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for e, c in b.items():
-        s = out.get(e)
-        if s is None:
-            out[e] = c
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
         else:
-            s = s + c
-            if s:
-                out[e] = s if type(s) is int or s.denominator != 1 else s.numerator
-            else:
-                del out[e]
+            del out[e]
     return out
 
 
 def _dict_mul(a: dict, b: dict) -> dict:
     if len(a) == 1:
         (ea, ca), = a.items()
-        out = {ea + eb: ca * cb for eb, cb in b.items()}
-    elif len(b) == 1:
+        return {ea + eb: ca * cb for eb, cb in b.items()}
+    if len(b) == 1:
         (eb, cb), = b.items()
-        out = {ea + eb: ca * cb for ea, ca in a.items()}
-    else:
-        out = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = ea + eb
-                s = out.get(e)
-                if s is None:
-                    out[e] = ca * cb
-                else:
-                    s = s + ca * cb
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-    for e, c in out.items():
-        if type(c) is not int and c.denominator == 1:
-            out[e] = c.numerator
+        return {ea + eb: ca * cb for ea, ca in a.items()}
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            s = out.get(e, 0) + ca * cb
+            if s:
+                out[e] = s
+            else:
+                del out[e]
     return out
 
 
-def _shifted(p: dict, k: int) -> dict:
-    return {e + k: c for e, c in p.items()} if k else p
-
-
 def _dense_rem(a: list, b: list) -> list:
-    """Remainder of a by monic b, trimmed."""
+    """The primitive part of a pseudo-remainder of a by b, trimmed.
+
+    Each step scales a by lead(b)/g and subtracts lead(a)/g times the shifted
+    b, for g = gcd(lead(a), lead(b)), so everything stays an int.
+    """
     a = list(a)
-    db = len(b) - 1
-    while len(a) - 1 >= db and a:
-        lead = a[-1]
+    db, lb = len(b) - 1, b[-1]
+    while len(a) > db:
+        lead = a.pop()
         if lead:
-            da = len(a) - 1
-            for i in range(db + 1):
-                a[da - db + i] -= lead * b[i]
-        a.pop()
+            g = gcd(lead, lb)
+            f, h = lb // g, lead // g
+            if f != 1:
+                a = [f * c for c in a]
+            off = len(a) - db
+            for i in range(db):
+                a[off + i] -= h * b[i]
     while a and not a[-1]:
         a.pop()
+    if a and (k := gcd(*a)) != 1:
+        a = [c // k for c in a]
     return a
 
 
-def _dense_monic(a: list) -> list:
-    lead = a[-1]
-    if lead == 1:
-        return a
-    return [_div(c, lead) for c in a]
-
-
 def _dense_div_exact(a: list, b: list, s: int, shift: int) -> dict:
-    """Exact quotient a / b for monic b, as a sparse dict in t.
+    """Exact quotient a / b of integer lists, as a sparse dict in t.
 
     a and b are coefficient lists in u = t^s; quotient exponent k becomes
     k * s + shift.
     """
     a = list(a)
-    db = len(b) - 1
+    db, lb = len(b) - 1, b[-1]
     q: dict = {}
-    while len(a) - 1 >= db and a:
-        lead = a[-1]
-        da = len(a) - 1
+    while len(a) > db:
+        lead = a.pop()
         if lead:
-            q[(da - db) * s + shift] = _demote(lead)
-            for i in range(db + 1):
-                a[da - db + i] -= lead * b[i]
-        a.pop()
+            c, r = divmod(lead, lb)
+            if r:
+                raise ArithmeticError("non-exact polynomial division")
+            off = len(a) - db
+            q[off * s + shift] = c
+            for i in range(db):
+                a[off + i] -= c * b[i]
     if any(a):
         raise ArithmeticError("non-exact polynomial division")
     return q
 
 
 def _cancel(a: dict, b: dict):
-    """(a/g, b/g, g) for the monic gcd g of two nonzero Laurent polynomials.
+    """(a/g, b/g, g) for the gcd g of two nonzero integer Laurent polynomials.
 
-    Returns None when g = 1.  Both are shifted to polynomials with nonzero
-    constant term, and the gcd and the exact divisions run in u = t^s, where
-    s is the gcd of all their exponents: u -> t^s is an injective ring map
-    that keeps Bezout identities, so the gcd in u expands to the gcd in t,
-    from coefficient lists s times shorter.  The quotients keep the shifts of
-    a and b, and g has nonzero constant term.
+    g is primitive with a positive leading coefficient, so by Gauss's lemma
+    the quotients have integer coefficients.  Returns None when g = 1.  Both
+    are shifted to polynomials with nonzero constant term, and the gcd and
+    the exact divisions run in u = t^s, where s is the gcd of all their
+    exponents: u -> t^s is an injective ring map that keeps Bezout
+    identities, so the gcd in u expands to the gcd in t, from coefficient
+    lists s times shorter.  The quotients keep the shifts of a and b, and g
+    has nonzero constant term.
     """
     if len(a) == 1 or len(b) == 1:
         return None
     amin, bmin = min(a), min(b)
-    s = 0
-    for e in a:
-        s = gcd(s, e - amin)
-    for e in b:
-        s = gcd(s, e - bmin)
+    s = gcd(*(e - amin for e in a), *(e - bmin for e in b))
     da = [0] * ((max(a) - amin) // s + 1)
     for e, c in a.items():
         da[(e - amin) // s] = c
     db = [0] * ((max(b) - bmin) // s + 1)
     for e, c in b.items():
         db[(e - bmin) // s] = c
-    x, y = _dense_monic(da), _dense_monic(db)
-    if len(x) < len(y):
-        x, y = y, x
+    x, y = (da, db) if len(da) >= len(db) else (db, da)
     while y:
         x, y = y, _dense_rem(x, y)
-        if y:
-            y = _dense_monic(y)
     if len(x) == 1:
         return None
+    m = gcd(*x)
+    if x[-1] < 0:
+        m = -m
+    if m != 1:
+        x = [c // m for c in x]
     g = {k * s: c for k, c in enumerate(x) if c}
     return _dense_div_exact(da, x, s, amin), _dense_div_exact(db, x, s, bmin), g
 
 
-def _normalize(num: dict, den: dict):
-    """Canonical form of num/den for coprime num and den, num nonzero.
+def _make(ctx: ScalarContext, num: dict, den: dict, c: int) -> "Scalar":
+    """The scalar num / (c den), for num coprime to den and den either
+    ``_DEN_ONE`` or primitive with positive lead and nonzero constant term:
+    a constant den (then 1) becomes ``_DEN_ONE``, and gcd(c, content(num))
+    is divided out."""
+    if not num:
+        return ctx._zero
+    if len(den) == 1:
+        den = _DEN_ONE
+    if c != 1 and (g := gcd(c, *num.values())) != 1:
+        num, c = {e: v // g for e, v in num.items()}, c // g
+    return Scalar(ctx, num, den, c)
 
-    Shifts the denominator to a polynomial with nonzero constant term (the
-    numerator takes the Laurent shift) and makes it monic; a constant
-    denominator becomes the shared ``_DEN_ONE``.
+
+def _normalize(ctx: ScalarContext, num: dict, den: dict, c: int = 1) -> "Scalar":
+    """The scalar num / (c den) for coprime integer num and nonzero den.
+
+    Shifts den to a polynomial with nonzero constant term (num takes the
+    Laurent shift) and moves its content and sign into c and num.
     """
     dmin = min(den)
-    if len(den) == 1:
-        c = den[dmin]
-        if c != 1:
-            return {e - dmin: _div(v, c) for e, v in num.items()}, _DEN_ONE
-        return _shifted(num, -dmin), _DEN_ONE
-    num, den = _shifted(num, -dmin), _shifted(den, -dmin)
-    lead = den[max(den)]
-    if lead != 1:
-        den = {e: _div(c, lead) for e, c in den.items()}
-        num = {e: _div(c, lead) for e, c in num.items()}
-    return num, den
-
-
-def _canon(num: dict, den: dict):
-    """Reduce an arbitrary num/den to canonical form: one gcd, then normalize.
-
-    The denominator ends up a genuine polynomial with nonzero constant term
-    and leading coefficient 1; the numerator absorbs any Laurent shift; the
-    two are coprime.  Zero is ({}, 1).
-    """
-    num = _strip(num)
-    den = _strip(den)
-    if not den:
-        raise ZeroDivisionError("scalar with zero denominator")
-    if not num:
-        return {}, _DEN_ONE
-    reduced = _cancel(num, den)
-    if reduced is not None:
-        num, den, _ = reduced
-    return _normalize(num, den)
+    k = gcd(*den.values())
+    if den[max(den)] < 0:
+        k = -k
+    sign = 1 if k > 0 else -1
+    return _make(ctx, {e - dmin: sign * v for e, v in num.items()},
+                 {e - dmin: v // k for e, v in den.items()}, c * abs(k))
 
 
 class Scalar:
-    """An element of Q(t) in canonical reduced form.
+    """An element of Q(t) in canonical reduced form: num / (c den).
 
     Immutable; all operations return fresh values, so scalars are safe to
     share across threads and to reuse inside cached matrices.  The hash is
@@ -328,12 +311,13 @@ class Scalar:
     constant hashes as the int or Fraction it is == to.
     """
 
-    __slots__ = ("ctx", "num", "den")
+    __slots__ = ("ctx", "num", "den", "c")
 
-    def __init__(self, ctx: ScalarContext, num: dict, den: dict):
+    def __init__(self, ctx: ScalarContext, num: dict, den: dict, c: int = 1):
         self.ctx = ctx
         self.num = num
         self.den = den
+        self.c = c
 
     # -- helpers -----------------------------------------------------------
 
@@ -350,7 +334,7 @@ class Scalar:
         return not self.num
 
     def is_one(self) -> bool:
-        return self.den is _DEN_ONE and self.num == _DEN_ONE  # the numerator {0: 1}
+        return self.c == 1 and self.den is _DEN_ONE and self.num == _DEN_ONE  # num {0: 1}
 
     def __bool__(self):
         return bool(self.num)
@@ -362,58 +346,58 @@ class Scalar:
         if (type(other) is Scalar and other.ctx is self.ctx and len(n1) == 1
                 and len(n2 := other.num) == 1 and self.den is _DEN_ONE
                 and other.den is _DEN_ONE):
-            # monomials c1 t^e1 + c2 t^e2: no coercion, no dict merge
+            # monomials a1/c1 t^e1 + a2/c2 t^e2: int arithmetic, no dict merge
             e1, = n1
             e2, = n2
-            c1, c2 = n1[e1], n2[e2]
+            a1, a2, c = n1[e1], n2[e2], self.c
+            if c != other.c:
+                c = lcm(c, other.c)
+                a1, a2 = a1 * (c // self.c), a2 * (c // other.c)
             if e1 != e2:
-                return Scalar(self.ctx, {e1: c1, e2: c2}, _DEN_ONE)
-            c = c1 + c2
-            if not c:
+                # a prime of c divides one of a1, a2 only: no gcd to take
+                return Scalar(self.ctx, {e1: a1, e2: a2}, _DEN_ONE, c)
+            a = a1 + a2
+            if not a:
                 return self.ctx._zero
-            if type(c) is not int and c.denominator == 1:
-                c = c.numerator
-            return Scalar(self.ctx, {e1: c}, _DEN_ONE)
+            if c != 1 and (g := gcd(a, c)) != 1:
+                a, c = a // g, c // g
+            return Scalar(self.ctx, {e1: a}, _DEN_ONE, c)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        ctx, n1, n2, c = self.ctx, self.num, o.num, self.c
+        if c != o.c:
+            c = lcm(c, o.c)
+            n1, n2 = _scaled(n1, c // self.c), _scaled(n2, c // o.c)
         d1, d2 = self.den, o.den
         if d1 is _DEN_ONE and d2 is _DEN_ONE:
-            return Scalar(self.ctx, _dict_add(self.num, o.num), _DEN_ONE)
-        n1, n2 = self.num, o.num
+            return _make(ctx, _dict_add(n1, n2), _DEN_ONE, c)
         # p + n/d = (p d + n)/d is already reduced
         if d1 is _DEN_ONE:
-            return Scalar(self.ctx, _dict_add(_dict_mul(n1, d2), n2), d2)
+            return _make(ctx, _dict_add(_dict_mul(n1, d2), n2), d2, c)
         if d2 is _DEN_ONE:
-            return Scalar(self.ctx, _dict_add(n1, _dict_mul(n2, d1)), d1)
+            return _make(ctx, _dict_add(n1, _dict_mul(n2, d1)), d1, c)
         if d1 == d2:
             num = _dict_add(n1, n2)
-            if not num:
-                return self.ctx._zero
-            reduced = _cancel(num, d1)
-            if reduced is None:
-                return Scalar(self.ctx, num, d1)
-            num, den, _ = reduced
-            return Scalar(self.ctx, *_normalize(num, den))
+            if num and (reduced := _cancel(num, d1)) is not None:
+                num, d1, _ = reduced
+            return _make(ctx, num, d1, c)
         # Henrici: with g = gcd(d1, d2), n1/d1 + n2/d2 = s / (g e1 e2) for
         # e_i = d_i/g and s = n1 e2 + n2 e1, and only gcd(s, g) can cancel
         reduced = _cancel(d1, d2)
         if reduced is None:
             num = _dict_add(_dict_mul(n1, d2), _dict_mul(n2, d1))
-            return Scalar(self.ctx, num, _dict_mul(d1, d2))
+            return _make(ctx, num, _dict_mul(d1, d2), c)
         e1, e2, g = reduced
         num = _dict_add(_dict_mul(n1, e2), _dict_mul(n2, e1))
-        if not num:
-            return self.ctx._zero
-        reduced = _cancel(num, g)
-        if reduced is not None:
+        if num and (reduced := _cancel(num, g)) is not None:
             num, g, _ = reduced
-        return Scalar(self.ctx, *_normalize(num, _dict_mul(_dict_mul(e1, e2), g)))
+        return _make(ctx, num, _dict_mul(_dict_mul(e1, e2), g), c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.ctx, {e: -c for e, c in self.num.items()}, self.den)
+        return Scalar(self.ctx, {e: -c for e, c in self.num.items()}, self.den, self.c)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -429,13 +413,13 @@ class Scalar:
         if (type(other) is Scalar and other.ctx is self.ctx and len(n1) == 1
                 and len(n2 := other.num) == 1 and self.den is _DEN_ONE
                 and other.den is _DEN_ONE):
-            # monomials: (c1 t^e1)(c2 t^e2) = c1 c2 t^(e1+e2), never zero
+            # monomials: (a1/c1 t^e1)(a2/c2 t^e2), never zero; one int gcd
             e1, = n1
             e2, = n2
-            c = n1[e1] * n2[e2]
-            if type(c) is not int and c.denominator == 1:
-                c = c.numerator
-            return Scalar(self.ctx, {e1 + e2: c}, _DEN_ONE)
+            a, c = n1[e1] * n2[e2], self.c * other.c
+            if c != 1 and (g := gcd(a, c)) != 1:
+                a, c = a // g, c // g
+            return Scalar(self.ctx, {e1 + e2: a}, _DEN_ONE, c)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -444,26 +428,28 @@ class Scalar:
             return self.ctx._zero
         d1, d2 = self.den, o.den
         if d1 is _DEN_ONE and d2 is _DEN_ONE:
-            return Scalar(self.ctx, _dict_mul(n1, n2), _DEN_ONE)
+            return _make(self.ctx, _dict_mul(n1, n2), _DEN_ONE, self.c * o.c)
         # Henrici: only the cross pairs n1/d2 and n2/d1 can share factors
-        if d2 is not _DEN_ONE:
-            reduced = _cancel(n1, d2)
-            if reduced is not None:
-                n1, d2, _ = reduced
-        if d1 is not _DEN_ONE:
-            reduced = _cancel(n2, d1)
-            if reduced is not None:
-                n2, d1, _ = reduced
-        return Scalar(self.ctx, *_normalize(_dict_mul(n1, n2), _dict_mul(d1, d2)))
+        if d2 is not _DEN_ONE and (reduced := _cancel(n1, d2)) is not None:
+            n1, d2, _ = reduced
+        if d1 is not _DEN_ONE and (reduced := _cancel(n2, d1)) is not None:
+            n2, d1, _ = reduced
+        return _make(self.ctx, _dict_mul(n1, n2), _dict_mul(d1, d2), self.c * o.c)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        if not self.num:
+        num = self.num
+        if not num:
             raise ZeroDivisionError("inverse of zero scalar")
-        # den/num is already coprime, so only the shift and the scale remain
-        num = self.den if self.den is not _DEN_ONE else {0: 1}
-        return Scalar(self.ctx, *_normalize(num, self.num))
+        if len(num) == 1 and self.den is _DEN_ONE:
+            # a/c t^e -> c/a t^-e: a and c are already coprime
+            (e, a), = num.items()
+            if a < 0:
+                return Scalar(self.ctx, {-e: -self.c}, _DEN_ONE, -a)
+            return Scalar(self.ctx, {-e: self.c}, _DEN_ONE, a)
+        # c den/num is already coprime, so only the shift, content and sign remain
+        return _normalize(self.ctx, _scaled(self.den, self.c), num)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -490,15 +476,16 @@ class Scalar:
             other = self.ctx.scalar(other)
         return (
             self.ctx is other.ctx
+            and self.c == other.c
             and self.num == other.num
             and self.den == other.den
         )
 
     def __hash__(self):
-        # equal scalars have equal numerators, and the constant c has {0: c}
+        # equal scalars have equal numerators, and the constant a/c has {0: a}
         num = self.num
         if len(num) == 1 and 0 in num:
-            return hash(num[0])
+            return hash(num[0] if self.c == 1 else Fraction(num[0], self.c))
         return hash(frozenset(num.items())) if num else 0
 
     # -- specialization and inspection --------------------------------------
@@ -512,35 +499,34 @@ class Scalar:
         if dval == 0:
             raise ZeroDivisionError(f"pole at t = {t0}")
         nval = sum((c * t0 ** e for e, c in self.num.items()), Fraction(0))
-        return nval / dval
+        return nval / (self.c * dval)
 
     def q_exponent(self) -> Optional[int]:
         """The integer m with this scalar equal to q^m, or None.
 
         Over Q(t), q^m is the monic monomial t^(m e), so m is its t-exponent
-        divided by e.  At t = t0 the scalar is a rational x, and q0 = t0^e is
-        positive and not 1.  With b >= 2 the larger of q0's numerator and
-        denominator, the larger of x's numerator and denominator is b^|m|
-        when x = q0^m, so |m| is the number of times b divides it: at most
-        log_2 of it integer divisions.  The sign says whether x and q0 lie on
-        the same side of 1.  No float is involved on either backend, and
-        q^m == self confirms the answer.
+        divided by e.  At t = t0 the scalar is a rational a/c, and
+        q0 = t0^e is positive and not 1.  With b >= 2 the larger of q0's
+        numerator and denominator, the larger of a and c is b^|m| when
+        a/c = q0^m, so |m| is the number of times b divides it: at most
+        log_2 of it integer divisions.  The sign says whether a/c and q0 lie
+        on the same side of 1.  No float or Fraction is involved on either
+        backend, and q^m == self confirms the answer.
         """
-        if len(self.num) != 1 or self.den != _DEN_ONE:
+        if len(self.num) != 1 or self.den is not _DEN_ONE:
             return None
-        (k, x), = self.num.items()
+        (k, a), = self.num.items()
         ctx = self.ctx
         if ctx.t0 is None:
             m = k // ctx.e
-        elif x > 0:
-            q0, x = ctx.t0 ** ctx.e, Fraction(x)
-            b = max(q0.numerator, q0.denominator)
-            side = max(x.numerator, x.denominator)
+        elif a > 0:
+            qn, qd = ctx.t0.numerator ** ctx.e, ctx.t0.denominator ** ctx.e
+            b, side = max(qn, qd), max(a, self.c)
             m = 0
             while side % b == 0:
                 side //= b
                 m += 1
-            if (x > 1) != (q0 > 1):
+            if (a > self.c) != (qn > qd):
                 m = -m
         else:
             return None
@@ -550,41 +536,20 @@ class Scalar:
         """(coefficient, integer q-exponent) if this is c * q^m, else None."""
         if self.den is not _DEN_ONE or len(self.num) != 1:
             return None
-        (e, c), = self.num.items()
+        (e, a), = self.num.items()
         if e % self.ctx.e:
             return None
-        return c, e // self.ctx.e
+        return (a if self.c == 1 else Fraction(a, self.c)), e // self.ctx.e
 
     # -- rendering -----------------------------------------------------------
-
-    def _int_cleared(self):
-        """(num, den) with integer coefficients, jointly primitive, den lead > 0."""
-        denoms = [c.denominator for c in self.num.values()]
-        denoms += [c.denominator for c in self.den.values()]
-        m = lcm(*denoms) if denoms else 1
-        ni = {e: int(c * m) for e, c in self.num.items()}
-        di = {e: int(c * m) for e, c in self.den.items()}
-        content = 0
-        for c in ni.values():
-            content = gcd(content, abs(c))
-        for c in di.values():
-            content = gcd(content, abs(c))
-        if content > 1:
-            ni = {e: c // content for e, c in ni.items()}
-            di = {e: c // content for e, c in di.items()}
-        if di and di[max(di)] < 0:
-            ni = {e: -c for e, c in ni.items()}
-            di = {e: -c for e, c in di.items()}
-        return ni, di
 
     def __str__(self):
         if not self.num:
             return "0"
-        ni, di = self._int_cleared()
-        ns = _poly_str(ni)
-        if di == {0: 1}:
+        ns = _poly_str(self.num)
+        if self.den is _DEN_ONE and self.c == 1:
             return ns
-        return f"({ns})/({_poly_str(di)})"
+        return f"({ns})/({_poly_str(_scaled(self.den, self.c))})"
 
     def __repr__(self):
         return f"Scalar({self})"
@@ -623,7 +588,8 @@ def _poly_str(p: dict) -> str:
     return out
 
 
-def _parse_poly(ctx: ScalarContext, s: str) -> dict:
+def _parse_poly(s: str):
+    """(p, c): the polynomial s is p / c, with p's coefficients ints."""
     s = s.strip().replace(" - ", " + -").replace(" + ", "|")
     out: dict[int, Fraction] = {}
     for piece in s.split("|"):
@@ -653,7 +619,8 @@ def _parse_poly(ctx: ScalarContext, s: str) -> dict:
         else:
             exp = 0
         out[exp] = out.get(exp, Fraction(0)) + sign * coeff
-    return _strip(out)
+    c = lcm(*(v.denominator for v in out.values()))
+    return {e: v.numerator * (c // v.denominator) for e, v in out.items() if v}, c
 
 
 def parse_scalar(ctx: ScalarContext, s: str) -> Scalar:
@@ -663,13 +630,16 @@ def parse_scalar(ctx: ScalarContext, s: str) -> Scalar:
         return ctx.zero
     if s.startswith("(") and ")/(" in s and s.endswith(")"):
         ns, ds = s[1:-1].split(")/(", 1)
-        num = _parse_poly(ctx, ns)
-        den = _parse_poly(ctx, ds)
+        (num, cn), (den, cd) = _parse_poly(ns), _parse_poly(ds)
     else:
-        num = _parse_poly(ctx, s)
-        den = {0: 1}
-    num, den = _canon(num, den)
-    sc = Scalar(ctx, num, den)
+        (num, cn), den, cd = _parse_poly(s), {0: 1}, 1
+    if not den:
+        raise ZeroDivisionError("scalar with zero denominator")
+    # (num/cn) / (den/cd) = cd num / (cn den)
+    num = _scaled(num, cd)
+    if num and (reduced := _cancel(num, den)) is not None:
+        num, den, _ = reduced
+    sc = _normalize(ctx, num, den, cn)
     if ctx.t0 is not None:
         # Specialized backend stores plain rationals.
         return ctx.scalar(sc.specialize(ctx.t0))

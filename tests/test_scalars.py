@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -197,9 +198,10 @@ def test_cached_q_numbers_stay_in_their_context(symbolic_first):
 # -- the reduction kernel against a plain reference ---------------------------
 #
 # The reference cross-multiplies and reduces with an uncompressed dense gcd in
-# t.  The canonical form is unique, so every field operation must return
-# exactly the reference's numerator and denominator dicts, and a constant
-# denominator must be the shared _DEN_ONE.
+# t, over Q with a monic denominator.  The canonical form is unique, so every
+# field operation must return exactly the reference's numerator and
+# denominator once read in that form (``_monic``), a constant denominator must
+# be the shared _DEN_ONE, and the stored form must be canonical.
 
 
 def _ref_rem(a: list, b: list) -> list:
@@ -261,41 +263,58 @@ def _ref_add_dicts(a: dict, b: dict) -> dict:
     return out
 
 
+def _monic(x: Scalar):
+    """x as (num, den) over Q with den monic, the form the reference returns."""
+    lead = x.den[max(x.den)]
+    return ({e: Fraction(v, x.c * lead) for e, v in x.num.items()},
+            {e: Fraction(v, lead) for e, v in x.den.items()})
+
+
 def _ref_add(x, y):
-    num = _ref_add_dicts(_ref_mul(x.num, y.den), _ref_mul(y.num, x.den))
-    return _ref_canon(num, _ref_mul(x.den, y.den))
+    (xn, xd), (yn, yd) = _monic(x), _monic(y)
+    num = _ref_add_dicts(_ref_mul(xn, yd), _ref_mul(yn, xd))
+    return _ref_canon(num, _ref_mul(xd, yd))
 
 
 def _ref_pow(x, k: int):
-    num, den = (x.num, x.den) if k > 0 else (x.den, x.num)
+    num, den = _monic(x) if k > 0 else _monic(x)[::-1]
     pn, pd = {0: Fraction(1)}, {0: Fraction(1)}
     for _ in range(abs(k)):
         pn, pd = _ref_mul(pn, num), _ref_mul(pd, den)
     return _ref_canon(pn, pd)
 
 
-def _canonical_type(c):
-    return c.numerator if c.denominator == 1 else c
-
-
 def _make(ctx, num: dict, den: dict) -> Scalar:
+    """The canonical Scalar of num/den, built field by field from the reference."""
     num, den = _ref_canon(num, den)
-    num = {e: _canonical_type(c) for e, c in num.items()}
-    den = {e: _canonical_type(c) for e, c in den.items()}
-    return Scalar(ctx, num, _DEN_ONE if den == {0: 1} else den)
+    m = lcm(*(c.denominator for c in den.values()))
+    di = {e: int(c * m) for e, c in den.items()}
+    k = gcd(*di.values())
+    nq = {e: c * m / k for e, c in num.items()}
+    c = lcm(*(v.denominator for v in nq.values()))
+    s = Scalar(ctx, {e: int(v * c) for e, v in nq.items()},
+               _DEN_ONE if len(di) == 1 else {e: v // k for e, v in di.items()}, c)
+    assert _monic(s) == (num, den)
+    return s
 
 
-def _assert_coefficient_types(s: Scalar) -> None:
-    # an int when integral, else a Fraction with denominator > 1; never a float
-    for c in [*s.num.values(), *s.den.values()]:
-        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
+def _assert_canonical(s: Scalar) -> None:
+    # every stored coefficient is an int; den is _DEN_ONE or primitive with a
+    # positive lead and a nonzero constant term; gcd(c, content(num)) = 1
+    for v in [*s.num.values(), *s.den.values(), s.c]:
+        assert type(v) is int and v, v
+    assert s.c > 0 and gcd(s.c, *s.num.values()) == 1
+    if s.den is not _DEN_ONE:
+        assert len(s.den) > 1 and min(s.den) == 0 and s.den[max(s.den)] > 0
+        assert gcd(*s.den.values()) == 1
+    assert s.den == {0: 1} or s.den is not _DEN_ONE
 
 
 def _assert_is(got: Scalar, ref) -> None:
     num, den = ref
-    assert got.num == num and got.den == den
+    assert _monic(got) == (num, den)
     assert (got.den is _DEN_ONE) == (den == {0: 1})
-    _assert_coefficient_types(got)
+    _assert_canonical(got)
 
 
 _nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool)
@@ -374,13 +393,15 @@ def _monomial_pair(draw, ctx, exponents):
 
 
 def _check_field_operations(a: Scalar, b: Scalar) -> None:
-    neg_b = _make(b.ctx, {e: -c for e, c in b.num.items()}, b.den)
+    bn, bd = _monic(b)
+    neg_b = _make(b.ctx, {e: -c for e, c in bn.items()}, bd)
     for x, y in ((a, b), (b, a)):
+        (xn, xd), (yn, yd) = _monic(x), _monic(y)
         _assert_is(x + y, _ref_add(x, y))
-        _assert_is(x * y, _ref_canon(_ref_mul(x.num, y.num), _ref_mul(x.den, y.den)))
+        _assert_is(x * y, _ref_canon(_ref_mul(xn, yn), _ref_mul(xd, yd)))
         if y:
-            _assert_is(x / y, _ref_canon(_ref_mul(x.num, y.den), _ref_mul(x.den, y.num)))
-            _assert_is(y.inverse(), _ref_canon(y.den, y.num))
+            _assert_is(x / y, _ref_canon(_ref_mul(xn, yd), _ref_mul(xd, yn)))
+            _assert_is(y.inverse(), _ref_canon(yd, yn))
         for k in (-2, -1, 2):
             if k > 0 or y:
                 _assert_is(y ** k, _ref_pow(y, k))
@@ -407,7 +428,7 @@ _RATIONAL = ScalarContext(2, t0=Fraction(5, 3))
 def test_rational_backend_matches_reference(x, y):
     a, b = _RATIONAL.scalar(x), _RATIONAL.scalar(y)
     _check_field_operations(a, b)
-    assert (a * b).num == ({0: x * y} if x * y else {})
+    assert _monic(a * b)[0] == ({0: x * y} if x * y else {})
 
 
 @settings(max_examples=60, deadline=None)
@@ -439,7 +460,7 @@ def test_q_power_of_an_int_matches_the_rational_route(t0):
     c = ScalarContext(2, t0=t0)
     for k in range(-6, 7):
         got, want = c.q_power(k), c.q_power(Fraction(k))
-        _assert_is(got, (want.num, want.den))
+        _assert_is(got, _monic(want))
     assert c.q_power(2) == c.q * c.q
     for r in (Fraction(1, 7), Fraction(5, 4)):
         with pytest.raises(ValueError, match="not representable"):
@@ -466,7 +487,7 @@ def test_constants_hash_as_the_numbers_they_equal(t0):
 
 
 @pytest.mark.parametrize("t0", [None, Fraction(5, 3)], ids=["symbolic", "t=5/3"])
-def test_integral_coefficients_are_ints(t0):
+def test_stored_coefficients_are_ints(t0):
     c = ScalarContext(2, t0=t0)
     t = c.t_power(1)
     half = c.scalar(3) / c.scalar(2)
@@ -474,10 +495,54 @@ def test_integral_coefficients_are_ints(t0):
               parse_scalar(c, "(2*t^2 + 4)/(6*t^3 + 3*t)"), q_int(c, 3), q_binom(c, 4, 2),
               t * t - 1, (2 * t + 2) / (2 * t)]
     for v in values:
-        _assert_coefficient_types(v)
-    assert half.num == {0: Fraction(3, 2)}
-    assert c.scalar(Fraction(4, 2)).num == {0: 2}
+        _assert_canonical(v)
+    assert _monic(half)[0] == {0: Fraction(3, 2)}
+    assert (half.num, half.den, half.c) == ({0: 3}, _DEN_ONE, 2)
+    assert _monic(c.scalar(Fraction(4, 2)))[0] == {0: 2}
     if t0 is None:
-        # a monic denominator leaves the numerator 2/3 t^-1 + 1/3 t
-        assert values[4].num == {-1: Fraction(2, 3), 1: Fraction(1, 3)}
-        assert values[-1].num == {0: 1, -1: 1}
+        # a monic denominator leaves the numerator 2/3 t^-1 + 1/3 t; stored,
+        # it is (4 t^-1 + 2 t) / (3 (2 t^2 + 1)), with the 3 in c
+        assert _monic(values[4])[0] == {-1: Fraction(2, 3), 1: Fraction(1, 3)}
+        assert (values[4].num, values[4].den, values[4].c) == ({-1: 4, 1: 2}, {0: 1, 2: 2}, 3)
+        assert _monic(values[-1])[0] == {0: 1, -1: 1}
+
+
+def _some_results(c, a, b, d):
+    """Values of every reduction rule's kind built from a, b and d."""
+    out = [a + b, a - b, a * b, -a, a + c.scalar(Fraction(7, 3)), a * d]
+    if b:
+        out += [a / b, b.inverse(), (a + d) / b + d / (b + c.q), (a / b) * (b / (a + c.q))]
+    return out
+
+
+@pytest.mark.parametrize("c", [_CTX, _RATIONAL], ids=["symbolic", "t=5/3"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_representation_is_canonical_and_round_trips(c, data):
+    a, b, d = (data.draw(scalars_strategy(c)) for _ in range(3))
+    for x in _some_results(c, a, b, d):
+        _assert_canonical(x)
+        y = parse_scalar(c, str(x))
+        assert y == x and hash(y) == hash(x)
+        if x.den is _DEN_ONE and set(x.num) <= {0}:
+            # a constant hashes as the number it equals
+            assert hash(x) == hash(_monic(x)[0].get(0, 0))
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)], ids=["symbolic", "t=5/3"])
+def test_denominator_one_is_shared_and_results_are_scalars(t0):
+    # an operation counts as one on rational functions exactly when an
+    # operand's den is not the shared _DEN_ONE, and every result is of the
+    # one Scalar class, whose methods an op counter patches
+    c = ScalarContext(2, t0=t0)
+    t = c.t_power(1)
+    poly = c.scalar(Fraction(7, 3)) * t * t - c.scalar(Fraction(1, 2)) * t
+    for x in (c.scalar(Fraction(7, 3)), poly, c.q_power(3), c.q_power(-2), -c.q):
+        assert x.den is _DEN_ONE
+    inv = (c.q - c.q_power(-1)).inverse()
+    # at a rational t the inverse is a constant, so it keeps the shared den
+    assert (inv.den is _DEN_ONE) == (t0 is not None)
+    for x, y in ((poly, inv), (inv, poly), (c.q, c.scalar(Fraction(7, 3)))):
+        for r in (x + y, x - y, x * y, x / y, y.inverse(), x + 2, 2 - x, Fraction(1, 3) * x,
+                  x / 3, 1 / x, -x, x ** 2, x ** -1):
+            assert type(r) is Scalar
