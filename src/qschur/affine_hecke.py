@@ -301,8 +301,9 @@ class RelationReport:
     (``_first_difference``).  The quantum affine suite decides its Cartan
     relations on integer q-exponents when every k_i^(+-1) is a diagonal of
     powers of q, with the same witness (``affinization._relation_suite``).  A relation that restates another
-    takes its witness: s_i s_i^-1 = 1 the quadratic relation's, and a
-    bracket-Serre relation the Serre relation's of the same pair and sign.
+    takes its witness: s_i s_i^-1 = 1 the quadratic relation's, a
+    bracket-Serre relation the Serre relation's of the same pair and sign,
+    and for a_ij = 0 the Serre relation of (j, i) that of (i, j).
     """
 
     results: list  # (name, passed: bool, witness position or None)

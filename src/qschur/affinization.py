@@ -25,9 +25,13 @@ as exact identities on every module built here.  Its k_i are diagonals of
 powers of q (type 1), so the Cartan relations are decided on integer
 exponents: k_i x_j k_i^-1 = q^a x_j exactly when e_k[r] + e_kinv[s] = a at
 every nonzero (r, s) of x_j, with the witness the matrix products would
-give.  A module with any other k_i^(+-1), from a module file say, keeps the
-products.
-A bracket-Serre relation (a_ij = -1) is the Serre relation at p = 2, so it
+give, and the right side of [x_i^+, x_i^-] = (k_i - k_i^-1)/(q - q^-1) is
+x_i^- x_i^+ plus (q^a - q^b)/(q - q^-1) at each (r, r), a = e_k[r] and
+b = e_kinv[r].  A module with any other k_i^(+-1), from a module file say,
+keeps the products.
+A relation that restates another takes its witness: for a_ij = 0 the Serre
+relation of (j, i) is that of (i, j) with its sides swapped, and a
+bracket-Serre relation (a_ij = -1) is the Serre relation at p = 2, so it
 takes the witness of the Serre entry of the same (i, j, sign).
 
 The affine Cartan matrix is the cycle on {0, ..., n} for n >= 2; for n = 1
@@ -39,6 +43,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 from .affine_hecke import (
     RelationReport,
@@ -47,7 +53,7 @@ from .affine_hecke import (
     cherednik_pullback,
     verify_module_relations,
 )
-from .linalg import Matrix, diag_inverse
+from .linalg import Matrix, add_scaled, diag_inverse
 from .scalars import Scalar, ScalarContext, q_binom
 from .uq_rep import JimboImage, UqModule, _q_exponents, jimbo_J, kron_chain, natural_rep, tensor
 
@@ -100,20 +106,27 @@ def _relation_suite(ctx, labels, cartan, xp, xm, k, kinv, dim):
     q, with exponents e_k, e_kinv (``uq_rep._q_exponents``), the Cartan
     relations take the same witness from them: k x k^-1 = q^a x fails
     exactly at the nonzeros (r, s) of x with e_k[r] + e_kinv[s] != a, k k^-1
-    = 1 is the case x = 1, a = 0, and diagonal matrices commute.  The Serre
-    check of a pair (i, j) is made on the words x_i^r x_j x_i^(p-r), built
-    from powers of x_i kept per sign only while i is the outer index.  A
-    bracket-Serre entry is made exactly for a_ij = -1, which the affine
-    n = 1 datum (a double bond) never has, and takes the witness of the
-    Serre entry of the same (i, j, sign): its expansion [2]_q x_i x_j x_i =
-    x_i^2 x_j + x_j x_i^2 is the Serre relation at p = 2, since [2 1]_q =
-    [2]_q and [2 2]_q = 1.
+    = 1 is the case x = 1, a = 0, and diagonal matrices commute.  So does
+    the right side of [x_i^+, x_i^-] = (k_i - k_i^-1)/(q - q^-1): it is
+    x_i^- x_i^+ plus, at each (r, r), d(a, b) = (q^a - q^b)/(q - q^-1) with
+    a = e_k[r], b = e_kinv[r], one product per distinct (a, b) in the suite.
+    The Serre check of a pair (i, j) is made on the words
+    x_i^r x_j x_i^(p-r), built from powers of x_i kept per sign only while i
+    is the outer index; a word whose q-binomial is 1 is used as it is.  A
+    relation that restates another takes its witness.  For a_ij = 0 (p = 1)
+    the Serre relation of (j, i) is that of (i, j) with its sides swapped,
+    and ``_first_difference`` is symmetric.  A bracket-Serre entry is made
+    exactly for a_ij = -1, which the affine n = 1 datum (a double bond) never
+    has, and takes the witness of the Serre entry of the same (i, j, sign):
+    its expansion [2]_q x_i x_j x_i = x_i^2 x_j + x_j x_i^2 is the Serre
+    relation at p = 2, since [2 1]_q = [2]_q and [2 2]_q = 1.
     """
     eye = Matrix.identity(ctx, dim)
     qdenom_inv = (ctx.q - ctx.q_power(-1)).inverse()
     idx = range(len(labels))
     exps = [_q_exponents(m) for m in k + kinv]
     on_exponents = None not in exps
+    cartan_terms = {}  # (a, b) -> (q^a - q^b)/(q - q^-1)
 
     def conj(i, x, a):  # k_i x k_i^-1 = q^a x
         if not on_exponents:
@@ -124,6 +137,17 @@ def _relation_suite(ctx, labels, cartan, xp, xm, k, kinv, dim):
             if bad:
                 return r, min(bad)
         return None
+
+    def cartan_rhs(i):  # x_i^- x_i^+ + (k_i - k_i^-1)/(q - q^-1)
+        if not on_exponents:
+            return xm[i] * xp[i] + (k[i] - kinv[i]).scale(qdenom_inv)
+        rhs = xm[i] * xp[i]
+        for r, (a, b) in enumerate(zip(exps[i], exps[len(k) + i])):
+            d = cartan_terms.get((a, b))
+            if d is None:
+                d = cartan_terms[a, b] = (ctx.q_power(a) - ctx.q_power(b)) * qdenom_inv
+            add_scaled(rhs.rows[r], {r: d})
+        return rhs
 
     for i in idx:
         yield f"k{labels[i]}*k{labels[i]}inv=1", conj(i, eye, 0)
@@ -142,11 +166,12 @@ def _relation_suite(ctx, labels, cartan, xp, xm, k, kinv, dim):
     for i in idx:
         for j in idx:
             if i == j:
-                yield (f"[x+{labels[i]},x-{labels[i]}]=(k-kinv)/(q-qinv)", _first_difference(
-                    xp[i] * xm[i], xm[i] * xp[i] + (k[i] - kinv[i]).scale(qdenom_inv)))
+                yield (f"[x+{labels[i]},x-{labels[i]}]=(k-kinv)/(q-qinv)",
+                       _first_difference(xp[i] * xm[i], cartan_rhs(i)))
             else:
                 yield (f"[x+{labels[i]},x-{labels[j]}]=0",
                        _first_difference(xp[i] * xm[j], xm[j] * xp[i]))
+    serre = {}  # (i, j, sign) -> witness of serre(x_i, x_j)
     for i in idx:
         pows = {"+": [eye, xp[i]], "-": [eye, xm[i]]}  # pows[sign][s] = x_i^s
         for j in idx:
@@ -155,15 +180,17 @@ def _relation_suite(ctx, labels, cartan, xp, xm, k, kinv, dim):
             p = 1 - cartan[i][j]
             brackets = []
             for sign, xs in (("+", xp), ("-", xm)):
-                xi_pows = pows[sign]
-                while len(xi_pows) <= p:
-                    xi_pows.append(xi_pows[-1] * xs[i])
-                words = _serre_words(xi_pows, xs[j], p)
-                # sum_r (-1)^r [p r]_q words[r] = 0: the even words against the odd
-                sides = [words[0], words[1].scale(q_binom(ctx, p, 1))]
-                for r in range(2, p + 1):
-                    sides[r % 2] = sides[r % 2] + words[r].scale(q_binom(ctx, p, r))
-                witness = _first_difference(*sides)
+                if p == 1 and j < i:  # a_ij = 0: serre(x_j, x_i) with its sides swapped
+                    witness = serre[j, i, sign]
+                else:
+                    xi_pows = pows[sign]
+                    while len(xi_pows) <= p:
+                        xi_pows.append(xi_pows[-1] * xs[i])
+                    # sum_r (-1)^r [p r]_q words[r] = 0: the even words against the odd
+                    terms = [w if (qb := q_binom(ctx, p, r)).is_one() else w.scale(qb)
+                             for r, w in enumerate(_serre_words(xi_pows, xs[j], p))]
+                    witness = serre[i, j, sign] = _first_difference(
+                        reduce(add, terms[0::2]), reduce(add, terms[1::2]))
                 yield f"serre(x{sign}{labels[i]},x{sign}{labels[j]})", witness
                 if cartan[i][j] == -1:
                     # [x_i,[x_j,x_i]_{q^1/2}]_{q^1/2} = [2]_q x_i x_j x_i - x_i^2 x_j - x_j x_i^2,

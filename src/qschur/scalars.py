@@ -73,6 +73,12 @@ from typing import Optional
 # Shared canonical denominator for polynomial scalars.  Never mutated.
 _DEN_ONE: dict[int, int] = {0: 1}
 
+# Largest |k| of a term t^k that ``parse_scalar`` reads.  The work of a parse
+# grows with k ((t^k - 1)/(t^2 - 1) has k/2 terms), so larger exponents are
+# refused up front.  The largest |k| that the check sweep, `build` at n = 4
+# and F(M_a) at n = ell = 4 write is 60.
+MAX_T_EXPONENT = 10_000
+
 
 class ScalarContext:
     """Arithmetic context shared by every scalar of one session.
@@ -614,6 +620,8 @@ def _parse_poly(s: str):
                 exp = 1
             elif ts.startswith("t^"):
                 exp = int(ts[2:])
+                if abs(exp) > MAX_T_EXPONENT:
+                    raise ValueError(f"term {piece!r}: |exponent| exceeds {MAX_T_EXPONENT}")
             else:
                 raise ValueError(f"bad term {piece!r} in scalar string")
         else:
@@ -624,7 +632,11 @@ def _parse_poly(s: str):
 
 
 def parse_scalar(ctx: ScalarContext, s: str) -> Scalar:
-    """Parse the rendering produced by :meth:`Scalar.__str__`."""
+    """Parse the rendering produced by :meth:`Scalar.__str__`.
+
+    ValueError for a malformed string or a term t^k with |k| above
+    ``MAX_T_EXPONENT``.
+    """
     s = s.strip()
     if s == "0":
         return ctx.zero

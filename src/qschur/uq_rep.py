@@ -376,15 +376,16 @@ class JimboImage:
 
     def lift(self, m: dict, u: int, c=None) -> dict:
         """The ambient vector of c.(m (x) u) for a basis tensor u (c = 1 if None),
-        in the block of u's sorted tensor."""
+        in the block of u's sorted tensor: a new dict, scaled and shifted in
+        one pass."""
         offset, qk, P = self.sort(u)
         if P is not None:
             m = P.apply_row(m)
         if qk is not None:
             c = qk if c is None else c * qk
-        if c is not None and not c.is_one():
-            m = {j: c * x for j, x in m.items()}
-        return {offset + j: x for j, x in m.items()}
+        if c is None or c.is_one():
+            return {offset + j: x for j, x in m.items()}
+        return {offset + j: c * x for j, x in m.items()}
 
     def embed(self, m_index: int, tensor_vec: dict) -> dict:
         """Quotient coordinates of e_{m_index} (x) (tensor vector)."""
@@ -407,14 +408,15 @@ class JimboImage:
         dim, one, tensors = self.source.dim, self.source.ctx.one, list(self.blocks)
         reads = [(A, X.transpose().rows) for A, X in terms]
 
-        def column(c):
+        def column(c):  # the first lift is the accumulator: lift returns a new dict
             b, m = divmod(c, dim)
-            out: dict = {}
+            out = None
             for A, Xt in reads:
                 row = {m: one} if A is None else A.rows[m]
                 for u, x in Xt[tensors[b]].items():
-                    add_scaled(out, self.lift(row, u, x))
-            return out
+                    v = self.lift(row, u, x)
+                    out = v if out is None else add_scaled(out, v)
+            return {} if out is None else out
         return column
 
     def push_ambient_operator(self, terms) -> Matrix:

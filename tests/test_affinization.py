@@ -372,20 +372,50 @@ def _row_witness_input(W):
     raise AssertionError("no row with two same-weight free columns")
 
 
+# Matrix products of one affine suite whose k_i^(+-1) are diagonals of powers
+# of q, at each n: every identity is computed once
+_SUITE_PRODUCTS = {1: 40, 2: 72, 3: 112}
+
+
+def _counted_suite(W, monkeypatch):
+    """(verify_affine_relations(W), the number of Matrix products it formed)."""
+    calls, mul = [0], Matrix.__mul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Matrix, "__mul__", counted)
+        return verify_affine_relations(W), calls[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)])
+def test_affine_suite_forms_each_product_once(n, t0, monkeypatch):
+    c = ScalarContext(n, t0=t0)
+    for a in ((c.scalar(2),), (c.scalar(2), c.scalar(Fraction(-3, 4)))):
+        rep, products = _counted_suite(functor_F(universal_module(c, a), n), monkeypatch)
+        assert rep.passed
+        assert products == _SUITE_PRODUCTS[n]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("perturb, t0", [
     pytest.param(p, t0, id=str(p) if t0 is None else f"{p}-t=5/3")
     for t0 in (None, Fraction(5, 3))
-    for p in (False, True, "k1", "k1inv", "k1q", "k0zero", "x0row", "x1m")])
-def test_relation_suite_matches_direct_evaluation(n, perturb, t0):
+    for p in (False, True, "k1", "k1inv", "k1q", "k0zero", "x0row", "x1m", "xfar")])
+def test_relation_suite_matches_direct_evaluation(n, perturb, t0, monkeypatch):
     # perturb: nothing (False), one entry of x_0^+ (True), one diagonal entry
     # of k_1 plus one ("k1") or of k_1^-1 ("k1inv"), one diagonal entry of
     # k_1 times q ("k1q"), a zero diagonal entry of k_0 ("k0zero"), two
-    # entries of one row of x_0^+ ("x0row"), or one entry of x_1^- ("x1m").
-    # Every k stays diagonal.  "k1", "k1inv" and "k0zero" leave an entry
-    # that is no power of q, so the Cartan relations take the matrix
-    # products; the other inputs keep every k a diagonal of powers of q, so
-    # they are decided on exponents
+    # entries of one row of x_0^+ ("x0row"), one entry of x_1^- ("x1m"), or
+    # one entry of x_j^+ at the node j = (n+1)//2 farthest from 0 ("xfar"),
+    # which commutes with node 0 at n = 3.  Every k stays diagonal.  "k1",
+    # "k1inv" and "k0zero" leave an entry that is no power of q, so the
+    # Cartan relations take the matrix products; the other inputs keep every
+    # k a diagonal of powers of q, so they are decided on exponents, with no
+    # product beyond the exponent route's count
     c = ScalarContext(n, t0=t0)
     W = functor_F(universal_module(c, (c.scalar(2), c.scalar(Fraction(-3, 4)))), n,
                   check_source=False)
@@ -411,26 +441,41 @@ def test_relation_suite_matches_direct_evaluation(n, perturb, t0):
         W = _with(W, **{"x+0": x})
     elif perturb == "x1m":
         W = _with(W, **{"x-1": _perturbed(W.xm[0], c, 1, 0)})
+    elif perturb == "xfar":
+        j = (n + 1) // 2
+        s = next(s for s, row in enumerate(W.x0p.rows) if row)
+        W = _with(W, **{f"x+{j}": _perturbed(W.xp[j - 1], c, 0, s)})
     assert all(_is_diagonal(m) for m in [W.k0, W.k0inv] + W.k + W.kinv)
-    got = verify_affine_relations(W).results
+    rep, products = _counted_suite(W, monkeypatch)
+    on_exponents = perturb not in ("k1", "k1inv", "k0zero")
+    assert (products == _SUITE_PRODUCTS[n]) is on_exponents
+    got = rep.results
     assert got == _affine_suite(W)
     assert any(name.startswith("serre(x+0,") for name, _, _ in got)
     failed = {name for name, ok, _ in got if not ok}
+    witness = {name: pos for name, _, pos in got}
     if perturb is True:
         assert any(name.startswith("serre(") for name in failed)
         assert n == 1 or any(name.startswith("bracket-serre") for name in failed)
     elif perturb in ("k1", "k1inv", "k1q"):
         assert {"k1*k1inv=1", "[x+1,x-1]=(k-kinv)/(q-qinv)"} <= failed
         assert any(name.startswith("k1 x+") for name in failed)
-        assert dict((name, pos) for name, _, pos in got)["k1*k1inv=1"] == (0, 0)
+        assert witness["k1*k1inv=1"] == (0, 0)
+        if perturb == "k1q":  # e_kinv[0] != -e_k[0]: d(a, b) is not [a]_q
+            assert witness["[x+1,x-1]=(k-kinv)/(q-qinv)"][0] == 0
     elif perturb == "k0zero":
-        assert dict((name, pos) for name, _, pos in got)["k0*k0inv=1"] == (1, 1)
+        assert witness["k0*k0inv=1"] == (1, 1)
         assert "[x+0,x-0]=(k-kinv)/(q-qinv)" in failed
     elif perturb == "x0row":
-        assert dict((name, pos) for name, _, pos in got)["k0 x+0 k0inv = q^2 x+0"] == (r, lo)
+        assert witness["k0 x+0 k0inv = q^2 x+0"] == (r, lo)
     elif perturb == "x1m":
         assert "serre(x-0,x-1)" in failed
         assert n == 1 or "bracket-serre [x-0,[x-1,x-0]]" in failed
+    elif perturb == "xfar":
+        assert any(name.startswith("serre(x+0,") for name in failed)
+        if n == 3:  # both entries of the commuting pair fail, at one witness
+            assert {"serre(x+0,x+2)", "serre(x+2,x+0)"} <= failed
+            assert witness["serre(x+0,x+2)"] == witness["serre(x+2,x+0)"]
     else:
         assert not failed
 

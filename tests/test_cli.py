@@ -379,10 +379,13 @@ def _add_generator(name):
     ("V_a", _edit_generators(s1=[[0.9, 0, "-1"]]), "a row index must be an integer"),
     ("F", _edit_generators(k0=[[0, "1", "1"]]), "a column index must be an integer"),
     ("V_a", lambda d: d["generators"]["s1"].append([0, 0, "5"]), "entry (0, 0) is given twice"),
+    ("V_a", _edit_generators(y1=[[0, 0, "(t^200000 - 1)/(t^2 - 1)"]]),
+     "term 't^200000': |exponent| exceeds 10000"),
 ], ids=["size-drops-generators", "finite-with-y", "uq-generator-beyond-n",
      "uq-torus-beyond-n", "fractional-dim", "float-ell", "string-dim", "bool-n",
      "string-weights", "fractional-weight", "labels-length", "labels-not-a-list",
-     "fractional-row-index", "string-column-index", "repeated-position"])
+     "fractional-row-index", "string-column-index", "repeated-position",
+     "oversized-exponent"])
 @pytest.mark.parametrize("command", ["relations", "isomorphic"])
 def test_descriptor_rules_exit_2(tmp_path, capsys, part, edit, reason, command):
     path = _descriptor(capsys, tmp_path, edit, part)

@@ -4,7 +4,9 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qschur.scalars import _DEN_ONE, Scalar, ScalarContext, parse_scalar, q_binom, q_int
+from qschur.scalars import (
+    _DEN_ONE, MAX_T_EXPONENT, Scalar, ScalarContext, parse_scalar, q_binom, q_int,
+)
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +88,21 @@ def test_render_parse_round_trip(ctx):
     ]
     for v in vals:
         assert parse_scalar(ctx, str(v)) == v
+
+
+@pytest.mark.parametrize("t0", [None, Fraction(5, 3)])
+def test_parse_refuses_oversized_exponents(t0):
+    # (t^k - 1)/(t^2 - 1) has k/2 terms: a term beyond the limit is refused
+    # before any of them is built, on either side of the fraction bar
+    c = ScalarContext(2, t0=t0)
+    k = MAX_T_EXPONENT
+    at_limit = parse_scalar(c, f"(t^{k} - 1)/(t^2 - 1)")
+    assert at_limit == (c.t_power(k) - 1) / (c.t_power(2) - 1)
+    assert parse_scalar(c, f"3*t^-{k}") == 3 * c.t_power(-k)
+    for s in ("(t^200000 - 1)/(t^2 - 1)", f"t^{k + 1}", f"-2*t^-{k + 1} + 1",
+              f"(1)/(t^{k + 1} - 1)"):
+        with pytest.raises(ValueError, match="exceeds"):
+            parse_scalar(c, s)
 
 
 def test_render_q(ctx):
